@@ -14,7 +14,7 @@ import sys
 
 from . import instances
 from .generate import random_instance
-from .isolation import delivered_with_closed, sectors
+from .isolation import INFEASIBLE_UD, mask_bits, present_mask, sector_damage
 from .network import InstanceError, format_flow, parse_placement
 from .oracle import EnumerationCapExceeded, brute_force
 from .pareto import sweep
@@ -67,7 +67,6 @@ def _solver_options(args):
         branch_heuristic=args.branch,
         time_limit=args.time_limit,
         node_limit=args.node_limit,
-        seed=args.seed,
     )
 
 
@@ -80,7 +79,6 @@ def _add_solver_flags(p):
     p.add_argument("--branch", choices=("max-lb", "heaviest-edge", "lex"), default="max-lb")
     p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _parse_range(text):
@@ -113,30 +111,19 @@ def cmd_evaluate(args):
         placement = parse_placement(net, fh.read())
     _instance_digest(report, net)
     report.kv("valves", len(placement))
-    part = sectors(net, placement)
+    rows = [None] * net.num_edges
+    worst, worst_edge = -1, None
+    for pos, (rep, edges_mask, boundary, ud) in enumerate(
+            sector_damage(net, present_mask(net, placement))):
+        for e in mask_bits(edges_mask):
+            rows[e] = (pos, boundary.bit_count(), ud)
+        if ud > worst:
+            worst, worst_edge = ud, rep
     report.row("edge", "sector", "closed_valves", "ud_lps", "isolable")
-    worst = -1
-    worst_edge = None
-    feasible = True
-    per_sector = []
-    for sec in part.sectors:
-        if sec.contains_source:
-            per_sector.append((None, False))
-            feasible = False
-            continue
-        closed = 0
-        for s in sec.boundary:
-            closed |= 1 << s
-        _, delivered = delivered_with_closed(net, closed)
-        per_sector.append((net.total_demand - delivered, True))
-    for e in range(net.num_edges):
-        pos = part.edge_sector[e]
-        ud, ok = per_sector[pos]
-        report.row(net.edge_labels[e], pos, len(part.sectors[pos].boundary),
-                   format_flow(ud) if ok else "inf", "yes" if ok else "no")
-        if ok and ud > worst:
-            worst, worst_edge = ud, e
-    if not feasible:
+    for e, (pos, closed, ud) in enumerate(rows):
+        report.row(net.edge_labels[e], pos, closed, format_flow(ud),
+                   "no" if ud == INFEASIBLE_UD else "yes")
+    if worst == INFEASIBLE_UD:
         report.kv("result", "infeasible: some pipe cannot be isolated")
         report.emit()
         return EXIT_INFEASIBLE
@@ -223,10 +210,9 @@ def cmd_check(args):
     opts = _solver_options(args)
     all_ok = True
     if args.corpus:
-        seed0 = args.seed if args.seed is not None else 0
         nvs = list(_parse_range(args.nv)) if args.nv else [2, 3, 4, 5]
         for i in range(args.corpus):
-            net = random_instance(seed0 + i)
+            net = random_instance(args.seed + i)
             for nv in nvs:
                 all_ok &= _check_one(report, net, nv, opts, args.cap)
     else:
@@ -242,8 +228,16 @@ def cmd_check(args):
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT, not argparse's 2 ("infeasible")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="valveplan",
         description="Exact optimizer for isolation valve placement in water networks.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,6 +270,7 @@ def build_parser():
     p.add_argument("--nv", help="budget or range, e.g. 6 or 2..5")
     p.add_argument("--corpus", type=int, metavar="N", default=0,
                    help="check N seeded random instances instead")
+    p.add_argument("--seed", type=int, default=0, help="first corpus seed")
     p.add_argument("--cap", type=int, default=5_000_000, help="enumeration cap")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     _add_solver_flags(p)

@@ -147,21 +147,27 @@ def scan_sectors(net, present):
         yield (e,) + res
 
 
+def sector_damage(net, present):
+    """Yield (representative_edge, edges_mask, boundary, ud) for every sector,
+    representatives ascending: the one per-sector damage evaluator. Every
+    pipe of a sector entails the same closure, so one break per sector is
+    evaluated; a sector that holds a source cannot be de-watered at all and
+    gets INFEASIBLE_UD."""
+    total = net.total_demand
+    for rep, edges_mask, boundary, _, _, has_source in scan_sectors(net, present):
+        ud = INFEASIBLE_UD if has_source else total - delivered_with_closed(net, boundary)[1]
+        yield rep, edges_mask, boundary, ud
+
+
 def worst_case_fast(net, present):
     """(ud, argmax_edge, feasible) over all single-pipe breaks, mask input.
-
-    Edges of a sector share one outcome, so one break per sector is
-    evaluated. A sector with an interior source cannot be de-watered at all;
-    such placements report INFEASIBLE_UD.
-    """
+    Stops at the first sector that holds a source; ties go to the lowest
+    representative edge."""
     best = -1
     best_edge = None
-    total = net.total_demand
-    for rep, _, boundary, _, _, has_source in scan_sectors(net, present):
-        if has_source:
+    for rep, _, _, ud in sector_damage(net, present):
+        if ud == INFEASIBLE_UD:
             return INFEASIBLE_UD, rep, False
-        _, delivered = delivered_with_closed(net, boundary)
-        ud = total - delivered
         if ud > best:
             best = ud
             best_edge = rep
@@ -170,37 +176,35 @@ def worst_case_fast(net, present):
 
 # -- rich public wrappers ------------------------------------------------------
 
-def _bits(mask):
+def mask_bits(mask):
+    """Set bit positions of `mask`, ascending."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
+
+
+def _sector(edges_mask, boundary, nodes_mask, demand, contains_source):
+    return Sector(frozenset(mask_bits(edges_mask)), frozenset(mask_bits(nodes_mask)),
+                  frozenset(mask_bits(boundary)), demand, contains_source)
 
 
 def sector_of(net, placement, edge):
     """The sector containing `edge` under `placement`, as a Sector."""
-    mask = present_mask(net, placement)
-    edges_mask, boundary, nodes_mask, demand, has_source = sector_from(net, mask, edge)
-    return Sector(frozenset(_bits(edges_mask)), frozenset(_bits(nodes_mask)),
-                  frozenset(_bits(boundary)), demand, has_source)
+    return _sector(*sector_from(net, present_mask(net, placement), edge))
 
 
 def sectors(net, placement):
     """Partition of all edges into sectors."""
-    mask = present_mask(net, placement)
     out = []
     edge_sector = [None] * net.num_edges
-    for rep, edges_mask, boundary, nodes_mask, demand, has_source in scan_sectors(net, mask):
-        pos = len(out)
-        members = _bits(edges_mask)
-        for e in members:
-            edge_sector[e] = pos
-        out.append(Sector(frozenset(members), frozenset(_bits(nodes_mask)),
-                          frozenset(_bits(boundary)), demand, has_source))
+    for _, *flood in scan_sectors(net, present_mask(net, placement)):
+        sec = _sector(*flood)
+        for e in sec.edges:
+            edge_sector[e] = len(out)
+        out.append(sec)
     return SectorPartition(tuple(out), tuple(edge_sector))
 
 
@@ -212,8 +216,8 @@ def evaluate_break(net, placement, edge):
     all_edges = (1 << net.num_edges) - 1
     dewatered = all_edges & ~delivered
     return BreakOutcome(edge=edge,
-                        closed=frozenset(_bits(boundary)),
-                        dewatered=frozenset(_bits(dewatered)),
+                        closed=frozenset(mask_bits(boundary)),
+                        dewatered=frozenset(mask_bits(dewatered)),
                         ud=net.total_demand - delivered_w,
                         feasible=bool(dewatered >> edge & 1))
 

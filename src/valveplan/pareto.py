@@ -9,7 +9,7 @@ filtering.
 import logging
 from dataclasses import dataclass, replace
 
-from .isolation import worst_case_fast
+from .isolation import present_mask, worst_case_fast
 from .solver import InfeasibleBudget, SolverOptions, solve
 
 log = logging.getLogger(__name__)
@@ -38,15 +38,13 @@ def _best_extension(net, placement):
     any extra valve is a candidate for k+1. Candidates are never trusted
     blindly; the solver re-evaluates before installing.
     """
-    free = [s for s in range(net.num_slots) if s not in placement]
+    base = present_mask(net, placement)
     best = None
     best_ud = None
-    for s in free:
-        mask = 0
-        for t in placement:
-            mask |= 1 << t
-        mask |= 1 << s
-        ud, _, feasible = worst_case_fast(net, mask)
+    for s in range(net.num_slots):
+        if base >> s & 1:
+            continue
+        ud, _, feasible = worst_case_fast(net, base | 1 << s)
         if feasible and (best_ud is None or ud < best_ud):
             best_ud = ud
             best = placement | {s}

@@ -31,7 +31,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .isolation import worst_case_fast
+from .isolation import present_mask, worst_case_fast
 from .state import ABSENT, PRESENT, UNDECIDED, TrailedState
 
 log = logging.getLogger(__name__)
@@ -60,10 +60,8 @@ class SolverOptions:
     reduced_cost: bool = True
     restart_mode: str = "continuing"
     branch_heuristic: str = "max-lb"
-    value_order: str = "present-first"      # or "absent-first"
     time_limit: float | None = None          # seconds
     node_limit: int | None = None
-    seed: int | None = None                  # reserved; the search itself is deterministic
     initial_incumbent: frozenset | None = None
     on_incumbent: object = None              # callable(elapsed_s, ud_mls) or None
 
@@ -72,8 +70,6 @@ class SolverOptions:
             raise ValueError(f"restart_mode must be one of {RESTART_MODES}")
         if self.branch_heuristic not in BRANCH_HEURISTICS:
             raise ValueError(f"branch_heuristic must be one of {BRANCH_HEURISTICS}")
-        if self.value_order not in ("present-first", "absent-first"):
-            raise ValueError("value_order must be present-first or absent-first")
 
 
 @dataclass
@@ -168,7 +164,7 @@ class Search:
         self.anytime = []
         self.witness_edge = None
         self._restart = False
-        self._order = (PRESENT, ABSENT) if opts.value_order == "present-first" else (ABSENT, PRESENT)
+        self._order = (PRESENT, ABSENT)
         self.t0 = time.perf_counter()
 
         self.face_slots = face_slot_lists(net) if opts.face_constraints else []
@@ -182,10 +178,6 @@ class Search:
     @property
     def incumbent_ud(self):
         return self._best[0]
-
-    @property
-    def incumbent(self):
-        return self._best[1]
 
     def snapshot(self):
         """(ud_mls, placement, argmax_edge) of the best solution so far."""
@@ -203,12 +195,9 @@ class Search:
     def try_incumbent(self, placement):
         """Re-evaluate a candidate placement and install it if it is a
         valid strict improvement. Returns True when installed."""
-        if len(placement) != self.nv:
+        if len(placement) != self.nv or not all(0 <= s < self.net.num_slots for s in placement):
             return False
-        mask = 0
-        for s in placement:
-            mask |= 1 << s
-        ud, edge, feasible = worst_case_fast(self.net, mask)
+        ud, edge, feasible = worst_case_fast(self.net, present_mask(self.net, placement))
         if feasible and ud < self.incumbent_ud:
             self._install(ud, frozenset(placement), edge)
             return True
@@ -220,8 +209,8 @@ class Search:
         """Assign and propagate to fixpoint. False means the branch failed."""
         st = self.state
         nv = self.nv
-        pending = deque()
-        pending.append((slot, value))
+        pending = deque([(slot, value)])
+        completing = False
         while pending:
             s, v = pending.popleft()
             cur = st.value[s]
@@ -271,11 +260,12 @@ class Search:
                     self.stats.face_forced += 1
                     pending.append((last_undecided, PRESENT if n_present == 1 else ABSENT))
 
-            if st.n_undecided:
-                if st.n_present == nv:
-                    pending.extend((u, ABSENT) for u in self._undecided_slots())
-                elif st.n_present + st.n_undecided == nv:
-                    pending.extend((u, PRESENT) for u in self._undecided_slots())
+            if not completing and st.n_undecided and nv - st.n_present in (0, st.n_undecided):
+                # the budget decides every slot left. Queue them once: a later
+                # entry of the opposite value fails on the budget anyway
+                completing = True
+                fill = ABSENT if st.n_present == nv else PRESENT
+                pending.extend((u, fill) for u in self._undecided_slots())
         return True
 
     def _undecided_slots(self):
@@ -322,8 +312,7 @@ class Search:
         st = self.state
         self.stats.leaves += 1
         assert st.n_present == self.nv
-        mask = st.present_mask()
-        ud, edge, feasible = worst_case_fast(self.net, mask)
+        ud, edge, feasible = worst_case_fast(self.net, st.present_mask())
         if not feasible:
             self.stats.infeasible_leaves += 1
             self.witness_edge = edge
@@ -335,20 +324,40 @@ class Search:
         else:
             self.stats.rejected_leaves += 1
 
-    def explore(self):
+    def _enter(self):
+        """Count a node; evaluate a leaf (None) or pick the slot to branch on."""
         self.stats.nodes += 1
         self._check_limits()
-        st = self.state
-        if st.n_undecided == 0:
+        if self.state.n_undecided == 0:
             self._leaf()
-            return
-        slot = self.choose_branch()
-        for value in self._order:
+            return None
+        return self.choose_branch()
+
+    def explore(self):
+        """Depth-first search below the current state, on an explicit stack
+        rather than Python's. Every open node but the first sits in a frame
+        its parent opened; a restart closes them all."""
+        st = self.state
+        slot = self._enter()
+        stack = [] if slot is None else [(slot, iter(self._order))]
+        while stack:
+            slot, values = stack[-1]
+            value = next(values, None)
+            if value is None:
+                stack.pop()
+                if stack:
+                    st.undo_frame()
+                continue
             st.push_frame()
             if self.decide(slot, value):
-                self.explore()
+                child = self._enter()
+                if child is not None:
+                    stack.append((child, iter(self._order)))
+                    continue
             st.undo_frame()
             if self._restart:
+                for _ in range(len(stack) - 1):
+                    st.undo_frame()
                 return
 
     def init_root(self):
@@ -371,9 +380,8 @@ class Search:
                         return False
         st = self.state
         if st.n_undecided and st.n_present + st.n_undecided == self.nv:
-            for slot in self._undecided_slots():
-                if st.value[slot] == UNDECIDED and not self.decide(slot, PRESENT):
-                    return False
+            # every slot left must hold a valve; decide completes the rest
+            return self.decide(self._undecided_slots()[0], PRESENT)
         return True
 
     def run(self):

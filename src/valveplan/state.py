@@ -23,7 +23,6 @@ class TrailedState:
         self.parent = list(range(n))
         self.size = [1] * n
         self.lb = [0] * n                       # valid at class roots
-        self.has_source = [n_ in net.sources for n_ in range(n)]
         self.attached = bytearray(net.num_edges)
         self._trail = []
         self._frames = []
@@ -59,10 +58,9 @@ class TrailedState:
                 self.attached[e] = 0
                 self.lb[root] -= self.net.demand[e]
             else:                               # union
-                _, child, root, old_lb, old_src, old_size = entry
+                _, child, root, old_lb, old_size = entry
                 self.parent[child] = child
                 self.lb[root] = old_lb
-                self.has_source[root] = old_src
                 self.size[root] = old_size
 
     def set_value(self, slot, v):
@@ -95,11 +93,10 @@ class TrailedState:
             return ra
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
-        self._trail.append((2, rb, ra, self.lb[ra], self.has_source[ra], self.size[ra]))
+        self._trail.append((2, rb, ra, self.lb[ra], self.size[ra]))
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         self.lb[ra] += self.lb[rb]
-        self.has_source[ra] = self.has_source[ra] or self.has_source[rb]
         return ra
 
     # -- inspection helpers (search heuristics and tests) --------------------
@@ -111,18 +108,15 @@ class TrailedState:
         return max(self.lb[r] for r in self.roots())
 
     def classes(self):
-        """Canonical snapshot {frozenset(node ids): (lb, has_source)}."""
+        """Canonical snapshot {frozenset(node ids): lb}."""
         groups = {}
         for n in range(self.net.num_nodes):
             groups.setdefault(self.find(n), set()).add(n)
-        return {frozenset(v): (self.lb[r], self.has_source[r]) for r, v in groups.items()}
+        return {frozenset(v): self.lb[r] for r, v in groups.items()}
 
     def present_slots(self):
         return frozenset(s for s in range(self.net.num_slots) if self.value[s] == PRESENT)
 
     def present_mask(self):
-        mask = 0
-        for s in range(self.net.num_slots):
-            if self.value[s] == PRESENT:
-                mask |= 1 << s
-        return mask
+        value = self.value
+        return sum(1 << s for s in range(self.net.num_slots) if value[s] == PRESENT)

@@ -1,9 +1,14 @@
 import json
+import random
 
 import pytest
 
+from valveplan import instances
 from valveplan.cli import main
+from valveplan.generate import random_instance
 from valveplan.instances import FIG1_SIX_VALVES
+from valveplan.isolation import evaluate_break, sectors, worst_case_ud
+from valveplan.network import format_flow, serialize_network
 
 
 @pytest.fixture
@@ -50,6 +55,65 @@ def test_evaluate_bad_instance(capsys, tmp_path, demo_placement_file):
     code, _, err = run(capsys, "evaluate", str(bad), demo_placement_file)
     assert code == 1
     assert "self-loop" in err
+
+
+def evaluate_cases(tmp_path):
+    """(instance path, network, placement): fig1 with the demo and the empty
+    placement, then random placements on corpus instances."""
+    fig1 = instances.fig1()
+    demo = frozenset(fig1.parse_slot_token(t) for t in FIG1_SIX_VALVES)
+    cases = [("fig1", fig1, demo), ("fig1", fig1, frozenset())]
+    rng = random.Random(7)
+    for seed in range(6):
+        net = random_instance(seed)
+        path = tmp_path / f"rand-{seed}.json"
+        path.write_text(serialize_network(net))
+        for _ in range(4):
+            k = rng.randint(1, net.num_slots)
+            cases.append((str(path), net, frozenset(rng.sample(range(net.num_slots), k))))
+    return cases
+
+
+def test_evaluate_rows_match_sectors_and_breaks(capsys, tmp_path):
+    infeasible_seen = feasible_seen = 0
+    for i, (instance, net, placement) in enumerate(evaluate_cases(tmp_path)):
+        path = tmp_path / f"placement-{i}.txt"
+        path.write_text("\n".join(net.placement_tokens(placement)) + "\n")
+        code, out, _ = run(capsys, "evaluate", instance, str(path), "--format", "csv")
+        lines = out.splitlines()
+        header = lines.index("edge,sector,closed_valves,ud_lps,isolable")
+        rows = [line.split(",") for line in lines[header + 1:header + 1 + net.num_edges]]
+        part = sectors(net, placement)
+        for e, row in enumerate(rows):
+            pos = part.edge_sector[e]
+            sec = part.sectors[pos]
+            if sec.contains_source:
+                expect = ["inf", "no"]
+            else:
+                expect = [format_flow(evaluate_break(net, placement, e).ud), "yes"]
+            assert row == [net.edge_labels[e], str(pos), str(len(sec.boundary))] + expect
+        worst = worst_case_ud(net, placement)
+        if worst.feasible:
+            feasible_seen += 1
+            assert code == 0
+            assert f"worst_case_ud_lps: {format_flow(worst.ud)}" in lines
+            assert f"worst_break: {net.edge_labels[worst.edge]}" in lines
+        else:
+            infeasible_seen += 1
+            assert code == 2
+            assert "result: infeasible: some pipe cannot be isolated" in lines
+    assert feasible_seen and infeasible_seen
+
+
+def test_usage_errors_exit_input_code(capsys):
+    for argv in ([], ["solve", "fig1"], ["solve", "fig1", "--nv", "6", "--bogus"],
+                 ["solve", "fig1", "--nv", "6", "--seed", "1"],
+                 ["sweep", "fig1", "--nv", "2..4", "--seed", "1"],
+                 ["check", "--corpus", "1", "--seed", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_solve_fig1(capsys):

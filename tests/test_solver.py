@@ -1,5 +1,6 @@
 import math
 import random
+import traceback
 from itertools import combinations
 
 import pytest
@@ -229,7 +230,6 @@ def test_fig1_root_branch_is_frozen(fig1):
     bare = Search(fig1, 6, SolverOptions(symmetry=False))
     assert bare.init_root()
     assert fig1.slot_token(bare.choose_branch()) == "e25:2"
-    assert bare._order[0] == PRESENT
 
 
 def test_branch_heuristics_same_optimum(fig1):
@@ -353,6 +353,12 @@ def test_warm_start_candidate_is_verified(fig1):
     sol = solve(fig1, 6, SolverOptions(initial_incumbent=good))
     assert sol.ud == 15000
     assert sol.placement == good
+    # so is one with a slot outside the network, even at the right size
+    for bad_slot in (fig1.num_slots, 99, -1):
+        sol = solve(fig1, 7, SolverOptions(initial_incumbent=good | {bad_slot}))
+        assert sol.proof == "optimal" and sol.ud == 15000
+        assert all(0 <= s < fig1.num_slots for s in sol.placement)
+        assert len(sol.tokens(fig1)) == 7
 
 
 def test_on_incumbent_callback(fig1):
@@ -370,6 +376,26 @@ def test_snapshot_contract(fig1):
     assert ud == 15000 and len(placement) == 6
 
 
+def path_net(n_pipes):
+    """Path 1 - 2 - ... fed from node 1."""
+    return make_net(list(range(1, n_pipes + 2)), [1],
+                    [(f"p{i}", i, i + 1, 1 + i % 3) for i in range(1, n_pipes + 1)])
+
+
+def test_search_depth_does_not_deepen_the_python_stack():
+    # the search tree on the longer path is about five times deeper, but the
+    # interpreter's stack at each incumbent must stay as deep as on the short one
+    depths = []
+    for n_pipes, nv in ((10, 15), (60, 100)):
+        seen = set()
+        opts = SolverOptions(node_limit=200, on_incumbent=lambda t, ud: seen.add(
+            sum(1 for _ in traceback.walk_stack(None))))
+        sol = solve(path_net(n_pipes), nv, opts)
+        assert sol.placement is not None and seen
+        depths.append(seen)
+    assert depths[0] == depths[1]
+
+
 # -- restart mode -----------------------------------------------------------------
 
 
@@ -379,6 +405,16 @@ def test_restart_mode_same_optimum_more_nodes(fig1):
     assert cont.ud == rest.ud == 15000
     assert rest.stats.restarts >= 1
     assert rest.stats.nodes >= cont.stats.nodes
+
+
+def test_restart_closes_every_open_frame(fig1):
+    search = Search(fig1, 6, SolverOptions(restart_mode="restarting"))
+    assert search.init_root()
+    root = bytes(search.state.value)
+    search.run()
+    assert search.stats.restarts >= 1
+    assert search.state._frames == []
+    assert bytes(search.state.value) == root
 
 
 def test_node_count_dominance(fig1, corpus):

@@ -138,18 +138,3 @@ def test_lb_matches_attached_edges(fig1_net_doc):
         for root in state.roots():
             assert state.lb[root] == by_class.get(root, 0)
 
-
-def test_source_flag_propagates(fig1_net_doc):
-    net = fig1_net_doc
-    state = TrailedState(net)
-    src = next(iter(net.sources))
-    assert state.has_source[state.find(src)]
-    # merge source class with a neighbour through a pipe with both slots absent
-    e = net.incident[src][0]
-    for slot in (2 * e, 2 * e + 1):
-        state.set_value(slot, ABSENT)
-        state.register_absent(slot)
-    u, v = net.endpoints[e]
-    root = state.find(u)
-    assert state.find(v) == root
-    assert state.has_source[root]
