@@ -32,6 +32,7 @@ from .solver import (
     SearchStats,
     Solution,
     SolverOptions,
+    bridge_lower_bound,
     required_source_slots,
     solve,
     symmetry_forced_slots,

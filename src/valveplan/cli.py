@@ -149,7 +149,8 @@ def cmd_solve(args):
     if args.anytime:
         _write_anytime(args.anytime, sol.anytime)
     if sol.placement is None:
-        report.kv("result", "limit expired before any solution was found")
+        stopped = "interrupted" if sol.interrupted else "limit expired"
+        report.kv("result", f"{stopped} before any solution was found")
         report.emit()
         return EXIT_LIMIT
     _solution_block(report, net, sol)

@@ -11,14 +11,15 @@ connected and planar as drawn.
 import json
 import random
 
-import numpy as np
-from scipy.spatial import Delaunay, QhullError
-
 from .network import parse_network
 
 
 def random_document(seed, n_edges=(5, 8)):
     """Instance document text for a random planar network."""
+    # imported here so that `import valveplan` does not pay for scipy
+    import numpy as np
+    from scipy.spatial import Delaunay, QhullError
+
     rng = random.Random(seed)
     if isinstance(n_edges, int):
         m = n_edges

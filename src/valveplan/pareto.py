@@ -56,7 +56,8 @@ def sweep(net, n_valves_range, opts=None, warm_start=True):
 
     Points whose budget cannot isolate every pipe are skipped with a note.
     Points that hit a limit keep their best-found value and are flagged
-    through their proof status.
+    through their proof status. A KeyboardInterrupt during a solve ends the
+    sweep after that budget, with a note, keeping the points so far.
     """
     if opts is None:
         opts = SolverOptions()
@@ -80,9 +81,12 @@ def sweep(net, n_valves_range, opts=None, warm_start=True):
             continue
         if sol.placement is None:
             notes.append(f"n_valves={nv}: no solution within limits")
-            continue
-        solved.append(ParetoPoint(nv, sol.ud, sol.placement, sol.proof, sol.elapsed))
-        prev = sol.placement
+        else:
+            solved.append(ParetoPoint(nv, sol.ud, sol.placement, sol.proof, sol.elapsed))
+            prev = sol.placement
+        if sol.interrupted:
+            notes.append(f"n_valves={nv}: interrupted; larger budgets were not solved")
+            break
 
     points = []
     dropped = []

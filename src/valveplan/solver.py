@@ -6,8 +6,10 @@ loses the least demand. The opponent's side of the game needs no search of
 its own: once a placement is complete, the worst break is found by exact
 per-sector evaluation.
 
-Three pruning families cut the tree:
+Four pruning families cut the tree:
 
+* source rule: every slot next to a source must hold a valve in any
+  feasible placement, so those slots are fixed present at the root;
 * face rule: a closed face cycle of the drawing cannot carry exactly one
   valve (a lone valve on a cycle separates nothing);
 * symmetry rule: at a non-source degree-2 node the two surrounding slots
@@ -15,7 +17,9 @@ Three pruning families cut the tree:
 * bound rule: classes of nodes already known to share a sector carry a
   demand lower bound; once a class reaches the incumbent the branch is
   dead, and when joining two classes would reach it the joining slot is
-  forced to take a valve (reduced-cost style fixing).
+  forced to take a valve (reduced-cost style fixing); the bound rule also
+  stops the whole search once the incumbent meets the static bridge floor
+  (see `bridge_lower_bound`), which no placement can beat.
 
 The class bound ignores unintended isolation, which only adds damage, so
 it never overestimates a completion. Improvements are strict: each new
@@ -54,6 +58,7 @@ class _LimitExceeded(Exception):
 
 @dataclass
 class SolverOptions:
+    source_slots: bool = True
     face_constraints: bool = True
     symmetry: bool = True
     lb_prune: bool = True
@@ -83,6 +88,8 @@ class SearchStats:
     conflicts: int = 0
     reduced_cost_forced: int = 0
     symmetry_fixed: int = 0
+    source_fixed: int = 0
+    lower_bound: int = 0         # ml/s, the bridge floor
     infeasible_leaves: int = 0
     rejected_leaves: int = 0
     restarts: int = 0
@@ -102,6 +109,7 @@ class Solution:
     stats: SearchStats
     anytime: list                # [(elapsed_seconds, ud_mls)], strictly improving
     elapsed: float
+    interrupted: bool = False    # a KeyboardInterrupt ended the solve
 
     def tokens(self, net):
         return net.placement_tokens(self.placement) if self.placement else []
@@ -128,6 +136,60 @@ def required_source_slots(net):
     """Every slot next to a source must carry a valve in any feasible
     placement, else the pipe behind it can never be de-watered."""
     return sum(net.degree(s) for s in net.sources)
+
+
+def bridge_lower_bound(net):
+    """Worst-case damage (ml/s) that no feasible placement goes below.
+
+    Every break loses at least its own pipe. Breaking a bridge whose far
+    side holds no source also cuts off every pipe beyond it, whatever the
+    valves (the unintended isolation of Jun & Loganathan, JWRPM 2007). The
+    floor is the larger of the heaviest pipe and, over such bridges, the
+    bridge's demand plus the demand beyond it. One iterative lowpoint DFS
+    (Tarjan 1974) rooted at the sources finds the bridges, so the near side
+    of every bridge holds a source and its far side is a DFS subtree.
+    """
+    n = net.num_nodes
+    disc = [-1] * n             # discovery order
+    low = [0] * n
+    beyond = [0] * n            # demand of the subtree's pipes and of the pipe into it
+    fed = bytearray(n)          # the subtree holds a source
+    floor = max(net.demand, default=0)
+    order = 0
+    for root in net.source_list:
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = order
+        order += 1
+        stack = [(root, -1, iter(net.incident[root]))]
+        while stack:
+            node, via, pipes = stack[-1]
+            for e in pipes:
+                if e == via:
+                    continue
+                u, v = net.endpoints[e]
+                other = v if u == node else u
+                if disc[other] < 0:
+                    disc[other] = low[other] = order
+                    order += 1
+                    beyond[other] = net.demand[e]
+                    fed[other] = other in net.sources
+                    stack.append((other, e, iter(net.incident[other])))
+                    break
+                if disc[other] < disc[node]:
+                    # back pipe to an ancestor, counted at its lower end
+                    low[node] = min(low[node], disc[other])
+                    beyond[node] += net.demand[e]
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                    beyond[parent] += beyond[node]
+                    fed[parent] |= fed[node]
+                    if low[node] > disc[parent] and not fed[node]:
+                        floor = max(floor, beyond[node])
+    return floor
 
 
 def face_slot_lists(net):
@@ -159,11 +221,12 @@ class Search:
         self.nv = n_valves
         self.opts = opts
         self.state = TrailedState(net)
-        self.stats = SearchStats()
+        self.floor = bridge_lower_bound(net)
+        self.stats = SearchStats(lower_bound=self.floor)
         self._best = (math.inf, None, None)   # (ud, placement, argmax edge)
         self.anytime = []
         self.witness_edge = None
-        self._restart = False
+        self._unwind = False
         self._order = (PRESENT, ABSENT)
         self.t0 = time.perf_counter()
 
@@ -178,6 +241,12 @@ class Search:
     @property
     def incumbent_ud(self):
         return self._best[0]
+
+    @property
+    def floor_met(self):
+        """The incumbent meets the bridge floor, so it is optimal. Always
+        False with `lb_prune` off, which switches the floor stop off too."""
+        return self.opts.lb_prune and self._best[0] <= self.floor
 
     def snapshot(self):
         """(ud_mls, placement, argmax_edge) of the best solution so far."""
@@ -319,8 +388,8 @@ class Search:
             return
         if ud < self.incumbent_ud:
             self._install(ud, st.present_slots(), edge)
-            if self.opts.restart_mode == "restarting":
-                self._restart = True
+            if self.opts.restart_mode == "restarting" or self.floor_met:
+                self._unwind = True
         else:
             self.stats.rejected_leaves += 1
 
@@ -336,7 +405,7 @@ class Search:
     def explore(self):
         """Depth-first search below the current state, on an explicit stack
         rather than Python's. Every open node but the first sits in a frame
-        its parent opened; a restart closes them all."""
+        its parent opened; a restart or a floor stop closes them all."""
         st = self.state
         slot = self._enter()
         stack = [] if slot is None else [(slot, iter(self._order))]
@@ -355,22 +424,31 @@ class Search:
                     stack.append((child, iter(self._order)))
                     continue
             st.undo_frame()
-            if self._restart:
+            if self._unwind:
                 for _ in range(len(stack) - 1):
                     st.undo_frame()
                 return
 
     def init_root(self):
         """Apply up-front decisions. False when the root is already dead."""
+        net = self.net
+        if self.opts.source_slots:
+            for src in net.source_list:
+                for e in net.incident[src]:
+                    slot = net.slot_id(e, src)
+                    if self.state.value[slot] == UNDECIDED:
+                        self.stats.source_fixed += 1
+                    if not self.decide(slot, PRESENT):
+                        return False
         if self.opts.symmetry:
-            forced = symmetry_forced_slots(self.net)
-            if self.nv > self.net.num_slots - len(forced):
+            forced = symmetry_forced_slots(net)
+            if self.nv > net.num_slots - len(forced):
                 # pinning these slots would leave too few places for the
                 # requested valves; the rule is skipped for this budget
                 self.stats.symmetry_capacity_skip = True
                 log.info("symmetry rule skipped: budget %d exceeds the %d "
                          "slots left after pinning", self.nv,
-                         self.net.num_slots - len(forced))
+                         net.num_slots - len(forced))
             else:
                 for slot in forced:
                     if self.state.value[slot] != UNDECIDED:
@@ -385,10 +463,12 @@ class Search:
         return True
 
     def run(self):
+        """Search until the tree is exhausted or the incumbent meets the
+        floor; in restarting mode, start over after every improvement."""
         while True:
-            self._restart = False
+            self._unwind = False
             self.explore()
-            if not self._restart:
+            if not self._unwind or self.floor_met:
                 return
             self.stats.restarts += 1
 
@@ -396,8 +476,9 @@ class Search:
 def solve(net, n_valves, opts=None):
     """Optimal placement of exactly `n_valves` valves.
 
-    Returns a Solution with proof "optimal" when the search completed, or
-    "best-found" when a time/node limit expired first. Raises
+    Returns a Solution with proof "optimal" when the search completed or
+    the incumbent met the bridge floor, or "best-found" when a time/node
+    limit expired or a KeyboardInterrupt arrived first. Raises
     InfeasibleBudget (with a witness pipe) when no placement of that size
     can isolate every pipe, and ValueError for budgets outside
     [1, 2 * num_edges].
@@ -416,22 +497,24 @@ def solve(net, n_valves, opts=None):
             witness_edge=witness)
 
     search = Search(net, n_valves, opts)
-    if opts.initial_incumbent is not None:
-        search.try_incumbent(opts.initial_incumbent)
-
-    limited = False
-    if search.init_root():
-        try:
+    limited = interrupted = False
+    try:
+        if opts.initial_incumbent is not None:
+            search.try_incumbent(opts.initial_incumbent)
+        # a warm start that meets the floor needs no search at all
+        if not search.floor_met and search.init_root():
             search.run()
-        except _LimitExceeded:
-            limited = True
+    except _LimitExceeded:
+        limited = True
+    except KeyboardInterrupt:
+        limited = interrupted = True
 
     elapsed = search.elapsed()
     ud, placement, edge = search.snapshot()
     if placement is None:
         if limited:
             return Solution(None, math.inf, None, "best-found", search.stats,
-                            search.anytime, elapsed)
+                            search.anytime, elapsed, interrupted)
         if opts.face_constraints or opts.symmetry:
             # the structural rules are pruning devices; re-verify emptiness
             # without them before declaring the budget infeasible
@@ -445,5 +528,6 @@ def solve(net, n_valves, opts=None):
             f"no placement of {n_valves} valves isolates every pipe",
             witness_edge=search.witness_edge)
 
-    proof = "best-found" if limited else "optimal"
-    return Solution(placement, ud, edge, proof, search.stats, search.anytime, elapsed)
+    proof = "best-found" if limited and not search.floor_met else "optimal"
+    return Solution(placement, ud, edge, proof, search.stats, search.anytime, elapsed,
+                    interrupted)

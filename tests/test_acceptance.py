@@ -29,7 +29,7 @@ from valveplan.isolation import (
 )
 from valveplan.oracle import brute_force
 from valveplan.pareto import sweep
-from valveplan.solver import InfeasibleBudget, Search, SolverOptions, solve
+from valveplan.solver import InfeasibleBudget, Search, SolverOptions, bridge_lower_bound, solve
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
 from conftest import CORPUS_NVS, CORPUS_SEEDS
@@ -114,6 +114,7 @@ def test_criterion_03_oracle_equivalence(fig1, corpus, corpus_oracle):
 def test_criterion_04_pruning_soundness_ab(fig1, corpus, corpus_oracle):
     with criterion(4, "pruning soundness A/B"):
         toggles = {
+            "source-slots": dict(source_slots=False),
             "face": dict(face_constraints=False),
             "symmetry": dict(symmetry=False),
             "lb": dict(lb_prune=False),
@@ -134,15 +135,24 @@ def test_criterion_04_pruning_soundness_ab(fig1, corpus, corpus_oracle):
 
         # all rules on shrinks the fig1 nv=6 tree by at least 2x versus all off
         on = solve(fig1, 6, SolverOptions())
-        off = solve(fig1, 6, SolverOptions(face_constraints=False, symmetry=False,
-                                           lb_prune=False, reduced_cost=False))
+        off = solve(fig1, 6, SolverOptions(source_slots=False, face_constraints=False,
+                                           symmetry=False, lb_prune=False,
+                                           reduced_cost=False))
         assert on.ud == off.ud == 15000
         ratio = off.stats.nodes / on.stats.nodes
         assert ratio >= 2, f"node ratio {ratio:.1f} < 2"
 
 
-def test_criterion_05_bound_admissibility(corpus):
+def test_criterion_05_bound_admissibility(corpus, corpus_oracle):
     with criterion(5, "class bound admissibility"):
+        # the static bridge floor never exceeds an optimum
+        for idx, net in enumerate(corpus):
+            floor = bridge_lower_bound(net)
+            for nv in CORPUS_NVS:
+                if not corpus_oracle[(idx, nv)].all_infeasible:
+                    assert floor <= corpus_oracle[(idx, nv)].ud, (
+                        f"seed {CORPUS_SEEDS[idx]} nv={nv}: floor {floor}")
+
         rng = random.Random(20260810)
         opts = SolverOptions(face_constraints=False, symmetry=False,
                              lb_prune=False, reduced_cost=False)

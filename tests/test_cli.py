@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from valveplan import instances
+from valveplan import instances, solver
 from valveplan.cli import main
 from valveplan.generate import random_instance
 from valveplan.instances import FIG1_SIX_VALVES
@@ -121,6 +121,8 @@ def test_solve_fig1(capsys):
     assert code == 0
     assert "ud_lps: 15" in out
     assert "proof: optimal" in out
+    assert "stat_source_fixed: 2" in out
+    assert "stat_lower_bound: 15000" in out
 
 
 def test_solve_rules_off_same_ud_more_nodes(capsys):
@@ -158,6 +160,16 @@ def test_solve_node_limit_exit_code(capsys):
     code, out, _ = run(capsys, "solve", "fig1", "--nv", "6", "--node-limit", "5",
                        "--no-bound", "--no-faces", "--no-symmetry", "--no-reduced-cost")
     assert code == 3
+
+
+def test_solve_interrupted_before_any_solution(capsys, monkeypatch):
+    def interrupt(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(solver.Search, "choose_branch", interrupt)
+    code, out, _ = run(capsys, "solve", "fig1", "--nv", "6")
+    assert code == 3
+    assert "result: interrupted before any solution was found" in out
 
 
 def test_sweep_csv_antichain(capsys, tmp_path):

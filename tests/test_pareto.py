@@ -96,3 +96,14 @@ def test_best_found_points_participate(fig1):
     result = sweep(fig1, [2, 3], opts)
     assert all(p.proof in ("optimal", "best-found") for p in result.points)
     assert any(p.proof == "best-found" for p in result.points + result.dropped) or result.notes
+
+
+def test_interrupt_ends_the_sweep_after_that_budget(fig1):
+    def interrupt_below_30(elapsed, ud):
+        if ud < 30000:
+            raise KeyboardInterrupt
+
+    result = sweep(fig1, range(2, 15), SolverOptions(on_incumbent=interrupt_below_30))
+    assert [p.n_valves for p in result.points] == [2, 3, 4]
+    assert result.points[-1].proof == "best-found"
+    assert result.notes == ["n_valves=4: interrupted; larger budgets were not solved"]

@@ -1,16 +1,21 @@
 import math
+import os
 import random
 import traceback
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
+from valveplan.generate import random_instance
 from valveplan.isolation import worst_case_fast
+from valveplan.network import Network, parse_network
 from valveplan.oracle import brute_force
 from valveplan.solver import (
     InfeasibleBudget,
     Search,
     SolverOptions,
+    bridge_lower_bound,
     face_slot_lists,
     required_source_slots,
     solve,
@@ -20,7 +25,18 @@ from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
 from conftest import make_net
 
-ALL_OFF = dict(face_constraints=False, symmetry=False, lb_prune=False, reduced_cost=False)
+ALL_OFF = dict(source_slots=False, face_constraints=False, symmetry=False, lb_prune=False,
+               reduced_cost=False)
+
+# 23 nodes, 33 pipes and a degree-1 source: the density of the paper's network
+APULIAN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data",
+                       "instances", "apulian-density-0.json")
+
+
+@pytest.fixture(scope="module")
+def apulian():
+    with open(APULIAN, "r", encoding="utf-8") as fh:
+        return parse_network(fh.read())
 
 
 # -- preprocessing -------------------------------------------------------------
@@ -59,6 +75,112 @@ def test_degree2_source_exemption_is_required(source_path):
 def test_required_source_slots(fig1, source_path):
     assert required_source_slots(fig1) == 2
     assert required_source_slots(source_path) == 2
+
+
+def test_source_slots_fixed_at_the_root(fig1, source_path):
+    for net in (fig1, source_path):
+        search = Search(net, 4, SolverOptions(symmetry=False))
+        assert search.init_root()
+        fixed = {s for s in range(net.num_slots) if search.state.value[s] == PRESENT}
+        assert {net.slot_node(s) for s in fixed} == set(net.sources)
+        assert len(fixed) == search.stats.source_fixed == required_source_slots(net)
+        bare = Search(net, 4, SolverOptions(symmetry=False, source_slots=False))
+        assert bare.init_root()
+        assert bare.state.n_present == bare.stats.source_fixed == 0
+
+
+# -- bridge floor -----------------------------------------------------------------
+
+
+def nx_bridge_floor(net):
+    """The bridge floor from networkx's bridges and components."""
+    g = nx.Graph()
+    for e, (u, v) in enumerate(net.endpoints):
+        g.add_edge(u, v, edge=e)
+    floor = max(net.demand)
+    for u, v in nx.bridges(g):
+        e = g.edges[u, v]["edge"]
+        g.remove_edge(u, v)
+        for side in (nx.node_connected_component(g, u), nx.node_connected_component(g, v)):
+            if not side & net.sources:
+                inside = sum(w for (a, b), w in zip(net.endpoints, net.demand)
+                             if a in side and b in side)
+                floor = max(floor, net.demand[e] + inside)
+        g.add_edge(u, v, edge=e)
+    return floor
+
+
+def thinned(net, rng):
+    """Random subnetwork of `net` with one source per piece and sometimes a
+    second one, so that pendant parts and bridges are common."""
+    kept = [e for e in range(net.num_edges) if rng.random() < 0.6] or [0]
+    piece = list(range(net.num_nodes))
+
+    def find(x):
+        while piece[x] != x:
+            x = piece[x]
+        return x
+
+    for e in kept:
+        u, v = net.endpoints[e]
+        piece[find(u)] = find(v)
+    members = {}
+    for e in kept:
+        for n in net.endpoints[e]:
+            members.setdefault(find(n), set()).add(n)
+    groups = [sorted(m) for _, m in sorted(members.items())]
+    sources = {rng.choice(g) for g in groups}
+    if rng.random() < 0.5:
+        sources.add(rng.choice(rng.choice(groups)))
+    labels = net.node_labels
+    return Network(labels, [labels[n] for n in sources],
+                   [(net.edge_labels[e], labels[net.endpoints[e][0]],
+                     labels[net.endpoints[e][1]], net.demand[e]) for e in kept])
+
+
+def test_bridge_floor_matches_networkx(apulian):
+    rng = random.Random(1974)
+    above_heaviest = 0
+    for seed in range(1000):
+        net = random_instance(seed, n_edges=8 + seed % 26)
+        for case in (net, thinned(net, rng)):
+            floor = bridge_lower_bound(case)
+            assert floor == nx_bridge_floor(case), f"seed {seed}"
+            above_heaviest += floor > max(case.demand)
+    assert above_heaviest >= 200
+    assert bridge_lower_bound(apulian) == nx_bridge_floor(apulian) == apulian.total_demand
+    assert apulian.total_demand == 382000
+
+
+def test_bridge_floor_admissible_where_it_bites(corpus):
+    # thinned corpus networks have bridges with sourceless far sides: the
+    # floor must stay at or below every optimum, and solves that stop on it
+    # must still return the oracle's optimum
+    rng = random.Random(2007)
+    bites = 0
+    for net in corpus:
+        case = thinned(net, rng)
+        floor = bridge_lower_bound(case)
+        bites += floor > max(case.demand)
+        for nv in (2, 3, 4, 5):
+            if nv > case.num_slots:
+                continue
+            expect = brute_force(case, nv)
+            if expect.all_infeasible:
+                continue
+            assert floor <= expect.ud
+            sol = solve(case, nv)
+            assert sol.proof == "optimal" and sol.ud == expect.ud
+    assert bites >= 10
+
+
+def test_degree1_source_proves_at_first_incumbent(apulian):
+    # breaking the source pipe cuts off everything, so the floor is the
+    # total demand and the first feasible leaf already meets it
+    sol = solve(apulian, 6, SolverOptions(node_limit=1000))
+    assert sol.proof == "optimal"
+    assert sol.ud == sol.stats.lower_bound == apulian.total_demand
+    assert len(sol.anytime) == 1
 
 
 # -- face propagation -----------------------------------------------------------
@@ -353,6 +475,10 @@ def test_warm_start_candidate_is_verified(fig1):
     sol = solve(fig1, 6, SolverOptions(initial_incumbent=good))
     assert sol.ud == 15000
     assert sol.placement == good
+    # it meets the bridge floor, so there is nothing left to search
+    assert sol.proof == "optimal" and sol.stats.nodes == 0
+    assert solve(fig1, 6, SolverOptions(initial_incumbent=good,
+                                        lb_prune=False)).stats.nodes > 0
     # so is one with a slot outside the network, even at the right size
     for bad_slot in (fig1.num_slots, 99, -1):
         sol = solve(fig1, 7, SolverOptions(initial_incumbent=good | {bad_slot}))
@@ -365,6 +491,20 @@ def test_on_incumbent_callback(fig1):
     seen = []
     solve(fig1, 6, SolverOptions(on_incumbent=lambda t, ud: seen.append(ud)))
     assert seen and seen[-1] == 15000
+
+
+def test_interrupt_returns_best_found(fig1):
+    def interrupt(elapsed, ud):
+        raise KeyboardInterrupt
+
+    # fig1 at 4 valves improves three times before its optimum of 24 l/s
+    sol = solve(fig1, 4, SolverOptions(on_incumbent=interrupt))
+    assert sol.interrupted and sol.proof == "best-found"
+    assert len(sol.anytime) == 1 and sol.ud == sol.anytime[0][1] > 24000
+    assert worst_case_fast(fig1, sum(1 << s for s in sol.placement))[0] == sol.ud
+    # at 7 valves the first incumbent meets the floor, which proves it
+    sol = solve(fig1, 7, SolverOptions(on_incumbent=interrupt))
+    assert sol.interrupted and sol.proof == "optimal" and sol.ud == 15000
 
 
 def test_snapshot_contract(fig1):
@@ -413,6 +553,16 @@ def test_restart_closes_every_open_frame(fig1):
     root = bytes(search.state.value)
     search.run()
     assert search.stats.restarts >= 1
+    assert search.state._frames == []
+    assert bytes(search.state.value) == root
+
+
+def test_floor_stop_closes_every_open_frame(fig1):
+    search = Search(fig1, 6, SolverOptions())
+    assert search.init_root()
+    root = bytes(search.state.value)
+    search.run()
+    assert search.floor_met and search.snapshot()[0] == search.floor == 15000
     assert search.state._frames == []
     assert bytes(search.state.value) == root
 
