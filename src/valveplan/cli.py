@@ -194,6 +194,9 @@ def _check_one(report, net, nv, opts, cap):
         return True
     try:
         sol = solve(net, nv, opts)
+        if sol.interrupted:
+            # solve swallows Ctrl-C; end the whole check, not this one solve
+            raise KeyboardInterrupt
         solver_ud = sol.ud if sol.proof == "optimal" else None
     except InfeasibleBudget:
         solver_ud = math.inf

@@ -58,7 +58,6 @@ class _LimitExceeded(Exception):
 
 @dataclass
 class SolverOptions:
-    source_slots: bool = True
     face_constraints: bool = True
     symmetry: bool = True
     lb_prune: bool = True
@@ -432,14 +431,15 @@ class Search:
     def init_root(self):
         """Apply up-front decisions. False when the root is already dead."""
         net = self.net
-        if self.opts.source_slots:
-            for src in net.source_list:
-                for e in net.incident[src]:
-                    slot = net.slot_id(e, src)
-                    if self.state.value[slot] == UNDECIDED:
-                        self.stats.source_fixed += 1
-                    if not self.decide(slot, PRESENT):
-                        return False
+        # every source-side slot holds a valve in any feasible placement:
+        # without it, breaking that pipe leaves the source in its sector
+        for src in net.source_list:
+            for e in net.incident[src]:
+                slot = net.slot_id(e, src)
+                if self.state.value[slot] == UNDECIDED:
+                    self.stats.source_fixed += 1
+                if not self.decide(slot, PRESENT):
+                    return False
         if self.opts.symmetry:
             forced = symmetry_forced_slots(net)
             if self.nv > net.num_slots - len(forced):
@@ -478,10 +478,11 @@ def solve(net, n_valves, opts=None):
 
     Returns a Solution with proof "optimal" when the search completed or
     the incumbent met the bridge floor, or "best-found" when a time/node
-    limit expired or a KeyboardInterrupt arrived first. Raises
-    InfeasibleBudget (with a witness pipe) when no placement of that size
-    can isolate every pipe, and ValueError for budgets outside
-    [1, 2 * num_edges].
+    limit expired or a KeyboardInterrupt arrived first. The interrupt is
+    not re-raised: it sets `Solution.interrupted`, and a caller that solves
+    in a loop must check that flag to stop. Raises InfeasibleBudget (with a
+    witness pipe) when no placement of that size can isolate every pipe,
+    and ValueError for budgets outside [1, 2 * num_edges].
     """
     if opts is None:
         opts = SolverOptions()

@@ -114,7 +114,6 @@ def test_criterion_03_oracle_equivalence(fig1, corpus, corpus_oracle):
 def test_criterion_04_pruning_soundness_ab(fig1, corpus, corpus_oracle):
     with criterion(4, "pruning soundness A/B"):
         toggles = {
-            "source-slots": dict(source_slots=False),
             "face": dict(face_constraints=False),
             "symmetry": dict(symmetry=False),
             "lb": dict(lb_prune=False),
@@ -135,9 +134,8 @@ def test_criterion_04_pruning_soundness_ab(fig1, corpus, corpus_oracle):
 
         # all rules on shrinks the fig1 nv=6 tree by at least 2x versus all off
         on = solve(fig1, 6, SolverOptions())
-        off = solve(fig1, 6, SolverOptions(source_slots=False, face_constraints=False,
-                                           symmetry=False, lb_prune=False,
-                                           reduced_cost=False))
+        off = solve(fig1, 6, SolverOptions(face_constraints=False, symmetry=False,
+                                           lb_prune=False, reduced_cost=False))
         assert on.ud == off.ud == 15000
         ratio = off.stats.nodes / on.stats.nodes
         assert ratio >= 2, f"node ratio {ratio:.1f} < 2"

@@ -172,6 +172,22 @@ def test_solve_interrupted_before_any_solution(capsys, monkeypatch):
     assert "result: interrupted before any solution was found" in out
 
 
+def test_check_stops_on_interrupt(capsys, monkeypatch):
+    # solve turns Ctrl-C into an interrupted result; check must not go on
+    # to the next budget or report a mismatch
+    calls = []
+
+    def interrupt(self):
+        calls.append(self.nv)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(solver.Search, "choose_branch", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(capsys, "check", "fig1", "--nv", "5..7")
+    assert calls == [5]
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_sweep_csv_antichain(capsys, tmp_path):
     code, out, _ = run(capsys, "sweep", "fig1", "--nv", "2..14", "--format", "csv",
                        "--out-dir", str(tmp_path / "pts"))

@@ -4,7 +4,6 @@ import random
 import traceback
 from itertools import combinations
 
-import networkx as nx
 import pytest
 
 from valveplan.generate import random_instance
@@ -25,8 +24,7 @@ from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
 from conftest import make_net
 
-ALL_OFF = dict(source_slots=False, face_constraints=False, symmetry=False, lb_prune=False,
-               reduced_cost=False)
+ALL_OFF = dict(face_constraints=False, symmetry=False, lb_prune=False, reduced_cost=False)
 
 # 23 nodes, 33 pipes and a degree-1 source: the density of the paper's network
 APULIAN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data",
@@ -84,9 +82,6 @@ def test_source_slots_fixed_at_the_root(fig1, source_path):
         fixed = {s for s in range(net.num_slots) if search.state.value[s] == PRESENT}
         assert {net.slot_node(s) for s in fixed} == set(net.sources)
         assert len(fixed) == search.stats.source_fixed == required_source_slots(net)
-        bare = Search(net, 4, SolverOptions(symmetry=False, source_slots=False))
-        assert bare.init_root()
-        assert bare.state.n_present == bare.stats.source_fixed == 0
 
 
 # -- bridge floor -----------------------------------------------------------------
@@ -94,6 +89,7 @@ def test_source_slots_fixed_at_the_root(fig1, source_path):
 
 def nx_bridge_floor(net):
     """The bridge floor from networkx's bridges and components."""
+    nx = pytest.importorskip("networkx")
     g = nx.Graph()
     for e, (u, v) in enumerate(net.endpoints):
         g.add_edge(u, v, edge=e)
@@ -415,11 +411,14 @@ def test_infeasible_budget_beyond_root_check():
 
 
 def test_leaf_count_matches_search_space(triangle):
-    # with every rule off, leaves enumerate C(2m, nv) exactly
+    # with every optional rule off, the k source-side slots are fixed and
+    # leaves enumerate C(2m - k, nv - k) exactly
+    k = required_source_slots(triangle)
+    assert k == 2
     sol = solve(triangle, 2, SolverOptions(**ALL_OFF))
-    assert sol.stats.leaves == math.comb(6, 2)
+    assert sol.stats.leaves == math.comb(6 - k, 2 - k)
     sol = solve(triangle, 3, SolverOptions(**ALL_OFF))
-    assert sol.stats.leaves == math.comb(6, 3)
+    assert sol.stats.leaves == math.comb(6 - k, 3 - k)
 
 
 def test_anytime_log_strictly_improves(fig1):
