@@ -27,6 +27,7 @@ from .isolation import (
     worst_case_ud,
 )
 from .solver import (
+    BudgetError,
     InfeasibleBudget,
     Search,
     SearchStats,

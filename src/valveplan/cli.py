@@ -18,7 +18,7 @@ from .isolation import INFEASIBLE_UD, mask_bits, present_mask, sector_damage
 from .network import InstanceError, format_flow, parse_placement
 from .oracle import EnumerationCapExceeded, brute_force
 from .pareto import sweep
-from .solver import InfeasibleBudget, SolverOptions, solve
+from .solver import BudgetError, InfeasibleBudget, SolverOptions, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,7 +64,6 @@ def _solver_options(args):
         lb_prune=not args.no_bound,
         reduced_cost=not args.no_reduced_cost,
         restart_mode=args.restart_mode,
-        branch_heuristic=args.branch,
         time_limit=args.time_limit,
         node_limit=args.node_limit,
     )
@@ -76,16 +75,21 @@ def _add_solver_flags(p):
     p.add_argument("--no-bound", action="store_true", help="disable sector lower-bound pruning")
     p.add_argument("--no-reduced-cost", action="store_true", help="disable reduced-cost valve fixing")
     p.add_argument("--restart-mode", choices=("continuing", "restarting"), default="continuing")
-    p.add_argument("--branch", choices=("max-lb", "heaviest-edge", "lex"), default="max-lb")
     p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
     p.add_argument("--node-limit", type=int, default=None)
 
 
-def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(text), int(text) + 1)
+def _budget_range(text):
+    """`--nv` as a non-empty range: "6" or "2..14"."""
+    lo, dots, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty budget range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _write_anytime(path, anytime):
@@ -162,7 +166,7 @@ def cmd_sweep(args):
     report = _Report(args.format)
     net = instances.load(args.instance)
     _instance_digest(report, net)
-    result = sweep(net, _parse_range(args.nv), _solver_options(args),
+    result = sweep(net, args.nv, _solver_options(args),
                    warm_start=not args.no_warm_start)
     report.row("nv", "ud", "proof", "elapsed_ms")
     for pt in result.points:
@@ -214,7 +218,7 @@ def cmd_check(args):
     opts = _solver_options(args)
     all_ok = True
     if args.corpus:
-        nvs = list(_parse_range(args.nv)) if args.nv else [2, 3, 4, 5]
+        nvs = args.nv or [2, 3, 4, 5]
         for i in range(args.corpus):
             net = random_instance(args.seed + i)
             for nv in nvs:
@@ -225,7 +229,7 @@ def cmd_check(args):
             report.emit(sys.stderr)
             return EXIT_INPUT
         net = instances.load(args.instance)
-        for nv in _parse_range(args.nv):
+        for nv in args.nv:
             all_ok &= _check_one(report, net, nv, opts, args.cap)
     report.kv("result", "PASS" if all_ok else "FAIL")
     report.emit()
@@ -262,7 +266,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="frontier over a range of valve budgets")
     p.add_argument("instance")
-    p.add_argument("--nv", required=True, help="budget range, e.g. 2..14")
+    p.add_argument("--nv", type=_budget_range, required=True, help="budget range, e.g. 2..14")
     p.add_argument("--out-dir", help="directory for per-point placement files")
     p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--format", choices=("text", "csv"), default="text")
@@ -271,7 +275,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="compare solver against brute force")
     p.add_argument("instance", nargs="?", help="instance file or bundled name")
-    p.add_argument("--nv", help="budget or range, e.g. 6 or 2..5")
+    p.add_argument("--nv", type=_budget_range, help="budget or range, e.g. 6 or 2..5")
     p.add_argument("--corpus", type=int, metavar="N", default=0,
                    help="check N seeded random instances instead")
     p.add_argument("--seed", type=int, default=0, help="first corpus seed")
@@ -287,7 +291,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, OSError, ValueError) as exc:
+    except (InstanceError, BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

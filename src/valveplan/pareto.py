@@ -10,7 +10,7 @@ import logging
 from dataclasses import dataclass, replace
 
 from .isolation import present_mask, worst_case_fast
-from .solver import InfeasibleBudget, SolverOptions, solve
+from .solver import BudgetError, InfeasibleBudget, SolverOptions, solve
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +63,7 @@ def sweep(net, n_valves_range, opts=None, warm_start=True):
         opts = SolverOptions()
     nvs = sorted(set(n_valves_range))
     if not nvs:
-        raise ValueError("empty valve-count range")
+        raise BudgetError("empty valve-count range")
 
     solved = []
     notes = []
@@ -71,9 +71,10 @@ def sweep(net, n_valves_range, opts=None, warm_start=True):
     for nv in nvs:
         run_opts = opts
         if warm_start and prev is not None:
-            candidate = _best_extension(net, prev) if len(prev) < nv else None
-            if candidate is not None and len(candidate) == nv:
-                run_opts = replace(opts, initial_incumbent=frozenset(candidate))
+            # at most nv valves: solve pads a shorter candidate itself
+            candidate = _best_extension(net, prev)
+            if candidate is not None:
+                run_opts = replace(opts, initial_incumbent=candidate)
         try:
             sol = solve(net, nv, run_opts)
         except InfeasibleBudget as exc:

@@ -1,12 +1,16 @@
 """Exact minimax branch and bound over valve placements.
 
 The search assigns one slot at a time (valve present / absent) and keeps,
-for the fixed number of valves, the placement whose worst single-pipe break
-loses the least demand. The opponent's side of the game needs no search of
-its own: once a placement is complete, the worst break is found by exact
-per-sector evaluation.
+over placements of at most N valves, the one whose worst single-pipe break
+loses the least demand. Adding a valve never raises any break's damage, so
+the best placement of at most N valves, padded with free slots to exactly
+N, is an optimal placement of exactly N. The opponent's side of the game
+needs no search of its own: once a placement is complete, the worst break
+is found by exact per-sector evaluation.
 
-Four pruning families cut the tree:
+Four pruning families cut the tree. The face and symmetry rules are
+dominance rules: each drops a placement only when one with a valve fewer,
+or with a valve moved, does at least as well within the same budget:
 
 * source rule: every slot next to a source must hold a valve in any
   feasible placement, so those slots are fixed present at the root;
@@ -29,19 +33,19 @@ the tree and starts over with the tightened bound, which reproduces the
 slower restart-per-solution behaviour for comparison.
 """
 
-import logging
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .isolation import present_mask, worst_case_fast
+from .isolation import mask_bits, present_mask, worst_case_fast
 from .state import ABSENT, PRESENT, UNDECIDED, TrailedState
 
-log = logging.getLogger(__name__)
-
-BRANCH_HEURISTICS = ("max-lb", "heaviest-edge", "lex")
 RESTART_MODES = ("continuing", "restarting")
+
+
+class BudgetError(ValueError):
+    """A valve budget (or budget range) outside what the network offers."""
 
 
 class InfeasibleBudget(Exception):
@@ -63,7 +67,6 @@ class SolverOptions:
     lb_prune: bool = True
     reduced_cost: bool = True
     restart_mode: str = "continuing"
-    branch_heuristic: str = "max-lb"
     time_limit: float | None = None          # seconds
     node_limit: int | None = None
     initial_incumbent: frozenset | None = None
@@ -72,8 +75,6 @@ class SolverOptions:
     def __post_init__(self):
         if self.restart_mode not in RESTART_MODES:
             raise ValueError(f"restart_mode must be one of {RESTART_MODES}")
-        if self.branch_heuristic not in BRANCH_HEURISTICS:
-            raise ValueError(f"branch_heuristic must be one of {BRANCH_HEURISTICS}")
 
 
 @dataclass
@@ -92,8 +93,6 @@ class SearchStats:
     infeasible_leaves: int = 0
     rejected_leaves: int = 0
     restarts: int = 0
-    symmetry_capacity_skip: bool = False
-    structural_rules_demoted: bool = False
 
     def as_dict(self):
         return dict(self.__dict__)
@@ -260,14 +259,27 @@ class Search:
         if self.opts.on_incumbent:
             self.opts.on_incumbent(self.anytime[-1][0], ud)
 
+    def _pad(self, mask):
+        """`mask` with its lowest empty slots filled up to exactly `nv`
+        valves. A valve never raises any break's damage, so padding an
+        at-most-N placement loses nothing."""
+        free = ~mask
+        for _ in range(self.nv - mask.bit_count()):
+            low = free & -free
+            mask |= low
+            free ^= low
+        return mask
+
     def try_incumbent(self, placement):
-        """Re-evaluate a candidate placement and install it if it is a
-        valid strict improvement. Returns True when installed."""
-        if len(placement) != self.nv or not all(0 <= s < self.net.num_slots for s in placement):
+        """Re-evaluate a candidate of at most `nv` valves, padded to `nv`,
+        and install it if it is a valid strict improvement. Returns True
+        when installed."""
+        if len(placement) > self.nv or not all(0 <= s < self.net.num_slots for s in placement):
             return False
-        ud, edge, feasible = worst_case_fast(self.net, present_mask(self.net, placement))
+        mask = self._pad(present_mask(self.net, placement))
+        ud, edge, feasible = worst_case_fast(self.net, mask)
         if feasible and ud < self.incumbent_ud:
-            self._install(ud, frozenset(placement), edge)
+            self._install(ud, frozenset(mask_bits(mask)), edge)
             return True
         return False
 
@@ -294,9 +306,6 @@ class Search:
                     self.stats.budget_fails += 1
                     return False
             else:
-                if st.n_present + st.n_undecided < nv:
-                    self.stats.budget_fails += 1
-                    return False
                 root = st.register_absent(s)
                 if self.opts.lb_prune and st.lb[root] >= self.incumbent_ud:
                     self.stats.lb_prunes += 1
@@ -328,40 +337,29 @@ class Search:
                     self.stats.face_forced += 1
                     pending.append((last_undecided, PRESENT if n_present == 1 else ABSENT))
 
-            if not completing and st.n_undecided and nv - st.n_present in (0, st.n_undecided):
-                # the budget decides every slot left. Queue them once: a later
-                # entry of the opposite value fails on the budget anyway
+            if not completing and st.n_undecided and st.n_present == nv:
+                # the budget is spent, so every slot left stays empty. Queue
+                # them once: a later valve fails on the budget anyway
                 completing = True
-                fill = ABSENT if st.n_present == nv else PRESENT
-                pending.extend((u, fill) for u in self._undecided_slots())
+                pending.extend((u, ABSENT) for u in range(self.net.num_slots)
+                               if st.value[u] == UNDECIDED)
         return True
-
-    def _undecided_slots(self):
-        value = self.state.value
-        return [s for s in range(self.net.num_slots) if value[s] == UNDECIDED]
 
     # -- branching ------------------------------------------------------------
 
     def choose_branch(self):
         """Undecided slot to branch on next (None when complete).
 
-        Default order: slot on the frontier of the class with the largest
-        bound, then heaviest pipe, then lowest slot id.
+        Order: slot on the frontier of the class with the largest bound,
+        then heaviest pipe, then lowest slot id.
         """
         st = self.state
-        heuristic = self.opts.branch_heuristic
         best = None
         best_key = None
         for slot in range(self.net.num_slots):
             if st.value[slot] != UNDECIDED:
                 continue
-            if heuristic == "lex":
-                return slot
-            e = slot >> 1
-            if heuristic == "max-lb":
-                key = (st.lb[st.find(self.net.slot_node(slot))], self.net.demand[e], -slot)
-            else:
-                key = (self.net.demand[e], -slot)
+            key = (st.lb[st.find(self.net.slot_node(slot))], self.net.demand[slot >> 1], -slot)
             if best_key is None or key > best_key:
                 best_key = key
                 best = slot
@@ -379,14 +377,14 @@ class Search:
     def _leaf(self):
         st = self.state
         self.stats.leaves += 1
-        assert st.n_present == self.nv
-        ud, edge, feasible = worst_case_fast(self.net, st.present_mask())
+        mask = self._pad(st.present_mask())
+        ud, edge, feasible = worst_case_fast(self.net, mask)
         if not feasible:
             self.stats.infeasible_leaves += 1
             self.witness_edge = edge
             return
         if ud < self.incumbent_ud:
-            self._install(ud, st.present_slots(), edge)
+            self._install(ud, frozenset(mask_bits(mask)), edge)
             if self.opts.restart_mode == "restarting" or self.floor_met:
                 self._unwind = True
         else:
@@ -441,25 +439,12 @@ class Search:
                 if not self.decide(slot, PRESENT):
                     return False
         if self.opts.symmetry:
-            forced = symmetry_forced_slots(net)
-            if self.nv > net.num_slots - len(forced):
-                # pinning these slots would leave too few places for the
-                # requested valves; the rule is skipped for this budget
-                self.stats.symmetry_capacity_skip = True
-                log.info("symmetry rule skipped: budget %d exceeds the %d "
-                         "slots left after pinning", self.nv,
-                         net.num_slots - len(forced))
-            else:
-                for slot in forced:
-                    if self.state.value[slot] != UNDECIDED:
-                        continue
-                    self.stats.symmetry_fixed += 1
-                    if not self.decide(slot, ABSENT):
-                        return False
-        st = self.state
-        if st.n_undecided and st.n_present + st.n_undecided == self.nv:
-            # every slot left must hold a valve; decide completes the rest
-            return self.decide(self._undecided_slots()[0], PRESENT)
+            for slot in symmetry_forced_slots(net):
+                if self.state.value[slot] != UNDECIDED:
+                    continue
+                self.stats.symmetry_fixed += 1
+                if not self.decide(slot, ABSENT):
+                    return False
         return True
 
     def run(self):
@@ -476,18 +461,20 @@ class Search:
 def solve(net, n_valves, opts=None):
     """Optimal placement of exactly `n_valves` valves.
 
-    Returns a Solution with proof "optimal" when the search completed or
+    The search looks for at most `n_valves` valves and pads every answer
+    with the lowest free slots, so `len(placement) == n_valves` always
+    holds. Returns a Solution with proof "optimal" when the search completed or
     the incumbent met the bridge floor, or "best-found" when a time/node
     limit expired or a KeyboardInterrupt arrived first. The interrupt is
     not re-raised: it sets `Solution.interrupted`, and a caller that solves
     in a loop must check that flag to stop. Raises InfeasibleBudget (with a
     witness pipe) when no placement of that size can isolate every pipe,
-    and ValueError for budgets outside [1, 2 * num_edges].
+    and BudgetError (a ValueError) for budgets outside [1, 2 * num_edges].
     """
     if opts is None:
         opts = SolverOptions()
     if not 1 <= n_valves <= net.num_slots:
-        raise ValueError(f"valve budget must be in [1, {net.num_slots}], got {n_valves}")
+        raise BudgetError(f"valve budget must be in [1, {net.num_slots}], got {n_valves}")
 
     required = required_source_slots(net)
     if n_valves < required:
@@ -516,15 +503,6 @@ def solve(net, n_valves, opts=None):
         if limited:
             return Solution(None, math.inf, None, "best-found", search.stats,
                             search.anytime, elapsed, interrupted)
-        if opts.face_constraints or opts.symmetry:
-            # the structural rules are pruning devices; re-verify emptiness
-            # without them before declaring the budget infeasible
-            retry = solve(net, n_valves,
-                          replace(opts, face_constraints=False, symmetry=False))
-            retry.stats.structural_rules_demoted = True
-            log.warning("structural pruning rules excluded every solution at "
-                        "budget %d; returning the unpruned optimum", n_valves)
-            return retry
         raise InfeasibleBudget(
             f"no placement of {n_valves} valves isolates every pipe",
             witness_edge=search.witness_edge)

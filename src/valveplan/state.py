@@ -114,9 +114,6 @@ class TrailedState:
             groups.setdefault(self.find(n), set()).add(n)
         return {frozenset(v): self.lb[r] for r, v in groups.items()}
 
-    def present_slots(self):
-        return frozenset(s for s in range(self.net.num_slots) if self.value[s] == PRESENT)
-
     def present_mask(self):
         value = self.value
         return sum(1 << s for s in range(self.net.num_slots) if value[s] == PRESENT)

@@ -141,8 +141,16 @@ def test_criterion_04_pruning_soundness_ab(fig1, corpus, corpus_oracle):
         assert ratio >= 2, f"node ratio {ratio:.1f} < 2"
 
 
-def test_criterion_05_bound_admissibility(corpus, corpus_oracle):
+def test_criterion_05_bound_admissibility(fig1, corpus, corpus_oracle):
     with criterion(5, "class bound admissibility"):
+        # the search looks for at most N valves, which is exact only if the
+        # brute-force optimum never rises with the budget
+        for idx in range(len(corpus)):
+            optima = [oracle_optimum(corpus_oracle[(idx, nv)]) for nv in CORPUS_NVS]
+            assert optima == sorted(optima, reverse=True), f"seed {CORPUS_SEEDS[idx]}: {optima}"
+        optima = [oracle_optimum(brute_force(fig1, nv)) for nv in range(2, 15)]
+        assert optima == sorted(optima, reverse=True), f"fig1: {optima}"
+
         # the static bridge floor never exceeds an optimum
         for idx, net in enumerate(corpus):
             floor = bridge_lower_bound(net)

@@ -106,14 +106,33 @@ def test_evaluate_rows_match_sectors_and_breaks(capsys, tmp_path):
 
 
 def test_usage_errors_exit_input_code(capsys):
+    # argparse rejects the first group; the budgets of the second pass the
+    # parser and are rejected by the solver or the oracle
     for argv in ([], ["solve", "fig1"], ["solve", "fig1", "--nv", "6", "--bogus"],
                  ["solve", "fig1", "--nv", "6", "--seed", "1"],
                  ["sweep", "fig1", "--nv", "2..4", "--seed", "1"],
-                 ["check", "--corpus", "1", "--seed", "x"]):
+                 ["check", "--corpus", "1", "--seed", "x"],
+                 ["sweep", "fig1", "--nv", "5..3"], ["sweep", "fig1", "--nv", "2..x"],
+                 ["sweep", "fig1", "--nv", "2.."], ["check", "fig1", "--nv", "x"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
         assert "error:" in capsys.readouterr().err
+    for argv in (["solve", "fig1", "--nv", "0"], ["check", "fig1", "--nv", "99"],
+                 ["sweep", "fig1", "--nv", "14..15"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: valve budget must be in [1, 14]"), argv
+
+
+def test_internal_value_error_propagates(capsys, monkeypatch):
+    # only input errors become exit 1; a bug inside the solve must surface
+    def broken(self):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(solver.Search, "choose_branch", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["solve", "fig1", "--nv", "6"])
 
 
 def test_solve_fig1(capsys):

@@ -11,6 +11,7 @@ from valveplan.isolation import worst_case_fast
 from valveplan.network import Network, parse_network
 from valveplan.oracle import brute_force
 from valveplan.solver import (
+    BudgetError,
     InfeasibleBudget,
     Search,
     SolverOptions,
@@ -350,14 +351,6 @@ def test_fig1_root_branch_is_frozen(fig1):
     assert fig1.slot_token(bare.choose_branch()) == "e25:2"
 
 
-def test_branch_heuristics_same_optimum(fig1):
-    uds = set()
-    for heuristic in ("max-lb", "heaviest-edge", "lex"):
-        sol = solve(fig1, 6, SolverOptions(branch_heuristic=heuristic))
-        uds.add(sol.ud)
-    assert uds == {15000}
-
-
 # -- end-to-end solves ------------------------------------------------------------
 
 
@@ -379,14 +372,14 @@ def test_fig1_saturated_budget_unique_placement(fig1):
     sol = solve(fig1, 14)
     assert sol.placement == frozenset(range(14))
     assert sol.ud == 15000
-    assert sol.stats.symmetry_capacity_skip
 
 
 def test_budget_out_of_range(fig1):
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError):
         solve(fig1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError):
         solve(fig1, 15)
+    assert issubclass(BudgetError, ValueError)
 
 
 def test_infeasible_budget_reports_witness(triangle):
@@ -412,13 +405,14 @@ def test_infeasible_budget_beyond_root_check():
 
 def test_leaf_count_matches_search_space(triangle):
     # with every optional rule off, the k source-side slots are fixed and
-    # leaves enumerate C(2m - k, nv - k) exactly
+    # leaves enumerate every placement of at most nv - k further valves,
+    # sum over j <= nv - k of C(2m - k, j), exactly
     k = required_source_slots(triangle)
     assert k == 2
-    sol = solve(triangle, 2, SolverOptions(**ALL_OFF))
-    assert sol.stats.leaves == math.comb(6 - k, 2 - k)
-    sol = solve(triangle, 3, SolverOptions(**ALL_OFF))
-    assert sol.stats.leaves == math.comb(6 - k, 3 - k)
+    for nv, leaves in ((2, 1), (3, 5)):
+        sol = solve(triangle, nv, SolverOptions(**ALL_OFF))
+        assert sol.stats.leaves == sum(math.comb(6 - k, j) for j in range(nv - k + 1)) == leaves
+        assert len(sol.placement) == nv
 
 
 def test_anytime_log_strictly_improves(fig1):
@@ -466,9 +460,10 @@ def test_determinism(fig1):
 
 
 def test_warm_start_candidate_is_verified(fig1):
-    # a bogus initial incumbent (wrong size) is ignored
-    sol = solve(fig1, 6, SolverOptions(initial_incumbent=frozenset({0, 2})))
-    assert sol.ud == 15000
+    # a bogus initial incumbent (more valves than the budget) is ignored
+    assert not Search(fig1, 6, SolverOptions()).try_incumbent(frozenset(range(7)))
+    sol = solve(fig1, 6, SolverOptions(initial_incumbent=frozenset(range(7))))
+    assert sol.ud == 15000 and len(sol.placement) == 6
     # a valid one bounds the search from the start
     good = solve(fig1, 6).placement
     sol = solve(fig1, 6, SolverOptions(initial_incumbent=good))
@@ -484,6 +479,21 @@ def test_warm_start_candidate_is_verified(fig1):
         assert sol.proof == "optimal" and sol.ud == 15000
         assert all(0 <= s < fig1.num_slots for s in sol.placement)
         assert len(sol.tokens(fig1)) == 7
+
+
+def test_warm_start_with_fewer_valves(fig1):
+    # a candidate below the budget is padded with the lowest free slots
+    four = solve(fig1, 4).placement
+    padded = four | {min(set(range(fig1.num_slots)) - four)}
+    sol = solve(fig1, 5, SolverOptions(initial_incumbent=four))
+    assert sol.anytime[0][1] == worst_case_fast(fig1, sum(1 << s for s in padded))[0]
+    assert len(sol.placement) == 5 and sol.ud == brute_force(fig1, 5).ud == 17000
+    # one that meets the bridge floor ends the solve before the search
+    six = solve(fig1, 6).placement
+    sol = solve(fig1, 9, SolverOptions(initial_incumbent=six))
+    assert sol.proof == "optimal" and sol.stats.nodes == 0
+    assert len(sol.placement) == 9 and six < sol.placement
+    assert sol.ud == brute_force(fig1, 9).ud == 15000
 
 
 def test_on_incumbent_callback(fig1):
