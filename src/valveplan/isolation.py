@@ -13,6 +13,19 @@ demand* of a break is the total demand of all pipes without a source path
 once the boundary is closed; the solver minimizes the worst case of this
 over all single-pipe breaks.
 
+Break damage is read off the *segment graph* (Jun & Loganathan,
+"Valve-controlled segments in water distribution systems", JWRPM 133(2),
+2007; Giustolisi & Savic, "Identification of segments and optimal
+isolation valve system design in water distribution networks", Urban
+Water J. 7(1), 2010). Its vertices are the sectors and the junctions whose
+every slot holds a valve; each valve joins its pipe's sector to its node's
+vertex, and a virtual root joins every source. Breaking a sector closes
+exactly the valves on its vertex, so what it leaves dry is the sector plus
+whatever the sector separates from the root as an articulation vertex. One
+lowpoint DFS (Hopcroft & Tarjan 1973) gives that for every sector at once, in time
+linear in sectors plus valves; `delivered_with_closed` stays as the plain
+reachability reference for a single closure.
+
 All functions here are pure with respect to (network, placement); a
 placement is any iterable of present slot ids. Flows are integer ml/s.
 """
@@ -152,25 +165,97 @@ def sector_damage(net, present):
     representatives ascending: the one per-sector damage evaluator. Every
     pipe of a sector entails the same closure, so one break per sector is
     evaluated; a sector that holds a source cannot be de-watered at all and
-    gets INFEASIBLE_UD."""
-    total = net.total_demand
-    for rep, edges_mask, boundary, _, _, has_source in scan_sectors(net, present):
-        ud = INFEASIBLE_UD if has_source else total - delivered_with_closed(net, boundary)[1]
+    gets INFEASIBLE_UD.
+
+    The damage of every sector comes from one lowpoint DFS over the segment
+    graph (module docstring): a break in sector S closes every valve on S's
+    vertex, and the DFS subtree of a child c of S is left without water
+    exactly when low(c) >= disc(S), so ud(S) = w(S) + the demand of those
+    subtrees. Equal to `total_demand - delivered_with_closed(boundary)` for
+    each sector, in O(sectors + valves) instead of one flood per sector.
+    """
+    scanned = list(scan_sectors(net, present))
+    for (rep, edges_mask, boundary, _, _, _), ud in zip(
+            scanned, _segment_damage(net, scanned)):
         yield rep, edges_mask, boundary, ud
+
+
+def _segment_damage(net, scanned):
+    """Undelivered demand of a break in each of the `scanned` sectors (the
+    rows of `scan_sectors`, in order): INFEASIBLE_UD for a sector that holds
+    a source, otherwise one lowpoint DFS over the segment graph."""
+    n_sec = len(scanned)
+    # vertices: sectors 0..n_sec-1, then the all-valved junctions, then the root
+    vertex = [-1] * net.num_nodes
+    for i, row in enumerate(scanned):
+        for k in mask_bits(row[3]):
+            vertex[k] = i
+    n_vert = n_sec
+    for k, v in enumerate(vertex):
+        if v < 0:
+            vertex[k] = n_vert
+            n_vert += 1
+    root = n_vert
+    adj = [[] for _ in range(root + 1)]
+    ep = net.endpoints
+    for i, (_, edges_mask, boundary, _, _, _) in enumerate(scanned):
+        for slot in mask_bits(boundary):
+            e = slot >> 1
+            if edges_mask >> e & 1:      # the pipe side: record each valve once
+                v = vertex[ep[e][slot & 1]]
+                if v != i:
+                    adj[i].append(v)
+                    adj[v].append(i)
+    for s in net.source_list:
+        adj[root].append(vertex[s])
+        adj[vertex[s]].append(root)
+
+    damage = [row[4] for row in scanned]
+    subtree = damage + [0] * (root + 1 - n_sec)
+    disc = [0] * (root + 1)
+    low = [0] * (root + 1)
+    disc[root] = low[root] = clock = 1
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        v, nbrs = stack[-1]
+        for u in nbrs:
+            if not disc[u]:
+                clock += 1
+                disc[u] = low[u] = clock
+                stack.append((u, iter(adj[u])))
+                break
+            if disc[u] < low[v]:
+                low[v] = disc[u]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                subtree[p] += subtree[v]
+                if p < n_sec and low[v] >= disc[p]:
+                    damage[p] += subtree[v]
+
+    # every pipe reaches a source with all valves open (Network checks it),
+    # so the DFS visits every sector
+    return [INFEASIBLE_UD if row[5] else damage[i] for i, row in enumerate(scanned)]
 
 
 def worst_case_fast(net, present):
     """(ud, argmax_edge, feasible) over all single-pipe breaks, mask input.
-    Stops at the first sector that holds a source; ties go to the lowest
-    representative edge."""
+    Stops at the first sector that holds a source, before any segment graph
+    is built; ties go to the lowest representative edge."""
+    scanned = []
+    for row in scan_sectors(net, present):
+        if row[5]:
+            return INFEASIBLE_UD, row[0], False
+        scanned.append(row)
     best = -1
     best_edge = None
-    for rep, _, _, ud in sector_damage(net, present):
-        if ud == INFEASIBLE_UD:
-            return INFEASIBLE_UD, rep, False
+    for row, ud in zip(scanned, _segment_damage(net, scanned)):
         if ud > best:
             best = ud
-            best_edge = rep
+            best_edge = row[0]
     return best, best_edge, True
 
 

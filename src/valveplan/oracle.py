@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .isolation import worst_case_fast
-from .solver import BudgetError
+from .solver import check_budget
 
 DEFAULT_CAP = 5_000_000
 
@@ -35,8 +35,7 @@ def brute_force(net, n_valves, cap=DEFAULT_CAP, record_table=False):
     Enumeration is lexicographic by slot index. Raises
     EnumerationCapExceeded when the count would exceed `cap`.
     """
-    if not 1 <= n_valves <= net.num_slots:
-        raise BudgetError(f"valve budget must be in [1, {net.num_slots}], got {n_valves}")
+    check_budget(net, n_valves)
     expected = math.comb(net.num_slots, n_valves)
     if expected > cap:
         raise EnumerationCapExceeded(

@@ -10,7 +10,7 @@ import logging
 from dataclasses import dataclass, replace
 
 from .isolation import present_mask, worst_case_fast
-from .solver import BudgetError, InfeasibleBudget, SolverOptions, solve
+from .solver import BudgetError, InfeasibleBudget, SolverOptions, check_budget, solve
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +54,8 @@ def _best_extension(net, placement):
 def sweep(net, n_valves_range, opts=None, warm_start=True):
     """Solve each valve count in `n_valves_range` and keep the frontier.
 
+    Raises BudgetError, before any solve, when the range is empty or runs
+    outside [1, 2 * num_edges].
     Points whose budget cannot isolate every pipe are skipped with a note.
     Points that hit a limit keep their best-found value and are flagged
     through their proof status. A KeyboardInterrupt during a solve ends the
@@ -64,6 +66,8 @@ def sweep(net, n_valves_range, opts=None, warm_start=True):
     nvs = sorted(set(n_valves_range))
     if not nvs:
         raise BudgetError("empty valve-count range")
+    check_budget(net, nvs[0])
+    check_budget(net, nvs[-1])
 
     solved = []
     notes = []

@@ -48,6 +48,12 @@ class BudgetError(ValueError):
     """A valve budget (or budget range) outside what the network offers."""
 
 
+def check_budget(net, n_valves):
+    """Raise BudgetError unless 1 <= n_valves <= 2 * num_edges."""
+    if not 1 <= n_valves <= net.num_slots:
+        raise BudgetError(f"valve budget must be in [1, {net.num_slots}], got {n_valves}")
+
+
 class InfeasibleBudget(Exception):
     """No placement of the requested size can isolate every pipe."""
 
@@ -473,8 +479,7 @@ def solve(net, n_valves, opts=None):
     """
     if opts is None:
         opts = SolverOptions()
-    if not 1 <= n_valves <= net.num_slots:
-        raise BudgetError(f"valve budget must be in [1, {net.num_slots}], got {n_valves}")
+    check_budget(net, n_valves)
 
     required = required_source_slots(net)
     if n_valves < required:

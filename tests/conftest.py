@@ -19,6 +19,12 @@ def make_net(nodes, sources, edges, **extra):
     return parse_network(json.dumps(doc))
 
 
+def path_net(n_pipes):
+    """Path 1 - 2 - ... fed from node 1."""
+    return make_net(list(range(1, n_pipes + 2)), [1],
+                    [(f"p{i}", i, i + 1, 1 + i % 3) for i in range(1, n_pipes + 1)])
+
+
 @pytest.fixture(scope="session")
 def fig1():
     return instances.fig1()

@@ -19,9 +19,10 @@ import pytest
 from valveplan.generate import random_instance
 from valveplan.instances import load
 from valveplan.isolation import (
+    INFEASIBLE_UD,
     delivered_with_closed,
     evaluate_break,
-    scan_sectors,
+    sector_damage,
     sector_from,
     sector_of,
     ud_by_component_deletion,
@@ -214,15 +215,16 @@ def test_criterion_06_formulation_equivalence(corpus):
             for mask in range(1 << slots):
                 placement = [s for s in range(slots) if mask >> s & 1]
                 # pipes of one sector share the closure, so one break per
-                # sector covers every distinct outcome of this placement
-                for rep, _, boundary, _, _, has_source in scan_sectors(net, mask):
+                # sector covers every distinct outcome of this placement;
+                # the production evaluator must agree with both references
+                for rep, _, boundary, ud in sector_damage(net, mask):
                     feasible2, ud2 = ud_by_component_deletion(net, placement, rep)
                     checks += 1
-                    if has_source:
+                    if ud == INFEASIBLE_UD:
                         ok = not feasible2
                     else:
                         _, delivered = delivered_with_closed(net, boundary)
-                        ok = feasible2 and ud2 == total - delivered
+                        ok = feasible2 and ud == ud2 == total - delivered
                     if not ok:
                         mismatches += 1
         assert checks > 1_000_000

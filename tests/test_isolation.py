@@ -1,18 +1,27 @@
+import json
 import math
 import random
 from itertools import combinations
 
 import pytest
 
+from valveplan import isolation
+from valveplan.generate import random_document
 from valveplan.isolation import (
     INFEASIBLE_UD,
+    delivered_with_closed,
     evaluate_break,
+    present_mask,
+    scan_sectors,
+    sector_damage,
     sector_of,
     sectors,
     ud_by_component_deletion,
+    worst_case_fast,
     worst_case_ud,
 )
-from conftest import make_net
+from valveplan.network import parse_network
+from conftest import make_net, path_net
 
 
 def edge(net, label):
@@ -225,3 +234,149 @@ def test_redundant_boundary_valve_counted_once(fig1):
     assert edge(fig1, "e25") in sec.edges
     assert 4 in {fig1.slot_node(s) for s in sec.boundary} or True  # sanity only
     assert slot_tokens(fig1, sec.boundary).count("e25:5") == 1
+
+
+# -- segment-graph evaluator against both references ------------------------------
+
+
+def damage_by_reference(net, placement):
+    """{representative: ud} by `total - delivered_with_closed(boundary)`,
+    INFEASIBLE_UD where the sector holds a source; never calls sector_damage."""
+    out = {}
+    for rep, _, boundary, _, _, has_source in scan_sectors(net, present_mask(net, placement)):
+        out[rep] = (INFEASIBLE_UD if has_source
+                    else net.total_demand - delivered_with_closed(net, boundary)[1])
+    return out
+
+
+def checked_damage(net, placement):
+    """sector_damage as {representative: ud}, after checking every sector
+    against the reference formula and component deletion, and
+    worst_case_fast against the worst sector (lowest feasible-tie rep,
+    lowest source-holding rep when infeasible)."""
+    mask = present_mask(net, placement)
+    got = {rep: ud for rep, _, _, ud in sector_damage(net, mask)}
+    assert list(got) == sorted(got)
+    assert got == damage_by_reference(net, placement)
+    for rep, ud in got.items():
+        feasible, ud2 = ud_by_component_deletion(net, placement, rep)
+        assert feasible == (ud != INFEASIBLE_UD)
+        if feasible:
+            assert ud == ud2
+    infeasible = [rep for rep, ud in got.items() if ud == INFEASIBLE_UD]
+    if infeasible:
+        expected = (INFEASIBLE_UD, infeasible[0], False)
+    else:
+        worst = max(got.values())
+        expected = (worst, min(r for r, ud in got.items() if ud == worst), True)
+    assert worst_case_fast(net, mask) == expected
+    return got
+
+
+def test_all_valved_junction():
+    # node 2 has every slot valved: a segment-graph vertex with no sector
+    net = make_net([1, 2, 3, 4, 5], [1],
+                   [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4), ("d", 2, 5, 8)])
+    p = slots(net, "a:1", "a:2", "b:2", "d:2")
+    a, b, d = edge(net, "a"), edge(net, "b"), edge(net, "d")
+    assert checked_damage(net, p) == {a: 15_000, b: 6_000, d: 8_000}
+
+
+def test_pipe_valved_at_both_ends():
+    # {b} has no interior node; its break also dries c beyond it
+    net = make_net([1, 2, 3, 4], [1], [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4)])
+    p = slots(net, "a:1", "b:2", "b:3")
+    assert sector_of(net, p, edge(net, "b")).interior_nodes == frozenset()
+    assert checked_damage(net, p) == {0: 7_000, 1: 6_000, 2: 4_000}
+
+
+def test_parallel_segment_graph_edges():
+    # the ring sector {a, d} reaches {b, c} through two valves (b:2, c:4),
+    # and the doubly valved chord e joins {a, d} twice
+    net = make_net([1, 2, 3, 4, 5], [5],
+                   [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4), ("d", 4, 1, 8),
+                    ("s", 5, 1, 16), ("e", 2, 4, 32)])
+    p = slots(net, "s:5", "s:1", "b:2", "c:4", "e:2", "e:4")
+    a, b, s_, e = edge(net, "a"), edge(net, "b"), edge(net, "s"), edge(net, "e")
+    assert checked_damage(net, p) == {a: 47_000, b: 6_000, s_: 63_000, e: 32_000}
+
+
+def test_source_at_all_valved_node():
+    # a degree-3 source whose every slot holds a valve: each branch is its
+    # own sector and nothing else dries with it
+    net = make_net([1, 2, 3, 4, 5], [1],
+                   [("a", 1, 2, 1), ("b", 1, 3, 2), ("c", 1, 4, 4), ("d", 2, 5, 8)])
+    p = slots(net, "a:1", "b:1", "c:1")
+    a, b, c = edge(net, "a"), edge(net, "b"), edge(net, "c")
+    assert checked_damage(net, p) == {a: 9_000, b: 2_000, c: 4_000}
+
+
+def test_break_between_two_sources():
+    # the middle sector is fed from both ends, so its break dries only
+    # itself; a single-source reading would dry everything downstream
+    net = make_net([1, 2, 3, 4, 5], [1, 5],
+                   [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4), ("d", 4, 5, 8)])
+    p = slots(net, "a:1", "b:2", "c:4", "d:5")
+    a, b, d = edge(net, "a"), edge(net, "b"), edge(net, "d")
+    assert checked_damage(net, p) == {a: 1_000, b: 6_000, d: 8_000}
+
+
+def test_infeasible_reports_lowest_source_sector(monkeypatch):
+    # sector {a} is feasible; {b, c} and {d} each hold a source
+    net = make_net([1, 2, 3, 4, 5], [3, 5],
+                   [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4), ("d", 4, 5, 8)])
+    p = slots(net, "a:2", "c:4")
+    a, b, d = edge(net, "a"), edge(net, "b"), edge(net, "d")
+    assert checked_damage(net, p) == {a: 1_000, b: INFEASIBLE_UD, d: INFEASIBLE_UD}
+    wc = worst_case_ud(net, p)
+    assert (wc.ud, wc.edge, wc.feasible) == (INFEASIBLE_UD, b, False)
+
+    # the early exit comes before any segment graph is built
+    def no_graph(*args):
+        raise AssertionError("segment graph built for an infeasible placement")
+
+    monkeypatch.setattr(isolation, "_segment_damage", no_graph)
+    assert worst_case_fast(net, present_mask(net, p)) == (INFEASIBLE_UD, b, False)
+
+
+def test_segment_graph_random_networks():
+    # random_document has one source; every other network gets a second
+    # one, and a path fed from both ends adds a sector graph that is all
+    # articulation vertices
+    rng = random.Random(2010)
+    infeasible = feasible = 0
+    for m in range(8, 34):
+        doc = json.loads(random_document(m, n_edges=m))
+        if m % 2:
+            doc["sources"] = sorted(set(doc["sources"]) | {doc["nodes"][-1]})
+        path = make_net(list(range(1, m + 2)), [1, m + 1],
+                        [(f"p{i}", i, i + 1, i) for i in range(1, m + 1)])
+        for net in (parse_network(json.dumps(doc)), path):
+            for k in range(12):
+                density = 0.3 + 0.7 * k / 11
+                p = frozenset(s for s in range(net.num_slots) if rng.random() < density)
+                got = checked_damage(net, p)
+                if INFEASIBLE_UD in got.values():
+                    infeasible += 1
+                else:
+                    feasible += 1
+    assert infeasible > 100 and feasible > 100, (infeasible, feasible)
+
+
+def test_worst_case_never_refloods(monkeypatch):
+    # 1,000 valves on a 700-pipe path: hundreds of sectors, none re-flooded
+    net = path_net(700)
+    rng = random.Random(700)
+    placement = frozenset([0] + rng.sample(range(1, net.num_slots), 999))
+    mask = present_mask(net, placement)
+    ref = damage_by_reference(net, placement)
+    assert INFEASIBLE_UD not in ref.values() and len(ref) > 500
+    worst = max(ref.values())
+    expected = (worst, min(r for r, ud in ref.items() if ud == worst), True)
+
+    def reflood(*args):
+        raise AssertionError("delivered_with_closed called")
+
+    monkeypatch.setattr(isolation, "delivered_with_closed", reflood)
+    assert worst_case_fast(net, mask) == expected
+    assert {rep: ud for rep, _, _, ud in sector_damage(net, mask)} == ref

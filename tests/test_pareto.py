@@ -1,8 +1,9 @@
 import pytest
 
+from valveplan import pareto
 from valveplan.oracle import brute_force
 from valveplan.pareto import sweep
-from valveplan.solver import SolverOptions
+from valveplan.solver import BudgetError, SolverOptions
 
 
 def oracle_frontier(net, nvs):
@@ -86,6 +87,16 @@ def test_warm_start_seeds_incumbent(fig1):
 def test_empty_range_rejected(fig1):
     with pytest.raises(ValueError):
         sweep(fig1, [])
+
+
+def test_out_of_range_budget_fails_before_any_solve(fig1, monkeypatch):
+    # the whole range is checked up front: no budget below the bad one is solved
+    calls = []
+    monkeypatch.setattr(pareto, "solve", lambda *args: calls.append(args))
+    for nvs, bad in ((range(14, 16), 15), (range(0, 3), 0)):
+        with pytest.raises(BudgetError, match=rf"^valve budget must be in \[1, 14\], got {bad}$"):
+            sweep(fig1, nvs)
+    assert calls == []
 
 
 def test_best_found_points_participate(fig1):

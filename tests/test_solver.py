@@ -23,7 +23,7 @@ from valveplan.solver import (
 )
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
-from conftest import make_net
+from conftest import make_net, path_net
 
 ALL_OFF = dict(face_constraints=False, symmetry=False, lb_prune=False, reduced_cost=False)
 
@@ -523,12 +523,6 @@ def test_snapshot_contract(fig1):
     search.run()
     ud, placement, edge = search.snapshot()
     assert ud == 15000 and len(placement) == 6
-
-
-def path_net(n_pipes):
-    """Path 1 - 2 - ... fed from node 1."""
-    return make_net(list(range(1, n_pipes + 2)), [1],
-                    [(f"p{i}", i, i + 1, 1 + i % 3) for i in range(1, n_pipes + 1)])
 
 
 def test_search_depth_does_not_deepen_the_python_stack():
