@@ -15,7 +15,11 @@ or with a valve moved, does at least as well within the same budget:
 * source rule: every slot next to a source must hold a valve in any
   feasible placement, so those slots are fixed present at the root;
 * face rule: a closed face cycle of the drawing cannot carry exactly one
-  valve (a lone valve on a cycle separates nothing);
+  valve (a lone valve on a cycle separates nothing). It also looks ahead:
+  every face that holds one valve now needs one more, and one more valve
+  lies on at most `reach` distinct faces (measured over the face lists:
+  traced faces give 2, declared faces may give more), so a branch dies
+  once those faces outnumber `reach` times the valves left in the budget;
 * symmetry rule: at a non-source degree-2 node the two surrounding slots
   are interchangeable, so one of them is pinned empty up front;
 * bound rule: classes of nodes already known to share a sector carry a
@@ -224,7 +228,7 @@ class Search:
         self.net = net
         self.nv = n_valves
         self.opts = opts
-        self.state = TrailedState(net)
+        self.state = TrailedState(net, face_slot_lists(net) if opts.face_constraints else ())
         self.floor = bridge_lower_bound(net)
         self.stats = SearchStats(lower_bound=self.floor)
         self._best = (math.inf, None, None)   # (ud, placement, argmax edge)
@@ -233,12 +237,11 @@ class Search:
         self._unwind = False
         self._order = (PRESENT, ABSENT)
         self.t0 = time.perf_counter()
-
-        self.face_slots = face_slot_lists(net) if opts.face_constraints else []
-        self.slot_faces = [[] for _ in range(net.num_slots)]
-        for i, slots in enumerate(self.face_slots):
-            for s in set(slots):
-                self.slot_faces[s].append(i)
+        # most distinct faces one slot lies on, so most lonely faces one
+        # more valve can relieve (traced faces give 2, declared ones more)
+        self.reach = max(map(len, self.state.slot_faces), default=0)
+        self._branch_order = [(s, net.slot_node(s)) for s in
+                              sorted(range(net.num_slots), key=lambda s: (-net.demand[s >> 1], s))]
 
     # -- incumbent ----------------------------------------------------------
 
@@ -311,6 +314,9 @@ class Search:
                 if st.n_present > nv:
                     self.stats.budget_fails += 1
                     return False
+                if st.lonely > self.reach * (nv - st.n_present):
+                    self.stats.face_fails += 1
+                    return False
             else:
                 root = st.register_absent(s)
                 if self.opts.lb_prune and st.lb[root] >= self.incumbent_ud:
@@ -324,24 +330,18 @@ class Search:
                             self.stats.reduced_cost_forced += 1
                             pending.append((opp, PRESENT))
 
-            for fi in self.slot_faces[s]:
-                n_present = n_undecided = 0
-                last_undecided = -1
-                for fs in self.face_slots[fi]:
-                    fv = st.value[fs]
-                    if fv == PRESENT:
-                        n_present += 1
-                    elif fv == UNDECIDED:
-                        n_undecided += 1
-                        last_undecided = fs
-                if n_present >= 2:
+            for f, _ in st.slot_faces[s]:
+                valves = st.face_valves[f]
+                if valves >= 2:
                     continue
-                if n_present == 1 and n_undecided == 0:
-                    self.stats.face_fails += 1
-                    return False
-                if n_undecided == 1:
+                undecided = st.face_undecided[f]
+                if undecided == 0:
+                    if valves == 1:
+                        self.stats.face_fails += 1
+                        return False
+                elif undecided == 1:
                     self.stats.face_forced += 1
-                    pending.append((last_undecided, PRESENT if n_present == 1 else ABSENT))
+                    pending.append((st.face_undecided_sum[f], PRESENT if valves == 1 else ABSENT))
 
             if not completing and st.n_undecided and st.n_present == nv:
                 # the budget is spent, so every slot left stays empty. Queue
@@ -357,17 +357,19 @@ class Search:
         """Undecided slot to branch on next (None when complete).
 
         Order: slot on the frontier of the class with the largest bound,
-        then heaviest pipe, then lowest slot id.
+        then heaviest pipe, then lowest slot id. `_branch_order` holds the
+        last two keys, so the first slot of the largest bound wins.
         """
         st = self.state
+        value = st.value
+        lb = st.lb
+        find = st.find
+        node_lb = [lb[find(n)] for n in range(self.net.num_nodes)]
         best = None
-        best_key = None
-        for slot in range(self.net.num_slots):
-            if st.value[slot] != UNDECIDED:
-                continue
-            key = (st.lb[st.find(self.net.slot_node(slot))], self.net.demand[slot >> 1], -slot)
-            if best_key is None or key > best_key:
-                best_key = key
+        best_lb = -1
+        for slot, node in self._branch_order:
+            if value[slot] == UNDECIDED and node_lb[node] > best_lb:
+                best_lb = node_lb[node]
                 best = slot
         return best
 

@@ -14,7 +14,24 @@ UNDECIDED, PRESENT, ABSENT = 0, 1, 2
 
 
 class TrailedState:
-    def __init__(self, net):
+    """Slot values, sector classes and face counters under one trail.
+
+    `face_slots` holds the slot multiset of each face cycle (see
+    `solver.face_slot_lists`); the state keeps, per slot, the (face,
+    multiplicity) pairs of the faces through it in `slot_faces`, and four
+    face counters that `set_value` updates and `undo_frame` reverses, so
+    the face rule reads them in O(1) per face instead of rescanning cycles:
+
+    * `face_valves[f]`: PRESENT slots on face f;
+    * `face_undecided[f]`: UNDECIDED slots on face f;
+    * `face_undecided_sum[f]`: the sum of those undecided slot ids, which
+      is the undecided slot itself when exactly one is left;
+    * `lonely`: the number of faces that hold exactly one valve.
+
+    A slot that occurs k times in a face's multiset counts k times in each.
+    """
+
+    def __init__(self, net, face_slots=()):
         self.net = net
         n = net.num_nodes
         self.value = bytearray(net.num_slots)
@@ -26,6 +43,16 @@ class TrailedState:
         self.attached = bytearray(net.num_edges)
         self._trail = []
         self._frames = []
+
+        # per slot: (face, multiplicity) for every face whose cycle holds it
+        self.slot_faces = [[] for _ in range(net.num_slots)]
+        for f, slots in enumerate(face_slots):
+            for slot in sorted(set(slots)):
+                self.slot_faces[slot].append((f, slots.count(slot)))
+        self.face_valves = [0] * len(face_slots)
+        self.face_undecided = [len(slots) for slots in face_slots]
+        self.face_undecided_sum = [sum(slots) for slots in face_slots]
+        self.lonely = 0
 
     @property
     def n_undecided(self):
@@ -50,8 +77,16 @@ class TrailedState:
                 slot = entry[1]
                 if self.value[slot] == PRESENT:
                     self.n_present -= 1
+                    valves = self.face_valves
+                    for f, k in self.slot_faces[slot]:
+                        c = valves[f]
+                        valves[f] = c - k
+                        self.lonely += (c == k + 1) - (c == 1)
                 else:
                     self.n_absent -= 1
+                for f, k in self.slot_faces[slot]:
+                    self.face_undecided[f] += k
+                    self.face_undecided_sum[f] += k * slot
                 self.value[slot] = UNDECIDED
             elif tag == 1:                      # edge attach
                 _, e, root = entry
@@ -66,10 +101,19 @@ class TrailedState:
     def set_value(self, slot, v):
         assert self.value[slot] == UNDECIDED
         self.value[slot] = v
+        faces = self.slot_faces[slot]
         if v == PRESENT:
             self.n_present += 1
+            valves = self.face_valves
+            for f, k in faces:
+                c = valves[f]
+                valves[f] = c + k
+                self.lonely += (c + k == 1) - (c == 1)
         else:
             self.n_absent += 1
+        for f, k in faces:
+            self.face_undecided[f] -= k
+            self.face_undecided_sum[f] -= k * slot
         self._trail.append((0, slot))
 
     def register_absent(self, slot):

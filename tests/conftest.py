@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -23,6 +25,17 @@ def path_net(n_pipes):
     """Path 1 - 2 - ... fed from node 1."""
     return make_net(list(range(1, n_pipes + 2)), [1],
                     [(f"p{i}", i, i + 1, 1 + i % 3) for i in range(1, n_pipes + 1)])
+
+
+def k4_all_cycles(seed):
+    """K4 fed from node 1, seeded demands, with every triangle and every
+    4-cycle declared as a face: each pipe lies on four faces."""
+    rng = random.Random(seed)
+    edges = [(f"p{u}{v}", u, v, rng.randint(1, 9))
+             for u, v in itertools.combinations([1, 2, 3, 4], 2)]
+    faces = [list(t) for t in itertools.combinations([1, 2, 3, 4], 3)]
+    faces += [[1, 2, 3, 4], [1, 3, 2, 4], [1, 2, 4, 3]]
+    return make_net([1, 2, 3, 4], [1], edges, faces=faces)
 
 
 @pytest.fixture(scope="session")

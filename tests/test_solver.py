@@ -23,19 +23,23 @@ from valveplan.solver import (
 )
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
-from conftest import make_net, path_net
+from conftest import k4_all_cycles, make_net, path_net
 
 ALL_OFF = dict(face_constraints=False, symmetry=False, lb_prune=False, reduced_cost=False)
 
-# 23 nodes, 33 pipes and a degree-1 source: the density of the paper's network
-APULIAN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data",
-                       "instances", "apulian-density-0.json")
+INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data", "instances")
+
+
+def frozen_instance(name):
+    """A frozen benchmark instance, read only."""
+    with open(os.path.join(INSTANCES, f"{name}.json"), "r", encoding="utf-8") as fh:
+        return parse_network(fh.read())
 
 
 @pytest.fixture(scope="module")
 def apulian():
-    with open(APULIAN, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read())
+    # 23 nodes, 33 pipes and a degree-1 source: the density of the paper's network
+    return frozen_instance("apulian-density-0")
 
 
 # -- preprocessing -------------------------------------------------------------
@@ -257,6 +261,31 @@ def test_face_entailed_with_two_valves(square_plus):
     for slot in (1, 3, 4, 5, 6, 7):
         assert search.decide(slot, ABSENT)
     assert search.stats.face_forced == before
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_face_lookahead_sound_on_overlapping_faces(seed):
+    # every pipe lies on four declared faces, so one valve can relieve four
+    # lonely faces; a look-ahead that assumed two would call nv=3 infeasible
+    net = k4_all_cycles(seed)
+    assert Search(net, 1, SolverOptions()).reach == 4
+    for nv in range(1, net.num_slots + 1):
+        expect = brute_force(net, nv)
+        try:
+            sol = solve(net, nv)
+        except InfeasibleBudget:
+            assert expect.all_infeasible, nv
+            continue
+        assert not expect.all_infeasible, nv
+        assert (sol.proof, sol.ud, len(sol.placement)) == ("optimal", expect.ud, nv)
+
+
+def test_face_lookahead_pruning_strength():
+    # the look-ahead's share of the work on the ladder's most expensive rung:
+    # the same proof took 34,227 nodes with the face rule alone
+    sol = solve(frozen_instance("rand-1-m33"), 8)
+    assert (sol.proof, sol.ud) == ("optimal", 285000)
+    assert sol.stats.nodes <= 12_000
 
 
 # -- bound propagation -----------------------------------------------------------

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valveplan.solver import face_slot_lists
 from valveplan.state import ABSENT, PRESENT, UNDECIDED, TrailedState
 
-from conftest import make_net
+from conftest import k4_all_cycles, make_net
 
 
 def build_state(net, decisions):
     """Fresh state with `decisions` = [(slot, value)] applied in order."""
-    state = TrailedState(net)
+    state = TrailedState(net, face_slot_lists(net))
     for slot, value in decisions:
         state.set_value(slot, value)
         if value == ABSENT:
@@ -21,7 +22,18 @@ def build_state(net, decisions):
 
 def snapshot(state):
     return (bytes(state.value), state.n_present, state.n_absent,
-            bytes(state.attached), state.classes())
+            bytes(state.attached), state.classes(),
+            tuple(state.face_valves), tuple(state.face_undecided),
+            tuple(state.face_undecided_sum), state.lonely)
+
+
+def rescan_faces(state, face_slots):
+    """The face counters recomputed from the slot values alone."""
+    value = state.value
+    valves = [sum(value[s] == PRESENT for s in slots) for slots in face_slots]
+    undecided = [[s for s in slots if value[s] == UNDECIDED] for slots in face_slots]
+    return (valves, [len(u) for u in undecided], [sum(u) for u in undecided],
+            valves.count(1))
 
 
 def _random_ops(rng, net, length):
@@ -32,8 +44,9 @@ def _random_ops(rng, net, length):
     return ops
 
 
-def replay(net, ops, rng):
-    state = TrailedState(net)
+def replay(net, ops, rng, check=None):
+    """Apply `ops` to a fresh state, calling `check(state)` after each."""
+    state = TrailedState(net, face_slot_lists(net))
     open_frames = 0
     live = []           # decisions applied and not (yet) rolled back
     frame_stack = []
@@ -58,6 +71,8 @@ def replay(net, ops, rng):
             if value == ABSENT:
                 state.register_absent(slot)
             live.append((slot, value))
+        if check:
+            check(state)
     # close any frames left open; what survives is the committed prefix
     while open_frames:
         state.undo_frame()
@@ -85,9 +100,32 @@ def fig1_net_doc():
     return fig1()
 
 
+@pytest.mark.parametrize("name", ["fig1", "k4-all-cycles", "walked-twice"])
+def test_face_counters_match_rescan(fig1_net_doc, name):
+    # fig1 has traced faces; K4 puts every pipe on four declared faces; the
+    # square's second face walks pipes 1-2 and 2-3 twice, so their slots
+    # count twice
+    nets = {"fig1": fig1_net_doc, "k4-all-cycles": k4_all_cycles(0),
+            "walked-twice": make_net([1, 2, 3, 4], [1],
+                                     [("a", 1, 2, 1), ("b", 2, 3, 1), ("c", 3, 4, 1),
+                                      ("d", 4, 1, 1)],
+                                     faces=[[1, 2, 3, 4], [1, 2, 3, 2]])}
+    net = nets[name]
+    faces = face_slot_lists(net)
+
+    def check(state):
+        assert (state.face_valves, state.face_undecided, state.face_undecided_sum,
+                state.lonely) == rescan_faces(state, faces)
+
+    rng = random.Random(77)
+    for _ in range(40):
+        state, _ = replay(net, _random_ops(rng, net, rng.randint(0, 60)), rng, check)
+        check(state)
+
+
 def test_full_undo_returns_to_pristine(fig1_net_doc):
     net = fig1_net_doc
-    state = TrailedState(net)
+    state = TrailedState(net, face_slot_lists(net))
     pristine = snapshot(state)
     state.push_frame()
     for slot in range(net.num_slots):
