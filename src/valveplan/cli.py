@@ -31,7 +31,7 @@ class _Report:
     """Collects output lines; timing lines are marked so reruns of the same
     command are byte-identical apart from them."""
 
-    def __init__(self, fmt):
+    def __init__(self, fmt="text"):
         self.fmt = fmt
         self.lines = []
 
@@ -116,12 +116,12 @@ def cmd_evaluate(args):
     _instance_digest(report, net)
     report.kv("valves", len(placement))
     rows = [None] * net.num_edges
-    worst, worst_edge = -1, None
+    worst, worst_edge = 0, None
     for pos, (rep, edges_mask, boundary, ud) in enumerate(
             sector_damage(net, present_mask(net, placement))):
         for e in mask_bits(edges_mask):
             rows[e] = (pos, boundary.bit_count(), ud)
-        if ud > worst:
+        if worst_edge is None or ud > worst:
             worst, worst_edge = ud, rep
     report.row("edge", "sector", "closed_valves", "ud_lps", "isolable")
     for e, (pos, closed, ud) in enumerate(rows):
@@ -132,13 +132,13 @@ def cmd_evaluate(args):
         report.emit()
         return EXIT_INFEASIBLE
     report.kv("worst_case_ud_lps", format_flow(worst))
-    report.kv("worst_break", net.edge_labels[worst_edge])
+    report.kv("worst_break", net.edge_labels[worst_edge] if worst_edge is not None else "-")
     report.emit()
     return EXIT_OK
 
 
 def cmd_solve(args):
-    report = _Report(args.format)
+    report = _Report()
     net = instances.load(args.instance)
     _instance_digest(report, net)
     report.kv("n_valves", args.nv)
@@ -166,8 +166,7 @@ def cmd_sweep(args):
     report = _Report(args.format)
     net = instances.load(args.instance)
     _instance_digest(report, net)
-    result = sweep(net, args.nv, _solver_options(args),
-                   warm_start=not args.no_warm_start)
+    result = sweep(net, args.nv, _solver_options(args))
     report.row("nv", "ud", "proof", "elapsed_ms")
     for pt in result.points:
         elapsed_ms = int(pt.elapsed * 1000)
@@ -214,7 +213,7 @@ def _check_one(report, net, nv, opts, cap):
 
 
 def cmd_check(args):
-    report = _Report(args.format)
+    report = _Report()
     opts = _solver_options(args)
     all_ok = True
     if args.corpus:
@@ -260,7 +259,6 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--nv", type=int, required=True, help="number of valves to place")
     p.add_argument("--anytime", metavar="PATH", help="write the incumbent log as CSV")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 
@@ -268,7 +266,6 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--nv", type=_budget_range, required=True, help="budget range, e.g. 2..14")
     p.add_argument("--out-dir", help="directory for per-point placement files")
-    p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -280,7 +277,6 @@ def build_parser():
                    help="check N seeded random instances instead")
     p.add_argument("--seed", type=int, default=0, help="first corpus seed")
     p.add_argument("--cap", type=int, default=5_000_000, help="enumeration cap")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_check)
     return parser

@@ -26,6 +26,15 @@ lowpoint DFS (Hopcroft & Tarjan 1973) gives that for every sector at once, in ti
 linear in sectors plus valves; `delivered_with_closed` stays as the plain
 reachability reference for a single closure.
 
+Adding a valve never raises any break's damage: the new closure is a subset
+of the old boundary plus valves inside the old sector, so every source path
+that survived before still survives. The placement with a valve on every
+slot is therefore the least damaging of all. Its sectors are single pipes,
+so it is always feasible, and a break there dries exactly its own pipe plus
+whatever a bridge cuts off from the sources. Its worst case is the floor no
+placement goes below (`bridge_lower_bound`): the heaviest pipe, or a bridge
+plus everything beyond it.
+
 All functions here are pure with respect to (network, placement); a
 placement is any iterable of present slot ids. Flows are integer ml/s.
 """
@@ -51,9 +60,6 @@ class Sector:
 class SectorPartition:
     sectors: tuple
     edge_sector: tuple  # edge index -> position in `sectors`
-
-    def sector_of_edge(self, edge):
-        return self.sectors[self.edge_sector[edge]]
 
 
 @dataclass(frozen=True)
@@ -244,12 +250,15 @@ def _segment_damage(net, scanned):
 def worst_case_fast(net, present):
     """(ud, argmax_edge, feasible) over all single-pipe breaks, mask input.
     Stops at the first sector that holds a source, before any segment graph
-    is built; ties go to the lowest representative edge."""
+    is built; ties go to the lowest representative edge. A network without
+    pipes has no break: (0, None, True)."""
     scanned = []
     for row in scan_sectors(net, present):
         if row[5]:
             return INFEASIBLE_UD, row[0], False
         scanned.append(row)
+    if not scanned:
+        return 0, None, True
     best = -1
     best_edge = None
     for row, ud in zip(scanned, _segment_damage(net, scanned)):
@@ -257,6 +266,12 @@ def worst_case_fast(net, present):
             best = ud
             best_edge = row[0]
     return best, best_edge, True
+
+
+def bridge_lower_bound(net):
+    """Worst-case damage (ml/s) that no feasible placement goes below: the
+    worst case with a valve on every slot (module docstring)."""
+    return worst_case_fast(net, (1 << net.num_slots) - 1)[0]
 
 
 # -- rich public wrappers ------------------------------------------------------

@@ -26,10 +26,9 @@ class OracleResult:
     optimal: tuple               # all optimal placements, as frozensets of slots
     count: int                   # placements enumerated, C(2m, nv)
     all_infeasible: bool
-    table: list | None = None    # optional [(placement, ud, feasible)]
 
 
-def brute_force(net, n_valves, cap=DEFAULT_CAP, record_table=False):
+def brute_force(net, n_valves, cap=DEFAULT_CAP):
     """Exhaustive optimum over all C(2m, n_valves) placements.
 
     Enumeration is lexicographic by slot index. Raises
@@ -44,15 +43,12 @@ def brute_force(net, n_valves, cap=DEFAULT_CAP, record_table=False):
     best = math.inf
     winners = []
     count = 0
-    table = [] if record_table else None
     for combo in combinations(range(net.num_slots), n_valves):
         count += 1
         mask = 0
         for s in combo:
             mask |= 1 << s
         ud, _, feasible = worst_case_fast(net, mask)
-        if record_table:
-            table.append((frozenset(combo), ud, feasible))
         if not feasible:
             continue
         if ud < best:
@@ -63,5 +59,4 @@ def brute_force(net, n_valves, cap=DEFAULT_CAP, record_table=False):
     return OracleResult(ud=best,
                         optimal=tuple(frozenset(c) for c in winners),
                         count=count,
-                        all_infeasible=not winners,
-                        table=table)
+                        all_infeasible=not winners)

@@ -6,13 +6,10 @@ problem decomposes into one exact solve per count, followed by dominance
 filtering.
 """
 
-import logging
 from dataclasses import dataclass, replace
 
 from .isolation import present_mask, worst_case_fast
 from .solver import BudgetError, InfeasibleBudget, SolverOptions, check_budget, solve
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -51,8 +48,13 @@ def _best_extension(net, placement):
     return best
 
 
-def sweep(net, n_valves_range, opts=None, warm_start=True):
+def sweep(net, n_valves_range, opts=None):
     """Solve each valve count in `n_valves_range` and keep the frontier.
+
+    Each solve after the first starts from the best one-valve extension of
+    the previous point. Adding a valve never raises any break's damage, so
+    no point rises above an earlier one, limits or not; a point that does
+    no better than the last kept one is dropped as dominated.
 
     Raises BudgetError, before any solve, when the range is empty or runs
     outside [1, 2 * num_edges].
@@ -74,7 +76,7 @@ def sweep(net, n_valves_range, opts=None, warm_start=True):
     prev = None
     for nv in nvs:
         run_opts = opts
-        if warm_start and prev is not None:
+        if prev is not None:
             # at most nv valves: solve pads a shorter candidate itself
             candidate = _best_extension(net, prev)
             if candidate is not None:
@@ -95,15 +97,9 @@ def sweep(net, n_valves_range, opts=None, warm_start=True):
 
     points = []
     dropped = []
-    best_ud = None
     for pt in solved:
-        if best_ud is not None and pt.ud > best_ud:
-            log.warning("worst-case damage rose from %s to %s when adding valves "
-                        "(n_valves=%d); keeping the dominated point out of the frontier",
-                        best_ud, pt.ud, pt.n_valves)
-        if best_ud is None or pt.ud < best_ud:
+        if not points or pt.ud < points[-1].ud:
             points.append(pt)
-            best_ud = pt.ud
         else:
             dropped.append(pt)
     return SweepResult(points=points, dropped=dropped, notes=notes)

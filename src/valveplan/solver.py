@@ -26,8 +26,9 @@ or with a valve moved, does at least as well within the same budget:
   demand lower bound; once a class reaches the incumbent the branch is
   dead, and when joining two classes would reach it the joining slot is
   forced to take a valve (reduced-cost style fixing); the bound rule also
-  stops the whole search once the incumbent meets the static bridge floor
-  (see `bridge_lower_bound`), which no placement can beat.
+  stops the whole search once the incumbent meets the bridge floor, the
+  worst case with a valve on every slot, which no placement can beat (see
+  the `isolation` module docstring for why).
 
 The class bound ignores unintended isolation, which only adds damage, so
 it never overestimates a completion. Improvements are strict: each new
@@ -42,7 +43,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .isolation import mask_bits, present_mask, worst_case_fast
+from .isolation import bridge_lower_bound, mask_bits, present_mask, worst_case_fast
 from .state import ABSENT, PRESENT, UNDECIDED, TrailedState
 
 RESTART_MODES = ("continuing", "restarting")
@@ -144,60 +145,6 @@ def required_source_slots(net):
     """Every slot next to a source must carry a valve in any feasible
     placement, else the pipe behind it can never be de-watered."""
     return sum(net.degree(s) for s in net.sources)
-
-
-def bridge_lower_bound(net):
-    """Worst-case damage (ml/s) that no feasible placement goes below.
-
-    Every break loses at least its own pipe. Breaking a bridge whose far
-    side holds no source also cuts off every pipe beyond it, whatever the
-    valves (the unintended isolation of Jun & Loganathan, JWRPM 2007). The
-    floor is the larger of the heaviest pipe and, over such bridges, the
-    bridge's demand plus the demand beyond it. One iterative lowpoint DFS
-    (Tarjan 1974) rooted at the sources finds the bridges, so the near side
-    of every bridge holds a source and its far side is a DFS subtree.
-    """
-    n = net.num_nodes
-    disc = [-1] * n             # discovery order
-    low = [0] * n
-    beyond = [0] * n            # demand of the subtree's pipes and of the pipe into it
-    fed = bytearray(n)          # the subtree holds a source
-    floor = max(net.demand, default=0)
-    order = 0
-    for root in net.source_list:
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = order
-        order += 1
-        stack = [(root, -1, iter(net.incident[root]))]
-        while stack:
-            node, via, pipes = stack[-1]
-            for e in pipes:
-                if e == via:
-                    continue
-                u, v = net.endpoints[e]
-                other = v if u == node else u
-                if disc[other] < 0:
-                    disc[other] = low[other] = order
-                    order += 1
-                    beyond[other] = net.demand[e]
-                    fed[other] = other in net.sources
-                    stack.append((other, e, iter(net.incident[other])))
-                    break
-                if disc[other] < disc[node]:
-                    # back pipe to an ancestor, counted at its lower end
-                    low[node] = min(low[node], disc[other])
-                    beyond[node] += net.demand[e]
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    beyond[parent] += beyond[node]
-                    fed[parent] |= fed[node]
-                    if low[node] > disc[parent] and not fed[node]:
-                        floor = max(floor, beyond[node])
-    return floor
 
 
 def face_slot_lists(net):

@@ -105,6 +105,18 @@ def test_evaluate_rows_match_sectors_and_breaks(capsys, tmp_path):
     assert feasible_seen and infeasible_seen
 
 
+def test_evaluate_network_without_pipes(capsys, tmp_path):
+    instance = tmp_path / "empty.json"
+    instance.write_text('{"nodes": [1], "sources": [1], "edges": []}')
+    placement = tmp_path / "none.txt"
+    placement.write_text("# no pipes, no valves\n")
+    code, out, _ = run(capsys, "evaluate", str(instance), str(placement))
+    assert code == 0
+    lines = out.splitlines()
+    assert "worst_case_ud_lps: 0" in lines
+    assert "worst_break: -" in lines
+
+
 def test_usage_errors_exit_input_code(capsys):
     # argparse rejects the first group; the budgets of the second pass the
     # parser and are rejected by the solver or the oracle
@@ -113,7 +125,8 @@ def test_usage_errors_exit_input_code(capsys):
                  ["sweep", "fig1", "--nv", "2..4", "--seed", "1"],
                  ["check", "--corpus", "1", "--seed", "x"],
                  ["sweep", "fig1", "--nv", "5..3"], ["sweep", "fig1", "--nv", "2..x"],
-                 ["sweep", "fig1", "--nv", "2.."], ["check", "fig1", "--nv", "x"]):
+                 ["sweep", "fig1", "--nv", "2.."], ["check", "fig1", "--nv", "x"],
+                 ["solve", "fig1", "--nv", "6", "--format", "csv"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv

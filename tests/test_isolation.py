@@ -182,6 +182,14 @@ def test_no_valves_is_infeasible(fig1):
     assert wc.ud == math.inf
 
 
+def test_network_without_pipes():
+    # valid input with no pipe to break: no damage, no worst break
+    net = make_net([1], [1], [])
+    wc = worst_case_ud(net, frozenset())
+    assert (wc.ud, wc.edge, wc.feasible) == (0, None, True)
+    assert list(sector_damage(net, 0)) == []
+
+
 def test_all_slots_regression_value(fig1):
     # with every slot valved each pipe is its own sector; worst break is the
     # heaviest pipe (computed once with this evaluator and frozen)

@@ -56,15 +56,6 @@ def test_budget_validation(fig1):
         brute_force(fig1, 99)
 
 
-def test_record_table(triangle):
-    result = brute_force(triangle, 2, record_table=True)
-    assert len(result.table) == math.comb(6, 2) == result.count
-    for placement, ud, feasible in result.table:
-        check_ud, _, check_feasible = worst_case_fast(
-            triangle, sum(1 << s for s in placement))
-        assert (ud, feasible) == (check_ud, check_feasible)
-
-
 def test_face_compliant_witness_exists(corpus, corpus_oracle):
     # whenever the face-rule solver matches the oracle, some oracle witness
     # also satisfies the no-lone-valve-per-face rule

@@ -70,17 +70,28 @@ def test_monotone_optimum_on_corpus(corpus, corpus_oracle):
 
 def test_warm_start_does_not_change_frontier(fig1, corpus):
     for net in (fig1, corpus[0], corpus[1]):
-        hi = min(net.num_slots, 8)
-        warm = sweep(net, range(2, hi + 1), warm_start=True)
-        cold = sweep(net, range(2, hi + 1), warm_start=False)
-        assert ([(p.n_valves, p.ud) for p in warm.points]
-                == [(p.n_valves, p.ud) for p in cold.points])
+        nvs = range(2, min(net.num_slots, 8) + 1)
+        result = sweep(net, nvs)
+        assert [(p.n_valves, p.ud) for p in result.points] == oracle_frontier(net, nvs)
+
+
+def test_limited_sweep_never_rises(fig1, fig2, corpus):
+    # each warm start is the best one-valve extension of the previous
+    # point, and a valve never raises any break's damage: even a starved
+    # solve cannot end above the point before it. Cold solves starved at 5
+    # nodes do rise on fig1, fig2, corpus[2] and corpus[4]
+    for net in [fig1, fig2] + corpus[:6]:
+        for limit in (1, 2, 3, 5):
+            result = sweep(net, range(2, net.num_slots + 1), SolverOptions(node_limit=limit))
+            solved = sorted(result.points + result.dropped, key=lambda p: p.n_valves)
+            uds = [p.ud for p in solved]
+            assert uds == sorted(uds, reverse=True), (net.name, limit)
 
 
 def test_warm_start_seeds_incumbent(fig1):
     # with a warm start the later solves begin with a finite bound, so the
     # anytime log of an already-optimal warm candidate can be a single entry
-    result = sweep(fig1, [5, 6], warm_start=True)
+    result = sweep(fig1, [5, 6])
     assert [(p.n_valves, p.ud) for p in result.points] == [(5, 17000), (6, 15000)]
 
 

@@ -67,10 +67,13 @@ def test_symmetry_exempts_degree2_sources(source_path):
 def test_degree2_source_exemption_is_required(source_path):
     # the unique feasible 2-valve placement uses both source-side slots,
     # including the one a blind degree-2 rule would pin empty
-    result = brute_force(source_path, 2, record_table=True)
+    result = brute_force(source_path, 2)
     assert result.ud == 10000
     assert [sorted(source_path.placement_tokens(p)) for p in result.optimal] == [["a:2", "b:2"]]
-    feasible = [p for p, ud, ok in result.table if ok]
+    placements = list(combinations(range(source_path.num_slots), 2))
+    assert len(placements) == 15
+    feasible = [frozenset(p) for p in placements
+                if worst_case_fast(source_path, sum(1 << s for s in p))[2]]
     assert feasible == [frozenset({source_path.parse_slot_token("a:2"),
                                    source_path.parse_slot_token("b:2")})]
 
@@ -151,6 +154,11 @@ def test_bridge_floor_matches_networkx(apulian):
     assert above_heaviest >= 200
     assert bridge_lower_bound(apulian) == nx_bridge_floor(apulian) == apulian.total_demand
     assert apulian.total_demand == 382000
+
+
+def test_bridge_floor_without_pipes():
+    # no pipe, no break: the floor is 0
+    assert bridge_lower_bound(make_net([1], [1], [])) == 0
 
 
 def test_bridge_floor_admissible_where_it_bites(corpus):
