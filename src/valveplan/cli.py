@@ -14,7 +14,7 @@ import sys
 
 from . import instances
 from .generate import random_instance
-from .isolation import INFEASIBLE_UD, mask_bits, present_mask, sector_damage
+from .isolation import INFEASIBLE_UD, _worst_break, mask_bits, present_mask, sector_damage
 from .network import InstanceError, format_flow, parse_placement
 from .oracle import EnumerationCapExceeded, brute_force
 from .pareto import sweep
@@ -116,13 +116,13 @@ def cmd_evaluate(args):
     _instance_digest(report, net)
     report.kv("valves", len(placement))
     rows = [None] * net.num_edges
-    worst, worst_edge = 0, None
+    damages = []
     for pos, (rep, edges_mask, boundary, ud) in enumerate(
             sector_damage(net, present_mask(net, placement))):
         for e in mask_bits(edges_mask):
             rows[e] = (pos, boundary.bit_count(), ud)
-        if worst_edge is None or ud > worst:
-            worst, worst_edge = ud, rep
+        damages.append((rep, ud))
+    worst, worst_edge = _worst_break(damages)
     report.row("edge", "sector", "closed_valves", "ud_lps", "isolable")
     for e, (pos, closed, ud) in enumerate(rows):
         report.row(net.edge_labels[e], pos, closed, format_flow(ud),

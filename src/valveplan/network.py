@@ -179,6 +179,10 @@ class Network:
                     rows.append((e, 2 * e + 1, u, 2 * e))
             inc.append(tuple(rows))
         self._inc = tuple(inc)
+        # the slots that sit at a source node: a placement is feasible
+        # exactly when every one of them holds a valve
+        self.source_slots_mask = sum(1 << row[1] for s in self.source_list
+                                     for row in self._inc[s])
 
     def _check_reachable(self):
         if not self.endpoints:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .isolation import worst_case_fast
+from .isolation import frozen_placement, worst_case_fast
 from .solver import check_budget
 
 DEFAULT_CAP = 5_000_000
@@ -57,6 +57,6 @@ def brute_force(net, n_valves, cap=DEFAULT_CAP):
         elif ud == best:
             winners.append(combo)
     return OracleResult(ud=best,
-                        optimal=tuple(frozenset(c) for c in winners),
+                        optimal=tuple(frozen_placement(c) for c in winners),
                         count=count,
                         all_infeasible=not winners)

@@ -43,7 +43,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .isolation import bridge_lower_bound, mask_bits, present_mask, worst_case_fast
+from .isolation import (bridge_lower_bound, frozen_placement, mask_bits, present_mask,
+                        worst_case_fast)
 from .state import ABSENT, PRESENT, UNDECIDED, TrailedState
 
 RESTART_MODES = ("continuing", "restarting")
@@ -235,7 +236,7 @@ class Search:
         mask = self._pad(present_mask(self.net, placement))
         ud, edge, feasible = worst_case_fast(self.net, mask)
         if feasible and ud < self.incumbent_ud:
-            self._install(ud, frozenset(mask_bits(mask)), edge)
+            self._install(ud, frozen_placement(mask_bits(mask)), edge)
             return True
         return False
 
@@ -339,7 +340,7 @@ class Search:
             self.witness_edge = edge
             return
         if ud < self.incumbent_ud:
-            self._install(ud, frozenset(mask_bits(mask)), edge)
+            self._install(ud, frozen_placement(mask_bits(mask)), edge)
             if self.opts.restart_mode == "restarting" or self.floor_met:
                 self._unwind = True
         else:

@@ -117,6 +117,28 @@ def test_evaluate_network_without_pipes(capsys, tmp_path):
     assert "worst_break: -" in lines
 
 
+def test_evaluate_worst_matches_worst_case_ud(capsys, tmp_path):
+    # evaluate and worst_case_fast share one argmax, so the reported worst
+    # break follows worst_case_ud's tie rule on every case
+    fig1 = instances.fig1()
+    pipeless = tmp_path / "pipeless.json"
+    pipeless.write_text('{"nodes": [1], "sources": [1], "edges": []}')
+    cases = [("fig1", fig1, frozenset(fig1.parse_slot_token(t) for t in FIG1_SIX_VALVES)),
+             ("fig1", fig1, frozenset(range(fig1.num_slots))),
+             (str(pipeless), instances.load(str(pipeless)), frozenset())]
+    for i, (instance, net, placement) in enumerate(cases):
+        path = tmp_path / f"placement-{i}.txt"
+        path.write_text("\n".join(["# case"] + net.placement_tokens(placement)) + "\n")
+        for fmt in ("text", "csv"):
+            code, out, _ = run(capsys, "evaluate", instance, str(path), "--format", fmt)
+            assert code == 0
+            worst = worst_case_ud(net, placement)
+            lines = out.splitlines()
+            assert f"worst_case_ud_lps: {format_flow(worst.ud)}" in lines
+            label = "-" if worst.edge is None else net.edge_labels[worst.edge]
+            assert f"worst_break: {label}" in lines
+
+
 def test_usage_errors_exit_input_code(capsys):
     # argparse rejects the first group; the budgets of the second pass the
     # parser and are rejected by the solver or the oracle

@@ -244,6 +244,54 @@ def test_redundant_boundary_valve_counted_once(fig1):
     assert slot_tokens(fig1, sec.boundary).count("e25:5") == 1
 
 
+def deletion_agrees(net, placement, broken, expected_ud):
+    """ud_by_component_deletion gives `expected_ud` for every break in
+    `broken`, and so does the reachability path."""
+    for label in broken:
+        e = edge(net, label)
+        assert ud_by_component_deletion(net, placement, e) == (True, expected_ud)
+        assert evaluate_break(net, placement, e).ud == expected_ud
+
+
+def test_deletion_sector_reached_through_a_chain():
+    # the sector {p2..p5} runs down a chain of degree-2 nodes; a break at
+    # either end must find all of it, not just the pipes next to the break
+    net = make_net([1, 2, 3, 4, 5, 6], [1],
+                   [(f"p{i}", i, i + 1, 2 ** i) for i in range(1, 6)])
+    deletion_agrees(net, slots(net, "p1:2"), ["p5", "p2", "p3"], 60_000)
+
+
+def test_deletion_pipe_hangs_off_surviving_endpoint():
+    # q loses node 4 to the sector {b, c} behind its valve but still hangs
+    # off node 1, which the sources reach; t loses node 3 the same way but
+    # hangs off the dead end 5, so it dries with the sector
+    net = make_net([1, 2, 3, 4, 5], [1],
+                   [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4), ("q", 1, 4, 8),
+                    ("t", 3, 5, 16)])
+    deletion_agrees(net, slots(net, "a:2", "q:4", "t:3"), ["b", "c"], 22_000)
+
+
+def test_deletion_pipe_with_both_ends_interior_and_valved():
+    # p joins two interior nodes of the sector {a, b} with a valve at each
+    # end: it is its own sector and dries with {a, b}, even though s and q
+    # lead from the source to those same nodes
+    net = make_net([1, 2, 3, 4], [1],
+                   [("s", 1, 2, 1), ("a", 2, 3, 2), ("b", 3, 4, 4), ("p", 2, 4, 8),
+                    ("q", 1, 4, 16)])
+    placement = slots(net, "s:2", "p:2", "p:4", "q:4")
+    deletion_agrees(net, placement, ["a", "b"], 14_000)
+    deletion_agrees(net, placement, ["p"], 8_000)
+
+
+def test_deletion_second_source_beyond_the_sector():
+    # the break in {b, c} cuts d and e off source 1, but source 6 still
+    # feeds them from the far side
+    net = make_net([1, 2, 3, 4, 5, 6], [1, 6],
+                   [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4), ("d", 4, 5, 8),
+                    ("e", 5, 6, 16)])
+    deletion_agrees(net, slots(net, "a:2", "c:4", "e:6"), ["b", "c"], 6_000)
+
+
 # -- segment-graph evaluator against both references ------------------------------
 
 
@@ -388,3 +436,83 @@ def test_worst_case_never_refloods(monkeypatch):
     monkeypatch.setattr(isolation, "delivered_with_closed", reflood)
     assert worst_case_fast(net, mask) == expected
     assert {rep: ud for rep, _, _, ud in sector_damage(net, mask)} == ref
+
+
+# -- feasibility from the source-side slots -----------------------------------
+
+
+def worst_from_rows(net, mask):
+    """worst_case_fast's answer from `scan_sectors` rows alone: the first row
+    that holds a source gives (INFEASIBLE_UD, rep, False); otherwise the worst
+    row by `total - delivered_with_closed(boundary)`, lowest rep on ties."""
+    worst = (0, None, True)
+    for rep, _, boundary, _, _, has_source in scan_sectors(net, mask):
+        if has_source:
+            return INFEASIBLE_UD, rep, False
+        ud = net.total_demand - delivered_with_closed(net, boundary)[1]
+        if worst[1] is None or ud > worst[0]:
+            worst = (ud, rep, True)
+    return worst
+
+
+def check_feasibility_rule(net, mask):
+    got = worst_case_fast(net, mask)
+    assert got == worst_from_rows(net, mask), (net, mask)
+    assert got[2] == (net.source_slots_mask & ~mask == 0)
+    return got[2]
+
+
+def test_source_slots_mask(fig1):
+    # fig1 is fed at node 1 through e12 and e16
+    assert fig1.source_slots_mask == sum(1 << fig1.parse_slot_token(t)
+                                         for t in ("e12:1", "e16:1"))
+    assert make_net([1], [1], []).source_slots_mask == 0
+
+
+def test_feasibility_rule_every_mask(fig1, corpus):
+    feasible = infeasible = 0
+    for net in [fig1] + corpus[:12]:
+        for mask in range(1 << net.num_slots):
+            if check_feasibility_rule(net, mask):
+                feasible += 1
+            else:
+                infeasible += 1
+    assert feasible > 1000 and infeasible > 100_000, (feasible, infeasible)
+
+
+def test_feasibility_two_sources_share_a_sector(monkeypatch):
+    # sources 2 and 3 both lie in the sector {a, b, c}: four open
+    # source-side slots, one flood
+    net = make_net([1, 2, 3, 4], [2, 3], [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4)])
+    mask = present_mask(net, slots(net, "a:1", "c:4"))
+    floods = []
+    real = isolation.sector_from
+
+    def counted(*args):
+        floods.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(isolation, "sector_from", counted)
+    assert worst_case_fast(net, mask) == (INFEASIBLE_UD, edge(net, "a"), False)
+    assert len(floods) == 1
+    monkeypatch.undo()
+    assert not check_feasibility_rule(net, mask)
+
+
+def test_feasibility_degree_three_source_with_one_open_slot():
+    # source 1 has valves on c:1 and d:1 but not on b:1; b's sector also
+    # holds a, which comes first, so a (not b) is the witness
+    net = make_net([1, 2, 3, 4, 5], [1],
+                   [("a", 2, 4, 1), ("b", 1, 2, 2), ("c", 1, 3, 4), ("d", 1, 5, 8)])
+    mask = present_mask(net, slots(net, "c:1", "d:1"))
+    assert not check_feasibility_rule(net, mask)
+    assert worst_case_fast(net, mask) == (INFEASIBLE_UD, edge(net, "a"), False)
+
+
+def test_feasibility_source_with_every_slot_valved():
+    net = make_net([1, 2, 3, 4, 5], [1],
+                   [("a", 1, 2, 1), ("b", 1, 3, 2), ("c", 1, 4, 4), ("d", 2, 5, 8)])
+    mask = present_mask(net, slots(net, "a:1", "b:1", "c:1"))
+    assert mask == net.source_slots_mask
+    assert check_feasibility_rule(net, mask)
+    assert worst_case_fast(net, mask) == (9_000, edge(net, "a"), True)
