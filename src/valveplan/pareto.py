@@ -26,6 +26,7 @@ class SweepResult:
     points: list               # the non-dominated frontier, ascending valve count
     dropped: list              # solved points removed by dominance
     notes: list                # human-readable skips (infeasible budgets etc.)
+    complete: bool = True      # every budget ended in a proof or was shown infeasible
 
 
 def _best_extension(net, placement):
@@ -62,6 +63,8 @@ def sweep(net, n_valves_range, opts=None):
     Points that hit a limit keep their best-found value and are flagged
     through their proof status. A KeyboardInterrupt during a solve ends the
     sweep after that budget, with a note, keeping the points so far.
+    `complete` is False when any budget ended on a limit or an interrupt,
+    with or without a solution, or the interrupt left budgets unsolved.
     """
     if opts is None:
         opts = SolverOptions()
@@ -73,6 +76,7 @@ def sweep(net, n_valves_range, opts=None):
 
     solved = []
     notes = []
+    complete = True
     prev = None
     for nv in nvs:
         run_opts = opts
@@ -86,6 +90,7 @@ def sweep(net, n_valves_range, opts=None):
         except InfeasibleBudget as exc:
             notes.append(f"n_valves={nv}: {exc}")
             continue
+        complete &= sol.proof == "optimal" and not sol.interrupted
         if sol.placement is None:
             notes.append(f"n_valves={nv}: no solution within limits")
         else:
@@ -102,4 +107,4 @@ def sweep(net, n_valves_range, opts=None):
             points.append(pt)
         else:
             dropped.append(pt)
-    return SweepResult(points=points, dropped=dropped, notes=notes)
+    return SweepResult(points=points, dropped=dropped, notes=notes, complete=complete)

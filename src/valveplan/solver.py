@@ -16,10 +16,14 @@ or with a valve moved, does at least as well within the same budget:
   feasible placement, so those slots are fixed present at the root;
 * face rule: a closed face cycle of the drawing cannot carry exactly one
   valve (a lone valve on a cycle separates nothing). It also looks ahead:
-  every face that holds one valve now needs one more, and one more valve
-  lies on at most `reach` distinct faces (measured over the face lists:
-  traced faces give 2, declared faces may give more), so a branch dies
-  once those faces outnumber `reach` times the valves left in the budget;
+  every face that holds one valve now (a lonely face) needs one more on
+  one of its undecided slots, and one more valve relieves at most the
+  lonely faces its slot lies on. So a branch dies once the lonely faces
+  outnumber the valves left in the budget times the largest such count
+  over the undecided slots (the cover). A slot lies on at most `reach`
+  distinct faces (traced faces give 2, declared faces may give more), so
+  the cover is only counted when `reach` times the valves left does not
+  already rule the branch out;
 * symmetry rule: at a non-source degree-2 node the two surrounding slots
   are interchangeable, so one of them is pinned empty up front;
 * bound rule: classes of nodes already known to share a sector carry a
@@ -145,7 +149,7 @@ def symmetry_forced_slots(net):
 def required_source_slots(net):
     """Every slot next to a source must carry a valve in any feasible
     placement, else the pipe behind it can never be de-watered."""
-    return sum(net.degree(s) for s in net.sources)
+    return net.source_slots_mask.bit_count()
 
 
 def face_slot_lists(net):
@@ -188,8 +192,14 @@ class Search:
         # most distinct faces one slot lies on, so most lonely faces one
         # more valve can relieve (traced faces give 2, declared ones more)
         self.reach = max(map(len, self.state.slot_faces), default=0)
-        self._branch_order = [(s, net.slot_node(s)) for s in
-                              sorted(range(net.num_slots), key=lambda s: (-net.demand[s >> 1], s))]
+        # per node: (static rank, slot) of its slots, heaviest pipe first,
+        # then lowest slot id
+        order = sorted(range(net.num_slots), key=lambda s: (-net.demand[s >> 1], s))
+        slots_at = [[] for _ in range(net.num_nodes)]
+        for rank, slot in enumerate(order):
+            slots_at[net.slot_node(slot)].append((rank, slot))
+        self._node_slots = [(node, tuple(slots)) for node, slots in enumerate(slots_at)
+                            if slots]
 
     # -- incumbent ----------------------------------------------------------
 
@@ -262,7 +272,10 @@ class Search:
                 if st.n_present > nv:
                     self.stats.budget_fails += 1
                     return False
-                if st.lonely > self.reach * (nv - st.n_present):
+                left = nv - st.n_present
+                lonely = st.lonely
+                if lonely > left and (lonely > self.reach * left
+                                      or lonely > st.lonely_cover() * left):
                     self.stats.face_fails += 1
                     return False
             else:
@@ -273,7 +286,7 @@ class Search:
                 if self.opts.reduced_cost:
                     opp = s ^ 1
                     if st.value[opp] == UNDECIDED:
-                        other = st.find(self.net.slot_other_node(s))
+                        other = st.root[self.net.slot_other_node(s)]
                         if other != root and st.lb[root] + st.lb[other] >= self.incumbent_ud:
                             self.stats.reduced_cost_forced += 1
                             pending.append((opp, PRESENT))
@@ -304,21 +317,29 @@ class Search:
     def choose_branch(self):
         """Undecided slot to branch on next (None when complete).
 
-        Order: slot on the frontier of the class with the largest bound,
-        then heaviest pipe, then lowest slot id. `_branch_order` holds the
-        last two keys, so the first slot of the largest bound wins.
+        Order: slot at a node of the class with the largest bound, then
+        heaviest pipe, then lowest slot id. The scan goes over nodes, not
+        slots: a node whose class bound is below the best so far is
+        skipped, and otherwise only its first undecided slot in the static
+        (pipe, slot id) order competes, the lower static rank winning ties.
         """
         st = self.state
         value = st.value
         lb = st.lb
-        find = st.find
-        node_lb = [lb[find(n)] for n in range(self.net.num_nodes)]
+        root = st.root
         best = None
         best_lb = -1
-        for slot, node in self._branch_order:
-            if value[slot] == UNDECIDED and node_lb[node] > best_lb:
-                best_lb = node_lb[node]
-                best = slot
+        best_rank = 0
+        for node, slots in self._node_slots:
+            node_lb = lb[root[node]]
+            if node_lb < best_lb:
+                continue
+            for rank, slot in slots:
+                if node_lb == best_lb and rank >= best_rank:
+                    break
+                if value[slot] == UNDECIDED:
+                    best, best_lb, best_rank = slot, node_lb, rank
+                    break
         return best
 
     # -- search ---------------------------------------------------------------
@@ -384,18 +405,15 @@ class Search:
 
     def init_root(self):
         """Apply up-front decisions. False when the root is already dead."""
-        net = self.net
         # every source-side slot holds a valve in any feasible placement:
         # without it, breaking that pipe leaves the source in its sector
-        for src in net.source_list:
-            for e in net.incident[src]:
-                slot = net.slot_id(e, src)
-                if self.state.value[slot] == UNDECIDED:
-                    self.stats.source_fixed += 1
-                if not self.decide(slot, PRESENT):
-                    return False
+        for slot in mask_bits(self.net.source_slots_mask):
+            if self.state.value[slot] == UNDECIDED:
+                self.stats.source_fixed += 1
+            if not self.decide(slot, PRESENT):
+                return False
         if self.opts.symmetry:
-            for slot in symmetry_forced_slots(net):
+            for slot in symmetry_forced_slots(self.net):
                 if self.state.value[slot] != UNDECIDED:
                     continue
                 self.stats.symmetry_fixed += 1
@@ -433,7 +451,7 @@ def solve(net, n_valves, opts=None):
 
     required = required_source_slots(net)
     if n_valves < required:
-        witness = min(net.incident[min(net.sources)])
+        witness = mask_bits(net.source_slots_mask)[0] >> 1
         raise InfeasibleBudget(
             f"{n_valves} valves cannot isolate the pipes next to the sources: "
             f"every source-side slot needs one ({required} in total)",

@@ -29,6 +29,14 @@ class TrailedState:
     * `lonely`: the number of faces that hold exactly one valve.
 
     A slot that occurs k times in a face's multiset counts k times in each.
+    `lonely_cover` reads the counters to bound how many lonely faces one
+    more valve can relieve.
+
+    Sector classes are labels, not a union-find forest: `root[n]` is node
+    n's class root, so `find` is one read, and `members[r]` lists the nodes
+    of the class rooted at r. A union relabels the members of the smaller
+    class, so a node is relabelled O(log n) times along any branch, and
+    undoing the union relabels the same members back.
     """
 
     def __init__(self, net, face_slots=()):
@@ -37,8 +45,8 @@ class TrailedState:
         self.value = bytearray(net.num_slots)
         self.n_present = 0
         self.n_absent = 0
-        self.parent = list(range(n))
-        self.size = [1] * n
+        self.root = list(range(n))
+        self.members = [[x] for x in range(n)]  # valid at class roots
         self.lb = [0] * n                       # valid at class roots
         self.attached = bytearray(net.num_edges)
         self._trail = []
@@ -49,6 +57,7 @@ class TrailedState:
         for f, slots in enumerate(face_slots):
             for slot in sorted(set(slots)):
                 self.slot_faces[slot].append((f, slots.count(slot)))
+        self.face_slot_sets = [sorted(set(slots)) for slots in face_slots]
         self.face_valves = [0] * len(face_slots)
         self.face_undecided = [len(slots) for slots in face_slots]
         self.face_undecided_sum = [sum(slots) for slots in face_slots]
@@ -59,10 +68,20 @@ class TrailedState:
         return self.net.num_slots - self.n_present - self.n_absent
 
     def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            x = p[x]
-        return x
+        return self.root[x]
+
+    def lonely_cover(self):
+        """Most lonely faces that any one undecided slot lies on: one more
+        valve gives a second valve to at most that many."""
+        value = self.value
+        valves = self.face_valves
+        cover = {}
+        for f, slots in enumerate(self.face_slot_sets):
+            if valves[f] == 1:
+                for s in slots:
+                    if value[s] == UNDECIDED:
+                        cover[s] = cover.get(s, 0) + 1
+        return max(cover.values(), default=0)
 
     def push_frame(self):
         self._frames.append(len(self._trail))
@@ -94,9 +113,12 @@ class TrailedState:
                 self.lb[root] -= self.net.demand[e]
             else:                               # union
                 _, child, root, old_lb, old_size = entry
-                self.parent[child] = child
+                labels = self.root
+                moved = self.members[child]
+                for x in moved:
+                    labels[x] = child
+                del self.members[root][old_size:]
                 self.lb[root] = old_lb
-                self.size[root] = old_size
 
     def set_value(self, slot, v):
         assert self.value[slot] == UNDECIDED
@@ -121,42 +143,44 @@ class TrailedState:
         root whose bound may have grown."""
         e = slot >> 1
         node = self.net.slot_node(slot)
-        root = self.find(node)
+        root = self.root[node]
         if not self.attached[e]:
             self.attached[e] = 1
             self.lb[root] += self.net.demand[e]
             self._trail.append((1, e, root))
         opp = slot ^ 1
         if self.value[opp] == ABSENT:
-            other_root = self.find(self.net.slot_other_node(slot))
+            other_root = self.root[self.net.slot_other_node(slot)]
             root = self._union(root, other_root)
         return root
 
     def _union(self, ra, rb):
         if ra == rb:
             return ra
-        if self.size[ra] < self.size[rb]:
+        members = self.members
+        if len(members[ra]) < len(members[rb]):
             ra, rb = rb, ra
-        self._trail.append((2, rb, ra, self.lb[ra], self.size[ra]))
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+        kept = members[ra]
+        self._trail.append((2, rb, ra, self.lb[ra], len(kept)))
+        labels = self.root
+        moved = members[rb]         # left as it is: undo relabels from it
+        for x in moved:
+            labels[x] = ra
+        kept.extend(moved)
         self.lb[ra] += self.lb[rb]
         return ra
 
     # -- inspection helpers (search heuristics and tests) --------------------
 
     def roots(self):
-        return [n for n in range(self.net.num_nodes) if self.parent[n] == n]
+        return [n for n in range(self.net.num_nodes) if self.root[n] == n]
 
     def max_lb(self):
         return max(self.lb[r] for r in self.roots())
 
     def classes(self):
         """Canonical snapshot {frozenset(node ids): lb}."""
-        groups = {}
-        for n in range(self.net.num_nodes):
-            groups.setdefault(self.find(n), set()).add(n)
-        return {frozenset(v): self.lb[r] for r, v in groups.items()}
+        return {frozenset(self.members[r]): self.lb[r] for r in self.roots()}
 
     def present_mask(self):
         value = self.value

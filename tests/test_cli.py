@@ -200,6 +200,18 @@ def test_solve_infeasible_budget(capsys):
     assert "witness_pipe" in out
 
 
+def test_solve_infeasible_budget_with_a_pipeless_source(capsys, tmp_path):
+    # the lowest-numbered source has no pipes; the witness is the first
+    # pipe at the other source
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"nodes": ["a", "b", "c", "d"], "sources": ["a", "b"],
+                                "edges": [["p", "b", "c", 1], ["q", "b", "d", 1],
+                                          ["r", "c", "d", 1]]}))
+    code, out, _ = run(capsys, "solve", str(path), "--nv", "1")
+    assert code == 2
+    assert "witness_pipe: p" in out
+
+
 def test_solve_writes_anytime_log(capsys, tmp_path):
     path = tmp_path / "anytime.csv"
     code, _, _ = run(capsys, "solve", "fig1", "--nv", "6", "--anytime", str(path))
@@ -251,6 +263,22 @@ def test_sweep_csv_antichain(capsys, tmp_path):
     got = [(int(nv), float(ud)) for nv, ud, _, _ in rows]
     assert got == [(2, 47.0), (3, 36.0), (4, 24.0), (5, 17.0), (6, 15.0)]
     assert (tmp_path / "pts" / "placement_nv6.txt").exists()
+
+
+def test_sweep_limit_without_solution_exit_code(capsys):
+    code, out, _ = run(capsys, "sweep", "fig1", "--nv", "4..6", "--node-limit", "0")
+    assert code == 3
+    assert out.count("no solution within limits") == 3
+
+
+def test_sweep_interrupted_before_any_point(capsys, monkeypatch):
+    def interrupt(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(solver.Search, "choose_branch", interrupt)
+    code, out, _ = run(capsys, "sweep", "fig1", "--nv", "4..6")
+    assert code == 3
+    assert "n_valves=4: interrupted" in out
 
 
 def test_sweep_placement_files_parse_back(capsys, tmp_path):

@@ -290,10 +290,62 @@ def test_face_lookahead_sound_on_overlapping_faces(seed):
 
 def test_face_lookahead_pruning_strength():
     # the look-ahead's share of the work on the ladder's most expensive rung:
-    # the same proof took 34,227 nodes with the face rule alone
+    # the same proof took 34,227 nodes with the face rule alone, 11,367 with
+    # the reach look-ahead and 9,055 with the per-slot cover
     sol = solve(frozen_instance("rand-1-m33"), 8)
     assert (sol.proof, sol.ud) == ("optimal", 285000)
-    assert sol.stats.nodes <= 12_000
+    assert sol.stats.nodes <= 9_500
+
+
+def face_valid_completion(search):
+    """Whether some completion of the current partial assignment, within
+    the budget, leaves every face with a valve count other than one."""
+    st = search.state
+    faces = face_slot_lists(search.net)
+    slots = range(search.net.num_slots)
+    base = {s for s in slots if st.value[s] == PRESENT}
+    undecided = [s for s in slots if st.value[s] == UNDECIDED]
+    for k in range(search.nv - st.n_present + 1):
+        for extra in combinations(undecided, k):
+            chosen = base.union(extra)
+            if all(sum(s in chosen for s in face) != 1 for face in faces):
+                return True
+    return False
+
+
+class FaceAuditedSearch(Search):
+    """A search that records, at every branch the face rule fails, whether
+    a face-valid completion of that branch existed after all."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.unsound = []
+        self.audited = 0
+
+    def decide(self, slot, value):
+        before = self.stats.face_fails
+        ok = super().decide(slot, value)
+        if not ok and self.stats.face_fails > before:
+            self.audited += 1
+            if face_valid_completion(self):
+                self.unsound.append((slot, value, bytes(self.state.value)))
+        return ok
+
+
+def test_face_lookahead_admissible():
+    # every branch the face rule (look-ahead included) fails holds no
+    # face-valid leaf: enumerate the completions at each failure
+    nets = [random_instance(seed, n_edges=m) for m in (6, 7, 8) for seed in range(8)]
+    nets += [k4_all_cycles(seed) for seed in range(2)]
+    audited = 0
+    for net in nets:
+        for nv in range(required_source_slots(net), net.num_slots + 1):
+            search = FaceAuditedSearch(net, nv, SolverOptions())
+            if search.init_root():
+                search.run()
+            assert search.unsound == [], (net.name, nv)
+            audited += search.audited
+    assert audited >= 1000
 
 
 # -- bound propagation -----------------------------------------------------------
@@ -361,6 +413,48 @@ def test_reduced_cost_skips_same_class():
 # -- branching -------------------------------------------------------------------
 
 
+def reference_branch(search):
+    """The full slot scan: the undecided slot of the largest class bound,
+    then heaviest pipe, then lowest slot id."""
+    net, st = search.net, search.state
+    order = sorted(range(net.num_slots), key=lambda s: (-net.demand[s >> 1], s))
+    node_lb = [st.lb[st.find(n)] for n in range(net.num_nodes)]
+    best = None
+    best_lb = -1
+    for slot in order:
+        node = net.slot_node(slot)
+        if st.value[slot] == UNDECIDED and node_lb[node] > best_lb:
+            best_lb = node_lb[node]
+            best = slot
+    return best
+
+
+def test_choose_branch_matches_full_slot_scan(fig1, fig2, corpus):
+    # random decisions and rollbacks; ties in demand and in class bound are
+    # common on fig2 (unit demands) and on the corpus's small demands
+    rng = random.Random(909)
+    checked = 0
+    for net in [fig1, fig2] + corpus[:10]:
+        for _ in range(5):
+            search = Search(net, rng.randint(2, net.num_slots), SolverOptions(face_constraints=False))
+            st = search.state
+            depth = 0
+            for _ in range(40):
+                undecided = [s for s in range(net.num_slots) if st.value[s] == UNDECIDED]
+                if depth and (not undecided or rng.random() < 0.3):
+                    st.undo_frame()
+                    depth -= 1
+                elif undecided:
+                    st.push_frame()
+                    depth += 1
+                    if not search.decide(rng.choice(undecided), rng.choice((PRESENT, ABSENT))):
+                        st.undo_frame()
+                        depth -= 1
+                assert search.choose_branch() == reference_branch(search)
+                checked += 1
+    assert checked == 12 * 5 * 40
+
+
 def test_choose_branch_tiebreak_lowest_slot(fig2):
     # unit demands, empty state: all keys tie, lowest slot id wins
     search = Search(fig2, 4, SolverOptions(symmetry=False))
@@ -424,6 +518,17 @@ def test_infeasible_budget_reports_witness(triangle):
         solve(triangle, 1)
     assert err.value.witness_edge is not None
     assert brute_force(triangle, 1).all_infeasible
+
+
+def test_infeasible_budget_with_a_pipeless_source():
+    # the lowest-numbered source has no pipes: the witness comes from the
+    # other source's slots
+    net = make_net(["a", "b", "c", "d"], ["a", "b"],
+                   [("p", "b", "c", 1), ("q", "b", "d", 1), ("r", "c", "d", 1)])
+    assert required_source_slots(net) == 2
+    with pytest.raises(InfeasibleBudget) as err:
+        solve(net, 1)
+    assert net.edge_labels[err.value.witness_edge] == "p"
 
 
 def test_infeasible_budget_beyond_root_check():

@@ -123,6 +123,49 @@ def test_face_counters_match_rescan(fig1_net_doc, name):
         check(state)
 
 
+def rebuilt_classes(state):
+    """The sector classes from a fresh union-find over the pipes whose two
+    slots are both absent, with each class's summed attached demand."""
+    net = state.net
+    parent = list(range(net.num_nodes))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e, (u, v) in enumerate(net.endpoints):
+        if state.value[2 * e] == ABSENT and state.value[2 * e + 1] == ABSENT:
+            parent[find(u)] = find(v)
+    groups = {}
+    for n in range(net.num_nodes):
+        groups.setdefault(find(n), set()).add(n)
+    lb = dict.fromkeys(groups, 0)
+    for slot in range(net.num_slots):
+        # an absent slot attaches its pipe to the class at its node, once
+        if state.value[slot] == ABSENT and not (slot & 1 and state.value[slot ^ 1] == ABSENT):
+            lb[find(net.slot_node(slot))] += net.demand[slot >> 1]
+    return {frozenset(nodes): lb[r] for r, nodes in groups.items()}
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_class_labels_match_rebuilt_union_find(fig1_net_doc, name):
+    from valveplan.instances import fig2
+    net = fig1_net_doc if name == "fig1" else fig2()
+
+    def check(state):
+        expect = rebuilt_classes(state)
+        assert state.classes() == expect
+        for nodes in expect:
+            labels = {state.find(n) for n in nodes}
+            assert len(labels) == 1 and labels.pop() in nodes
+
+    rng = random.Random(5150)
+    for _ in range(40):
+        state, _ = replay(net, _random_ops(rng, net, rng.randint(0, 80)), rng, check)
+        check(state)
+
+
 def test_full_undo_returns_to_pristine(fig1_net_doc):
     net = fig1_net_doc
     state = TrailedState(net, face_slot_lists(net))
