@@ -62,7 +62,6 @@ def _solver_options(args):
         face_constraints=not args.no_faces,
         symmetry=not args.no_symmetry,
         lb_prune=not args.no_bound,
-        reduced_cost=not args.no_reduced_cost,
         restart_mode=args.restart_mode,
         time_limit=args.time_limit,
         node_limit=args.node_limit,
@@ -72,8 +71,8 @@ def _solver_options(args):
 def _add_solver_flags(p):
     p.add_argument("--no-faces", action="store_true", help="disable the face pruning rule")
     p.add_argument("--no-symmetry", action="store_true", help="disable degree-2 symmetry breaking")
-    p.add_argument("--no-bound", action="store_true", help="disable sector lower-bound pruning")
-    p.add_argument("--no-reduced-cost", action="store_true", help="disable reduced-cost valve fixing")
+    p.add_argument("--no-bound", action="store_true",
+                   help="disable class-bound pruning and the bridge-floor stop")
     p.add_argument("--restart-mode", choices=("continuing", "restarting"), default="continuing")
     p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
     p.add_argument("--node-limit", type=int, default=None)
@@ -90,6 +89,17 @@ def _budget_range(text):
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty budget range {text!r}")
     return range(lo, hi + 1)
+
+
+def _positive_count(text):
+    """`--corpus` as a count of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive count, got {text!r}")
+    return count
 
 
 def _write_anytime(path, anytime):
@@ -212,6 +222,10 @@ def _check_one(report, net, nv, opts, cap):
 
 def cmd_check(args):
     report = _Report()
+    if bool(args.instance) == bool(args.corpus) or args.instance and not args.nv:
+        report.kv("error", "check needs either an instance with --nv or --corpus N")
+        report.emit(sys.stderr)
+        return EXIT_INPUT
     opts = _solver_options(args)
     all_ok = True
     if args.corpus:
@@ -221,10 +235,6 @@ def cmd_check(args):
             for nv in nvs:
                 all_ok &= _check_one(report, net, nv, opts, args.cap)
     else:
-        if not args.instance or not args.nv:
-            report.kv("error", "check needs an instance and --nv, or --corpus N")
-            report.emit(sys.stderr)
-            return EXIT_INPUT
         net = instances.load(args.instance)
         for nv in args.nv:
             all_ok &= _check_one(report, net, nv, opts, args.cap)
@@ -271,7 +281,7 @@ def build_parser():
     p = sub.add_parser("check", help="compare solver against brute force")
     p.add_argument("instance", nargs="?", help="instance file or bundled name")
     p.add_argument("--nv", type=_budget_range, help="budget or range, e.g. 6 or 2..5")
-    p.add_argument("--corpus", type=int, metavar="N", default=0,
+    p.add_argument("--corpus", type=_positive_count, metavar="N",
                    help="check N seeded random instances instead")
     p.add_argument("--seed", type=int, default=0, help="first corpus seed")
     p.add_argument("--cap", type=int, default=5_000_000, help="enumeration cap")

@@ -33,8 +33,10 @@ def _best_extension(net, placement):
     """Cheapest one-valve extension of a placement, or None.
 
     Used to seed the next solve's incumbent: a solution for k valves plus
-    any extra valve is a candidate for k+1. Candidates are never trusted
-    blindly; the solver re-evaluates before installing.
+    any extra valve is a candidate for k+1. The base is a solved placement,
+    so it holds every source-side slot and every extension is feasible.
+    Candidates are never trusted blindly; the solver re-evaluates before
+    installing.
     """
     base = present_mask(net, placement)
     best = None
@@ -42,8 +44,8 @@ def _best_extension(net, placement):
     for s in range(net.num_slots):
         if base >> s & 1:
             continue
-        ud, _, feasible = worst_case_fast(net, base | 1 << s)
-        if feasible and (best_ud is None or ud < best_ud):
+        ud, _, _ = worst_case_fast(net, base | 1 << s)
+        if best_ud is None or ud < best_ud:
             best_ud = ud
             best = placement | {s}
     return best

@@ -28,11 +28,9 @@ or with a valve moved, does at least as well within the same budget:
   are interchangeable, so one of them is pinned empty up front;
 * bound rule: classes of nodes already known to share a sector carry a
   demand lower bound; once a class reaches the incumbent the branch is
-  dead, and when joining two classes would reach it the joining slot is
-  forced to take a valve (reduced-cost style fixing); the bound rule also
-  stops the whole search once the incumbent meets the bridge floor, the
-  worst case with a valve on every slot, which no placement can beat (see
-  the `isolation` module docstring for why).
+  dead. The bound rule also stops the whole search once the incumbent
+  meets the bridge floor, the worst case with a valve on every slot, which
+  no placement can beat (see the `isolation` module docstring for why).
 
 The class bound ignores unintended isolation, which only adds damage, so
 it never overestimates a completion. Improvements are strict: each new
@@ -81,7 +79,6 @@ class SolverOptions:
     face_constraints: bool = True
     symmetry: bool = True
     lb_prune: bool = True
-    reduced_cost: bool = True
     restart_mode: str = "continuing"
     time_limit: float | None = None          # seconds
     node_limit: int | None = None
@@ -102,11 +99,11 @@ class SearchStats:
     face_forced: int = 0
     budget_fails: int = 0
     conflicts: int = 0
-    reduced_cost_forced: int = 0
+    reduced_cost_forced: int = 0  # always 0; perfbench/run.py still reads it
     symmetry_fixed: int = 0
     source_fixed: int = 0
     lower_bound: int = 0         # ml/s, the bridge floor
-    infeasible_leaves: int = 0
+    infeasible_leaves: int = 0    # always 0; perfbench/run.py still reads it
     rejected_leaves: int = 0
     restarts: int = 0
 
@@ -185,7 +182,6 @@ class Search:
         self.stats = SearchStats(lower_bound=self.floor)
         self._best = (math.inf, None, None)   # (ud, placement, argmax edge)
         self.anytime = []
-        self.witness_edge = None
         self._unwind = False
         self._order = (PRESENT, ABSENT)
         self.t0 = time.perf_counter()
@@ -283,13 +279,6 @@ class Search:
                 if self.opts.lb_prune and st.lb[root] >= self.incumbent_ud:
                     self.stats.lb_prunes += 1
                     return False
-                if self.opts.reduced_cost:
-                    opp = s ^ 1
-                    if st.value[opp] == UNDECIDED:
-                        other = st.root[self.net.slot_other_node(s)]
-                        if other != root and st.lb[root] + st.lb[other] >= self.incumbent_ud:
-                            self.stats.reduced_cost_forced += 1
-                            pending.append((opp, PRESENT))
 
             for f, _ in st.slot_faces[s]:
                 valves = st.face_valves[f]
@@ -352,14 +341,11 @@ class Search:
             raise _LimitExceeded
 
     def _leaf(self):
-        st = self.state
+        """Evaluate a complete assignment. It holds every source-side slot,
+        so it is feasible (see the `isolation` module docstring)."""
         self.stats.leaves += 1
-        mask = self._pad(st.present_mask())
-        ud, edge, feasible = worst_case_fast(self.net, mask)
-        if not feasible:
-            self.stats.infeasible_leaves += 1
-            self.witness_edge = edge
-            return
+        mask = self._pad(self.state.present_mask())
+        ud, edge, _ = worst_case_fast(self.net, mask)
         if ud < self.incumbent_ud:
             self._install(ud, frozen_placement(mask_bits(mask)), edge)
             if self.opts.restart_mode == "restarting" or self.floor_met:
@@ -442,8 +428,10 @@ def solve(net, n_valves, opts=None):
     limit expired or a KeyboardInterrupt arrived first. The interrupt is
     not re-raised: it sets `Solution.interrupted`, and a caller that solves
     in a loop must check that flag to stop. Raises InfeasibleBudget (with a
-    witness pipe) when no placement of that size can isolate every pipe,
+    witness pipe) when the budget is below the number of source-side slots,
+    which is exactly when no placement of that size can isolate every pipe,
     and BudgetError (a ValueError) for budgets outside [1, 2 * num_edges].
+    A Solution without a placement only follows a limit or an interrupt.
     """
     if opts is None:
         opts = SolverOptions()
@@ -470,16 +458,9 @@ def solve(net, n_valves, opts=None):
     except KeyboardInterrupt:
         limited = interrupted = True
 
-    elapsed = search.elapsed()
+    # without an incumbent no rule cuts the leaf made of the source-side
+    # slots alone, so only a limit or an interrupt ends a solve without one
     ud, placement, edge = search.snapshot()
-    if placement is None:
-        if limited:
-            return Solution(None, math.inf, None, "best-found", search.stats,
-                            search.anytime, elapsed, interrupted)
-        raise InfeasibleBudget(
-            f"no placement of {n_valves} valves isolates every pipe",
-            witness_edge=search.witness_edge)
-
     proof = "best-found" if limited and not search.floor_met else "optimal"
-    return Solution(placement, ud, edge, proof, search.stats, search.anytime, elapsed,
-                    interrupted)
+    return Solution(placement, ud, edge, proof, search.stats, search.anytime,
+                    search.elapsed(), interrupted)

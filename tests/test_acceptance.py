@@ -118,7 +118,6 @@ def test_criterion_04_pruning_soundness_ab(fig1, corpus, corpus_oracle):
             "face": dict(face_constraints=False),
             "symmetry": dict(symmetry=False),
             "lb": dict(lb_prune=False),
-            "reduced-cost": dict(reduced_cost=False),
         }
         for idx, net in enumerate(corpus):
             for nv in CORPUS_NVS:
@@ -136,7 +135,7 @@ def test_criterion_04_pruning_soundness_ab(fig1, corpus, corpus_oracle):
         # all rules on shrinks the fig1 nv=6 tree by at least 2x versus all off
         on = solve(fig1, 6, SolverOptions())
         off = solve(fig1, 6, SolverOptions(face_constraints=False, symmetry=False,
-                                           lb_prune=False, reduced_cost=False))
+                                           lb_prune=False))
         assert on.ud == off.ud == 15000
         ratio = off.stats.nodes / on.stats.nodes
         assert ratio >= 2, f"node ratio {ratio:.1f} < 2"
@@ -161,8 +160,7 @@ def test_criterion_05_bound_admissibility(fig1, corpus, corpus_oracle):
                         f"seed {CORPUS_SEEDS[idx]} nv={nv}: floor {floor}")
 
         rng = random.Random(20260810)
-        opts = SolverOptions(face_constraints=False, symmetry=False,
-                             lb_prune=False, reduced_cost=False)
+        opts = SolverOptions(face_constraints=False, symmetry=False, lb_prune=False)
         checked = 0
         violations = 0
         while checked < 1000:

@@ -1,12 +1,16 @@
 """The benchmark's tracer wraps library functions by name from outside
-`valveplan`. A rename or move in the library must fail here, not only when
-a traced benchmark run installs its wrappers."""
+`valveplan`, and its runner reads search statistics by name. A rename or
+move in the library must fail here, not only when a benchmark run does."""
 
+import dataclasses
 import importlib
 import os
+import re
 import sys
 
 import pytest
+
+from valveplan.solver import SearchStats
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -38,3 +42,12 @@ def test_install_and_uninstall_restore_every_original(tracer):
         t.uninstall()
     for owner, attr, original in originals:
         assert getattr(owner, attr) is original, attr
+
+
+def test_every_summed_stat_is_a_search_stats_field():
+    # the runner is read as text, not imported
+    with open(os.path.join(PERFBENCH, "run.py"), "r", encoding="utf-8") as fh:
+        names = set(re.findall(r'stat_sum\(\s*\w+\s*,\s*"(\w+)"\s*\)', fh.read()))
+    assert "nodes" in names
+    fields = {f.name for f in dataclasses.fields(SearchStats)}
+    assert names <= fields, sorted(names - fields)

@@ -146,6 +146,8 @@ def test_usage_errors_exit_input_code(capsys):
                  ["solve", "fig1", "--nv", "6", "--seed", "1"],
                  ["sweep", "fig1", "--nv", "2..4", "--seed", "1"],
                  ["check", "--corpus", "1", "--seed", "x"],
+                 ["check", "--corpus", "-1", "--nv", "3"], ["check", "--corpus", "0"],
+                 ["check", "--corpus", "x"],
                  ["sweep", "fig1", "--nv", "5..3"], ["sweep", "fig1", "--nv", "2..x"],
                  ["sweep", "fig1", "--nv", "2.."], ["check", "fig1", "--nv", "x"],
                  ["solve", "fig1", "--nv", "6", "--format", "csv"]):
@@ -158,6 +160,13 @@ def test_usage_errors_exit_input_code(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error: valve budget must be in [1, 14]"), argv
+    # check takes exactly one of an instance (with --nv) and a corpus
+    for argv in (["check", "fig1", "--corpus", "1", "--nv", "3"], ["check", "fig1"],
+                 ["check", "--nv", "3"], ["check"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == "", argv
+        assert err == "error: check needs either an instance with --nv or --corpus N\n", argv
 
 
 def test_internal_value_error_propagates(capsys, monkeypatch):
@@ -183,7 +192,7 @@ def test_solve_rules_off_same_ud_more_nodes(capsys):
     code, out_on, _ = run(capsys, "solve", "fig1", "--nv", "6")
     assert code == 0
     code, out_off, _ = run(capsys, "solve", "fig1", "--nv", "6", "--no-bound", "--no-faces",
-                           "--no-symmetry", "--no-reduced-cost")
+                           "--no-symmetry")
     assert code == 0
 
     def stat(out, key):
@@ -224,8 +233,14 @@ def test_solve_writes_anytime_log(capsys, tmp_path):
 
 def test_solve_node_limit_exit_code(capsys):
     code, out, _ = run(capsys, "solve", "fig1", "--nv", "6", "--node-limit", "5",
-                       "--no-bound", "--no-faces", "--no-symmetry", "--no-reduced-cost")
+                       "--no-bound", "--no-faces", "--no-symmetry")
     assert code == 3
+
+
+def test_solve_time_limit_before_any_solution(capsys):
+    code, out, _ = run(capsys, "solve", "fig1", "--nv", "6", "--time-limit", "0")
+    assert code == 3
+    assert "result: limit expired before any solution was found" in out
 
 
 def test_solve_interrupted_before_any_solution(capsys, monkeypatch):

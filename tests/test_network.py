@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from valveplan.network import (
     MLS,
+    Network,
     ParseError,
     PlanarityError,
     ValidationError,
@@ -89,6 +92,76 @@ def test_syntax_error_reports_position():
         parse_network('{"nodes": [1, 2\n  "sources": [1]}')
     assert err.value.line is not None
     assert "line" in str(err.value)
+
+
+BASE = {"nodes": [1, 2, 3], "sources": [1], "edges": [["a", 1, 2, 1], ["b", 2, 3, 1]]}
+
+
+def doc(**changes):
+    """BASE with keys replaced (None drops the key), as document text."""
+    out = dict(BASE, **changes)
+    return json.dumps({k: v for k, v in out.items() if v is not None})
+
+
+def slot_token(token):
+    return make_net(BASE["nodes"], BASE["sources"], BASE["edges"]).parse_slot_token(token)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: parse_network(doc(edges=[["a", 1, 2, True]])), ValidationError,
+                 "edge 'a': flow must be a number", id="flow-true"),
+    pytest.param(lambda: parse_network(doc(edges=[["a", 1, 2, "5"]])), ValidationError,
+                 "edge 'a': flow must be a number", id="flow-string"),
+    pytest.param(lambda: parse_network(doc().replace("1]", "NaN]", 1)), ParseError,
+                 "non-finite number NaN is not allowed", id="nan"),
+    pytest.param(lambda: parse_network(doc().replace("1]", "Infinity]", 1)), ParseError,
+                 "non-finite number Infinity is not allowed", id="infinity"),
+    pytest.param(lambda: parse_network(doc(nodes=[], sources=[], edges=[])), ValidationError,
+                 "network has no nodes", id="no-nodes"),
+    pytest.param(lambda: parse_network(doc(nodes=[1, 2, 2, 3])), ValidationError,
+                 "duplicate node id 2", id="duplicate-node"),
+    pytest.param(lambda: parse_network(doc(nodes=[1, "1", 2, 3])), ValidationError,
+                 "duplicate node id '1'", id="duplicate-node-string"),
+    pytest.param(lambda: parse_network(doc(edges=[["a", 1, 2, 1], ["a", 2, 3, 1]])),
+                 ValidationError, "duplicate edge id 'a'", id="duplicate-edge"),
+    pytest.param(lambda: Network([1, 2], [1], [("a", 1, 2, 1.5)]), ValidationError,
+                 "edge 'a': internal demand must be a nonnegative integer",
+                 id="internal-demand"),
+    pytest.param(lambda: parse_network(doc(coords={"9": [0, 0]})), ValidationError,
+                 "coords: unknown node '9'", id="coords-unknown-node"),
+    pytest.param(lambda: parse_network(doc(coords={"1": [0, 0], "2": [1]})), ValidationError,
+                 "coords for node '2' must be a finite [x, y] pair", id="coords-not-a-pair"),
+    pytest.param(lambda: parse_network(doc(coords={"1": [0, 0], "2": ["x", 0]})),
+                 ValidationError, "coords for node '2' must be a finite [x, y] pair",
+                 id="coords-not-numbers"),
+    pytest.param(lambda: parse_network(doc(coords={"1": [0, 0], "2": [1, 0]})),
+                 ValidationError, "coords must cover every node", id="coords-partial"),
+    pytest.param(lambda: parse_network(doc(faces=[[1, 2]])), ValidationError,
+                 "face [1, 2] has fewer than 3 nodes", id="face-too-short"),
+    pytest.param(lambda: parse_network(doc(faces=[[1, 2, 9]])), ValidationError,
+                 "face [1, 2, 9]: unknown node 9", id="face-unknown-node"),
+    pytest.param(lambda: slot_token("a1"), ValidationError,
+                 "bad slot token 'a1', expected edge:node", id="slot-token-no-colon"),
+    pytest.param(lambda: slot_token("a:9"), ValidationError,
+                 "slot token 'a:9': unknown node '9'", id="slot-token-unknown-node"),
+    pytest.param(lambda: parse_network("[]"), ValidationError,
+                 "instance document must be a JSON object", id="not-an-object"),
+    pytest.param(lambda: parse_network(doc(edges=None)), ValidationError,
+                 "missing required key 'edges'", id="missing-key"),
+    pytest.param(lambda: parse_network(doc(nodes={"1": 1})), ValidationError,
+                 "'nodes' must be an array", id="nodes-not-an-array"),
+    pytest.param(lambda: parse_network(doc(edges=[["a", 1, 2]])), ValidationError,
+                 "edge entry ['a', 1, 2] must be [id, node, node, demand]", id="short-edge"),
+    pytest.param(lambda: parse_network(doc(faces={})), ValidationError,
+                 "'faces' must be an array of node cycles", id="faces-not-an-array"),
+    pytest.param(lambda: parse_network(doc(coords=[])), ValidationError,
+                 "'coords' must be an object mapping node to [x, y]", id="coords-not-an-object"),
+])
+def test_input_checks(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_unknown_keys_rejected():

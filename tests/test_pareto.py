@@ -114,7 +114,7 @@ def test_best_found_points_participate(fig1):
     # starve the solver: warm-started candidates survive as best-found
     # points and still take part in dominance filtering, flagged non-proven
     opts = SolverOptions(node_limit=3, face_constraints=False, symmetry=False,
-                         lb_prune=False, reduced_cost=False)
+                         lb_prune=False)
     result = sweep(fig1, [2, 3], opts)
     assert all(p.proof in ("optimal", "best-found") for p in result.points)
     assert any(p.proof == "best-found" for p in result.points + result.dropped) or result.notes
