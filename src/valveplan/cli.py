@@ -16,7 +16,7 @@ from . import instances
 from .generate import random_instance
 from .isolation import INFEASIBLE_UD, _worst_break, mask_bits, present_mask, sector_damage
 from .network import InstanceError, format_flow, parse_placement
-from .oracle import EnumerationCapExceeded, brute_force
+from .oracle import DEFAULT_CAP, EnumerationCapExceeded, brute_force
 from .pareto import sweep
 from .solver import BudgetError, InfeasibleBudget, SolverOptions, solve
 
@@ -92,7 +92,7 @@ def _budget_range(text):
 
 
 def _positive_count(text):
-    """`--corpus` as a count of at least 1."""
+    """`--corpus` or `--cap` as a count of at least 1."""
     try:
         count = int(text)
     except ValueError:
@@ -198,11 +198,13 @@ def cmd_sweep(args):
 
 
 def _check_one(report, net, nv, opts, cap):
+    """True when the solver matches brute force, False when it does not,
+    None when the enumeration cap skips the case."""
     try:
         reference = brute_force(net, nv, cap=cap)
     except EnumerationCapExceeded as exc:
         report.kv("check", f"SKIP nv={nv}: {exc}")
-        return True
+        return None
     try:
         sol = solve(net, nv, opts)
         if sol.interrupted:
@@ -227,17 +229,24 @@ def cmd_check(args):
         report.emit(sys.stderr)
         return EXIT_INPUT
     opts = _solver_options(args)
-    all_ok = True
+    outcomes = []
     if args.corpus:
         nvs = args.nv or [2, 3, 4, 5]
         for i in range(args.corpus):
             net = random_instance(args.seed + i)
             for nv in nvs:
-                all_ok &= _check_one(report, net, nv, opts, args.cap)
+                outcomes.append(_check_one(report, net, nv, opts, args.cap))
     else:
         net = instances.load(args.instance)
         for nv in args.nv:
-            all_ok &= _check_one(report, net, nv, opts, args.cap)
+            outcomes.append(_check_one(report, net, nv, opts, args.cap))
+    checked = [ok for ok in outcomes if ok is not None]
+    if not checked:
+        # nothing was compared, so nothing passed: the cap is a limit
+        report.kv("result", "SKIP")
+        report.emit()
+        return EXIT_LIMIT
+    all_ok = all(checked)
     report.kv("result", "PASS" if all_ok else "FAIL")
     report.emit()
     return EXIT_OK if all_ok else EXIT_MISMATCH
@@ -284,7 +293,8 @@ def build_parser():
     p.add_argument("--corpus", type=_positive_count, metavar="N",
                    help="check N seeded random instances instead")
     p.add_argument("--seed", type=int, default=0, help="first corpus seed")
-    p.add_argument("--cap", type=int, default=5_000_000, help="enumeration cap")
+    p.add_argument("--cap", type=_positive_count, default=DEFAULT_CAP,
+                   help="enumeration cap; budgets with more placements are skipped")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_check)
     return parser

@@ -147,7 +147,8 @@ def test_usage_errors_exit_input_code(capsys):
                  ["sweep", "fig1", "--nv", "2..4", "--seed", "1"],
                  ["check", "--corpus", "1", "--seed", "x"],
                  ["check", "--corpus", "-1", "--nv", "3"], ["check", "--corpus", "0"],
-                 ["check", "--corpus", "x"],
+                 ["check", "--corpus", "x"], ["check", "fig1", "--nv", "3", "--cap", "0"],
+                 ["check", "fig1", "--nv", "3", "--cap", "-1"],
                  ["sweep", "fig1", "--nv", "5..3"], ["sweep", "fig1", "--nv", "2..x"],
                  ["sweep", "fig1", "--nv", "2.."], ["check", "fig1", "--nv", "x"],
                  ["solve", "fig1", "--nv", "6", "--format", "csv"]):
@@ -315,6 +316,18 @@ def test_check_range(capsys):
     code, out, _ = run(capsys, "check", "fig1", "--nv", "5..7")
     assert code == 0
     assert out.count("check: PASS") == 3
+
+
+def test_check_all_skipped_is_not_a_pass(capsys):
+    # C(14, 3) = 364 placements exceed the cap, so nothing was compared
+    code, out, _ = run(capsys, "check", "fig1", "--nv", "3", "--cap", "1")
+    assert code == 3
+    assert "PASS" not in out
+    assert out.endswith("result: SKIP\n")
+    # one budget checked, one skipped: the checked one decides
+    code, out, _ = run(capsys, "check", "fig1", "--nv", "2..3", "--cap", "100")
+    assert code == 0
+    assert "check: SKIP nv=3" in out and out.endswith("result: PASS\n")
 
 
 def test_check_corpus(capsys):

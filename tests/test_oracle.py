@@ -1,10 +1,76 @@
 import math
+from itertools import combinations
 
 import pytest
 
+from valveplan import oracle
 from valveplan.isolation import worst_case_fast
 from valveplan.oracle import EnumerationCapExceeded, brute_force
 from valveplan.solver import solve
+
+from conftest import k4_all_cycles, make_net
+
+
+@pytest.fixture(scope="module")
+def two_sources():
+    # path fed from both ends: both end slots are source-side
+    return make_net([1, 2, 3, 4, 5], [1, 5],
+                    [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4), ("d", 4, 5, 8)])
+
+
+@pytest.fixture(scope="module")
+def k4():
+    return k4_all_cycles(3)
+
+
+def reference_brute_force(net, n_valves):
+    """Every placement evaluated by `worst_case_fast`, infeasible ones too:
+    (ud, optimal, count, all_infeasible) as `brute_force` reports them."""
+    best, winners, count = math.inf, [], 0
+    for combo in combinations(range(net.num_slots), n_valves):
+        count += 1
+        ud, _, feasible = worst_case_fast(net, sum(1 << s for s in combo))
+        if not feasible:
+            continue
+        if ud < best:
+            best, winners = ud, [combo]
+        elif ud == best:
+            winners.append(combo)
+    return best, tuple(frozenset(c) for c in winners), count, not winners
+
+
+ORACLE_CASES = ([("fig1", nv) for nv in range(2, 7)]
+                + [("two_sources", nv) for nv in range(1, 6)]
+                + [("k4", nv) for nv in range(2, 7)]
+                + [("triangle", 1)])
+
+
+@pytest.mark.parametrize("name, nv", ORACLE_CASES)
+def test_matches_evaluate_every_placement(request, name, nv):
+    # skipping infeasible placements changes neither the optimum, nor the
+    # witnesses and their order, nor the count
+    net = request.getfixturevalue(name)
+    got = brute_force(net, nv)
+    assert (got.ud, got.optimal, got.count, got.all_infeasible) == \
+        reference_brute_force(net, nv)
+
+
+@pytest.mark.parametrize("name, nv", ORACLE_CASES)
+def test_evaluates_only_feasible_placements(request, monkeypatch, name, nv):
+    net = request.getfixturevalue(name)
+    calls = []
+    real = oracle.worst_case_fast
+
+    def counted(net, present):
+        calls.append(present)
+        return real(net, present)
+
+    monkeypatch.setattr(oracle, "worst_case_fast", counted)
+    result = brute_force(net, nv)
+    k = net.source_slots_mask.bit_count()
+    assert result.count == math.comb(net.num_slots, nv)
+    assert len(calls) == (math.comb(net.num_slots - k, nv - k) if nv >= k else 0)
+    assert all(net.source_slots_mask & ~mask == 0 for mask in calls)
 
 
 
