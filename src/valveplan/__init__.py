@@ -16,13 +16,7 @@ from .network import (
 )
 from .isolation import (
     INFEASIBLE_UD,
-    BreakOutcome,
-    Sector,
-    SectorPartition,
     WorstCase,
-    evaluate_break,
-    sector_of,
-    sectors,
     ud_by_component_deletion,
     worst_case_ud,
 )

@@ -5,7 +5,8 @@ Subcommands: `evaluate` a given placement, `solve` one valve budget,
 against brute-force enumeration (single instance or a seeded random corpus).
 
 Exit codes: 0 success, 1 input error, 2 infeasible, 3 limit expired with
-only a best-found answer, 4 check mismatch.
+only a best-found answer (or a check that a limit or the enumeration cap
+kept from comparing), 4 check mismatch.
 """
 
 import argparse
@@ -74,8 +75,8 @@ def _add_solver_flags(p):
     p.add_argument("--no-bound", action="store_true",
                    help="disable class-bound pruning and the bridge-floor stop")
     p.add_argument("--restart-mode", choices=("continuing", "restarting"), default="continuing")
-    p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--time-limit", type=_limit(float), default=None, help="seconds per solve")
+    p.add_argument("--node-limit", type=_limit(int), default=None)
 
 
 def _budget_range(text):
@@ -100,6 +101,20 @@ def _positive_count(text):
     if count < 1:
         raise argparse.ArgumentTypeError(f"expected a positive count, got {text!r}")
     return count
+
+
+def _limit(convert):
+    """argparse type for `--time-limit` or `--node-limit`: a number of at
+    least 0 (NaN is not)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"expected a number of at least 0, got {text!r}")
+        return value
+    return parse
 
 
 def _write_anytime(path, anytime):
@@ -198,28 +213,34 @@ def cmd_sweep(args):
 
 
 def _check_one(report, net, nv, opts, cap):
-    """True when the solver matches brute force, False when it does not,
-    None when the enumeration cap skips the case."""
+    """Compare one budget with brute force and report it. Returns "PASS"
+    when the solver proves the oracle's optimum, "FAIL" when it disagrees,
+    "LIMIT" when a limit stopped the solve first, and "SKIP" when the
+    enumeration cap skips the case."""
     try:
         reference = brute_force(net, nv, cap=cap)
     except EnumerationCapExceeded as exc:
         report.kv("check", f"SKIP nv={nv}: {exc}")
-        return None
+        return "SKIP"
     try:
         sol = solve(net, nv, opts)
         if sol.interrupted:
             # solve swallows Ctrl-C; end the whole check, not this one solve
             raise KeyboardInterrupt
-        solver_ud = sol.ud if sol.proof == "optimal" else None
+        solver_ud, proved = sol.ud, sol.proof == "optimal"
     except InfeasibleBudget:
-        solver_ud = math.inf
+        solver_ud, proved = math.inf, True
     expect = math.inf if reference.all_infeasible else reference.ud
-    ok = solver_ud == expect
+    if proved:
+        status = "PASS" if solver_ud == expect else "FAIL"
+        shown = format_flow(solver_ud)
+    else:
+        # an unproved incumbent disagrees only by beating the optimum
+        status = "FAIL" if solver_ud < expect else "LIMIT"
+        shown = "best-found" if sol.placement is None else f"best-found:{format_flow(solver_ud)}"
     label = net.name or "<instance>"
-    report.kv("check", f"{'PASS' if ok else 'FAIL'} {label} nv={nv} "
-                       f"solver={format_flow(solver_ud) if solver_ud is not None else 'best-found'} "
-                       f"oracle={format_flow(expect)}")
-    return ok
+    report.kv("check", f"{status} {label} nv={nv} solver={shown} oracle={format_flow(expect)}")
+    return status
 
 
 def cmd_check(args):
@@ -240,16 +261,18 @@ def cmd_check(args):
         net = instances.load(args.instance)
         for nv in args.nv:
             outcomes.append(_check_one(report, net, nv, opts, args.cap))
-    checked = [ok for ok in outcomes if ok is not None]
-    if not checked:
+    if "FAIL" in outcomes:
+        result, code = "FAIL", EXIT_MISMATCH
+    elif "LIMIT" in outcomes:
+        result, code = "LIMIT", EXIT_LIMIT
+    elif "PASS" in outcomes:
+        result, code = "PASS", EXIT_OK
+    else:
         # nothing was compared, so nothing passed: the cap is a limit
-        report.kv("result", "SKIP")
-        report.emit()
-        return EXIT_LIMIT
-    all_ok = all(checked)
-    report.kv("result", "PASS" if all_ok else "FAIL")
+        result, code = "SKIP", EXIT_LIMIT
+    report.kv("result", result)
     report.emit()
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    return code
 
 
 class _Parser(argparse.ArgumentParser):

@@ -40,8 +40,11 @@ A placement is feasible exactly when every slot at a source holds a valve
 an open slot, and every pipe lies in some sector, so some sector holds a
 source exactly when some source-side slot is empty.
 
-All functions here are pure with respect to (network, placement); a
-placement is any iterable of present slot ids. Flows are integer ml/s.
+All functions here are pure with respect to (network, placement). The mask
+core takes a placement as an int whose set bits are the present slots
+(`present_mask` builds it from slot ids); `worst_case_ud` and
+`ud_by_component_deletion` take any iterable of present slot ids. Flows are
+integer ml/s.
 """
 
 import math
@@ -51,37 +54,13 @@ INFEASIBLE_UD = math.inf
 
 
 @dataclass(frozen=True)
-class Sector:
-    """One maximal valve-free region: its pipes, interior nodes, and the
-    boundary slots whose valves isolate it."""
-    edges: frozenset
-    interior_nodes: frozenset
-    boundary: frozenset
-    demand: int
-    contains_source: bool
-
-
-@dataclass(frozen=True)
-class SectorPartition:
-    sectors: tuple
-    edge_sector: tuple  # edge index -> position in `sectors`
-
-
-@dataclass(frozen=True)
-class BreakOutcome:
-    edge: int
-    closed: frozenset            # slot ids closed to de-water the pipe
-    dewatered: frozenset         # edge ids left without water
-    ud: int                      # undelivered demand, ml/s
-    feasible: bool               # the broken pipe itself is de-watered
-
-
-@dataclass(frozen=True)
 class WorstCase:
     ud: int          # ml/s; INFEASIBLE_UD when some pipe cannot be isolated
     edge: int        # a worst break (lowest edge id among maximizers), or None
     feasible: bool
 
+
+# -- mask core (shared by the solver, the oracle, the sweep and `evaluate`) ---
 
 def present_mask(net, placement):
     mask = 0
@@ -92,7 +71,22 @@ def present_mask(net, placement):
     return mask
 
 
-# -- fast mask-based core (shared by the solver and the brute-force oracle) ---
+def mask_bits(mask):
+    """Set bit positions of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def frozen_placement(bits):
+    """The slots in `bits` as a frozenset whose table is sized once for the
+    final count: copied from a set rather than grown one slot at a time,
+    a 19-24-valve placement takes 1,240 bytes instead of 2,264."""
+    return frozenset(set(bits))
+
 
 def sector_from(net, present, edge):
     """Flood out from `edge` without crossing valves.
@@ -186,15 +180,6 @@ def sector_damage(net, present):
     each sector, in O(sectors + valves) instead of one flood per sector.
     """
     scanned = list(scan_sectors(net, present))
-    for (rep, edges_mask, boundary, _, _, _), ud in zip(
-            scanned, _segment_damage(net, scanned)):
-        yield rep, edges_mask, boundary, ud
-
-
-def _segment_damage(net, scanned):
-    """Undelivered demand of a break in each of the `scanned` sectors (the
-    rows of `scan_sectors`, in order): INFEASIBLE_UD for a sector that holds
-    a source, otherwise one lowpoint DFS over the segment graph."""
     n_sec = len(scanned)
     # vertices: sectors 0..n_sec-1, then the all-valved junctions, then the root
     vertex = [-1] * net.num_nodes
@@ -249,7 +234,8 @@ def _segment_damage(net, scanned):
 
     # every pipe reaches a source with all valves open (Network checks it),
     # so the DFS visits every sector
-    return [INFEASIBLE_UD if row[5] else damage[i] for i, row in enumerate(scanned)]
+    for (rep, edges_mask, boundary, _, _, has_source), ud in zip(scanned, damage):
+        yield rep, edges_mask, boundary, INFEASIBLE_UD if has_source else ud
 
 
 def worst_case_fast(net, present):
@@ -257,13 +243,13 @@ def worst_case_fast(net, present):
     ties go to the lowest representative edge. An empty source-side slot
     makes the placement infeasible (module docstring): then only the sectors
     that hold a source are flooded, no segment graph is built, and the edge
-    is the lowest representative among them. A network without pipes has
-    no break: (0, None, True)."""
+    is the lowest representative among them. Otherwise the worst row of
+    `sector_damage` is the answer. A network without pipes has no break:
+    (0, None, True)."""
     open_source_slots = net.source_slots_mask & ~present
     if open_source_slots:
         return INFEASIBLE_UD, _lowest_source_sector(net, present, open_source_slots), False
-    scanned = list(scan_sectors(net, present))
-    ud, edge = _worst_break(zip([row[0] for row in scanned], _segment_damage(net, scanned)))
+    ud, edge = _worst_break((rep, ud) for rep, _, _, ud in sector_damage(net, present))
     return ud, edge, True
 
 
@@ -300,60 +286,7 @@ def bridge_lower_bound(net):
     return worst_case_fast(net, (1 << net.num_slots) - 1)[0]
 
 
-# -- rich public wrappers ------------------------------------------------------
-
-def mask_bits(mask):
-    """Set bit positions of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def frozen_placement(bits):
-    """The slots in `bits` as a frozenset whose table is sized once for the
-    final count: copied from a set rather than grown one slot at a time,
-    a 19-24-valve placement takes 1,240 bytes instead of 2,264."""
-    return frozenset(set(bits))
-
-
-def _sector(edges_mask, boundary, nodes_mask, demand, contains_source):
-    return Sector(frozenset(mask_bits(edges_mask)), frozenset(mask_bits(nodes_mask)),
-                  frozenset(mask_bits(boundary)), demand, contains_source)
-
-
-def sector_of(net, placement, edge):
-    """The sector containing `edge` under `placement`, as a Sector."""
-    return _sector(*sector_from(net, present_mask(net, placement), edge))
-
-
-def sectors(net, placement):
-    """Partition of all edges into sectors."""
-    out = []
-    edge_sector = [None] * net.num_edges
-    for _, *flood in scan_sectors(net, present_mask(net, placement)):
-        sec = _sector(*flood)
-        for e in sec.edges:
-            edge_sector[e] = len(out)
-        out.append(sec)
-    return SectorPartition(tuple(out), tuple(edge_sector))
-
-
-def evaluate_break(net, placement, edge):
-    """Outcome of breaking `edge`: closed valves, de-watered pipes, ud."""
-    mask = present_mask(net, placement)
-    _, boundary, _, _, _ = sector_from(net, mask, edge)
-    delivered, delivered_w = delivered_with_closed(net, boundary)
-    all_edges = (1 << net.num_edges) - 1
-    dewatered = all_edges & ~delivered
-    return BreakOutcome(edge=edge,
-                        closed=frozenset(mask_bits(boundary)),
-                        dewatered=frozenset(mask_bits(dewatered)),
-                        ud=net.total_demand - delivered_w,
-                        feasible=bool(dewatered >> edge & 1))
-
+# -- the WorstCase record for a placement given as slot ids -------------------
 
 def worst_case_ud(net, placement):
     ud, edge, feasible = worst_case_fast(net, present_mask(net, placement))

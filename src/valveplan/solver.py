@@ -88,6 +88,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.restart_mode not in RESTART_MODES:
             raise ValueError(f"restart_mode must be one of {RESTART_MODES}")
+        for name in ("time_limit", "node_limit"):
+            limit = getattr(self, name)
+            if limit is not None and not limit >= 0:     # NaN fails too
+                raise ValueError(f"{name} must be at least 0, got {limit!r}")
 
 
 @dataclass

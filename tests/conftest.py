@@ -6,6 +6,15 @@ import pytest
 
 from valveplan import instances
 from valveplan.generate import random_instance
+from valveplan.isolation import (
+    INFEASIBLE_UD,
+    delivered_with_closed,
+    present_mask,
+    scan_sectors,
+    sector_damage,
+    ud_by_component_deletion,
+    worst_case_fast,
+)
 from valveplan.network import parse_network
 
 # Regression corpus: 50 seeded random planar instances with 5..8 edges.
@@ -36,6 +45,47 @@ def k4_all_cycles(seed):
     faces = [list(t) for t in itertools.combinations([1, 2, 3, 4], 3)]
     faces += [[1, 2, 3, 4], [1, 3, 2, 4], [1, 2, 4, 3]]
     return make_net([1, 2, 3, 4], [1], edges, faces=faces)
+
+
+def sector_ud(net, placement, edge):
+    """ud of a break in `edge`, as sector_damage reports it for the sector
+    that holds the pipe (INFEASIBLE_UD when that sector holds a source)."""
+    return next(ud for _, edges_mask, _, ud in sector_damage(net, present_mask(net, placement))
+                if edges_mask >> edge & 1)
+
+
+def damage_by_reference(net, placement):
+    """{representative: ud} by `total - delivered_with_closed(boundary)`,
+    INFEASIBLE_UD where the sector holds a source; never calls sector_damage."""
+    out = {}
+    for rep, _, boundary, _, _, has_source in scan_sectors(net, present_mask(net, placement)):
+        out[rep] = (INFEASIBLE_UD if has_source
+                    else net.total_demand - delivered_with_closed(net, boundary)[1])
+    return out
+
+
+def checked_damage(net, placement):
+    """sector_damage as {representative: ud}, after checking every sector
+    against the reference formula and component deletion, and
+    worst_case_fast against the worst sector (lowest feasible-tie rep,
+    lowest source-holding rep when infeasible)."""
+    mask = present_mask(net, placement)
+    got = {rep: ud for rep, _, _, ud in sector_damage(net, mask)}
+    assert list(got) == sorted(got)
+    assert got == damage_by_reference(net, placement)
+    for rep, ud in got.items():
+        feasible, ud2 = ud_by_component_deletion(net, placement, rep)
+        assert feasible == (ud != INFEASIBLE_UD)
+        if feasible:
+            assert ud == ud2
+    infeasible = [rep for rep, ud in got.items() if ud == INFEASIBLE_UD]
+    if infeasible:
+        expected = (INFEASIBLE_UD, infeasible[0], False)
+    else:
+        worst = max(got.values())
+        expected = (worst, min(r for r, ud in got.items() if ud == worst), True)
+    assert worst_case_fast(net, mask) == expected
+    return got
 
 
 @pytest.fixture(scope="session")

@@ -21,10 +21,10 @@ from valveplan.instances import load
 from valveplan.isolation import (
     INFEASIBLE_UD,
     delivered_with_closed,
-    evaluate_break,
+    mask_bits,
+    present_mask,
     sector_damage,
     sector_from,
-    sector_of,
     ud_by_component_deletion,
     worst_case_fast,
 )
@@ -33,7 +33,7 @@ from valveplan.pareto import sweep
 from valveplan.solver import InfeasibleBudget, Search, SolverOptions, bridge_lower_bound, solve
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
-from conftest import CORPUS_NVS, CORPUS_SEEDS
+from conftest import CORPUS_NVS, CORPUS_SEEDS, sector_ud
 
 
 @contextmanager
@@ -65,8 +65,8 @@ def test_criterion_01_fig1_golden_breaks(fig1, fig1_demo_placement):
         expected = {"e23": 3000, "e34": 13000, "e45": 13000, "e16": 11000,
                     "e56": 11000, "e12": 36000, "e25": 36000}
         for label, ud in expected.items():
-            out = evaluate_break(fig1, fig1_demo_placement, fig1.edge_index[label])
-            assert out.feasible and out.ud == ud, label
+            got = sector_ud(fig1, fig1_demo_placement, fig1.edge_index[label])
+            assert got != INFEASIBLE_UD and got == ud, label
         wc = worst_case_fast(fig1, sum(1 << s for s in fig1_demo_placement))
         assert wc[0] == 36000
 
@@ -85,10 +85,11 @@ def test_criterion_01_fig1_golden_breaks(fig1, fig1_demo_placement):
 
 def test_criterion_02_closure_set_golden(fig1, fig1_demo_placement):
     with criterion(2, "closure-set golden"):
-        sec34 = sector_of(fig1, fig1_demo_placement, fig1.edge_index["e34"])
-        assert {fig1.slot_token(s) for s in sec34.boundary} == {"e23:3", "e45:5"}
-        sec25 = sector_of(fig1, fig1_demo_placement, fig1.edge_index["e25"])
-        assert {fig1.slot_token(s) for s in sec25.boundary} == {
+        mask = present_mask(fig1, fig1_demo_placement)
+        _, boundary34, _, _, _ = sector_from(fig1, mask, fig1.edge_index["e34"])
+        assert {fig1.slot_token(s) for s in mask_bits(boundary34)} == {"e23:3", "e45:5"}
+        _, boundary25, _, _, _ = sector_from(fig1, mask, fig1.edge_index["e25"])
+        assert {fig1.slot_token(s) for s in mask_bits(boundary25)} == {
             "e12:1", "e23:2", "e45:5", "e56:5"}
 
 

@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
-from valveplan import instances, solver
+from valveplan import cli, instances, solver
 from valveplan.cli import main
 from valveplan.generate import random_instance
 from valveplan.instances import FIG1_SIX_VALVES
-from valveplan.isolation import evaluate_break, sectors, worst_case_ud
+from valveplan.isolation import mask_bits, present_mask, scan_sectors, worst_case_ud
 from valveplan.network import format_flow, serialize_network
+
+from conftest import damage_by_reference
 
 
 @pytest.fixture
@@ -83,15 +86,16 @@ def test_evaluate_rows_match_sectors_and_breaks(capsys, tmp_path):
         lines = out.splitlines()
         header = lines.index("edge,sector,closed_valves,ud_lps,isolable")
         rows = [line.split(",") for line in lines[header + 1:header + 1 + net.num_edges]]
-        part = sectors(net, placement)
+        reference = damage_by_reference(net, placement)
+        sector_rows = list(scan_sectors(net, present_mask(net, placement)))
         for e, row in enumerate(rows):
-            pos = part.edge_sector[e]
-            sec = part.sectors[pos]
-            if sec.contains_source:
+            pos = next(i for i, sec in enumerate(sector_rows) if sec[1] >> e & 1)
+            rep, _, boundary, _, _, has_source = sector_rows[pos]
+            if has_source:
                 expect = ["inf", "no"]
             else:
-                expect = [format_flow(evaluate_break(net, placement, e).ud), "yes"]
-            assert row == [net.edge_labels[e], str(pos), str(len(sec.boundary))] + expect
+                expect = [format_flow(reference[rep]), "yes"]
+            assert row == [net.edge_labels[e], str(pos), str(len(mask_bits(boundary)))] + expect
         worst = worst_case_ud(net, placement)
         if worst.feasible:
             feasible_seen += 1
@@ -151,7 +155,10 @@ def test_usage_errors_exit_input_code(capsys):
                  ["check", "fig1", "--nv", "3", "--cap", "-1"],
                  ["sweep", "fig1", "--nv", "5..3"], ["sweep", "fig1", "--nv", "2..x"],
                  ["sweep", "fig1", "--nv", "2.."], ["check", "fig1", "--nv", "x"],
-                 ["solve", "fig1", "--nv", "6", "--format", "csv"]):
+                 ["solve", "fig1", "--nv", "6", "--format", "csv"],
+                 *(["solve", "fig1", "--nv", "6", flag, value]
+                   for flag in ("--time-limit", "--node-limit")
+                   for value in ("nan", "-1", "x"))):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
@@ -328,6 +335,32 @@ def test_check_all_skipped_is_not_a_pass(capsys):
     code, out, _ = run(capsys, "check", "fig1", "--nv", "2..3", "--cap", "100")
     assert code == 0
     assert "check: SKIP nv=3" in out and out.endswith("result: PASS\n")
+
+
+def test_check_limit_is_not_a_mismatch(capsys):
+    # the solver never disagreed with the oracle; a limit stopped it first
+    code, out, _ = run(capsys, "check", "fig1", "--nv", "5..6", "--node-limit", "0")
+    assert code == 3
+    assert "FAIL" not in out and out.count("check: LIMIT fig1") == 2
+    assert out.endswith("result: LIMIT\n")
+    # a proved budget next to a limited one: still a limit, not a pass
+    code, out, _ = run(capsys, "check", "fig1", "--nv", "2..3", "--node-limit", "5")
+    assert code == 3
+    assert "check: PASS fig1 nv=2" in out and "check: LIMIT fig1 nv=3" in out
+    assert out.endswith("result: LIMIT\n")
+
+
+def test_check_best_found_below_optimum_fails(capsys, monkeypatch):
+    # an unproved incumbent that beats the oracle's optimum is a mismatch
+    def too_good(net, nv, opts):
+        sol = solver.solve(net, nv, opts)
+        return dataclasses.replace(sol, ud=sol.ud - 1000, proof="best-found")
+
+    monkeypatch.setattr(cli, "solve", too_good)
+    code, out, _ = run(capsys, "check", "fig1", "--nv", "6")
+    assert code == 4
+    assert "check: FAIL fig1 nv=6 solver=best-found:14 oracle=15" in out
+    assert out.endswith("result: FAIL\n")
 
 
 def test_check_corpus(capsys):

@@ -10,18 +10,18 @@ from valveplan.generate import random_document
 from valveplan.isolation import (
     INFEASIBLE_UD,
     delivered_with_closed,
-    evaluate_break,
+    mask_bits,
     present_mask,
     scan_sectors,
     sector_damage,
-    sector_of,
-    sectors,
+    sector_from,
     ud_by_component_deletion,
     worst_case_fast,
     worst_case_ud,
 )
 from valveplan.network import parse_network
-from conftest import make_net, path_net
+from conftest import (checked_damage, damage_by_reference, make_net, path_net,
+                      sector_ud)
 
 
 def edge(net, label):
@@ -40,50 +40,64 @@ def slot_tokens(net, ids):
     return sorted(net.slot_token(s) for s in ids)
 
 
-# -- sector_of -----------------------------------------------------------------
+def sector_at(net, placement, e):
+    """sector_from's (edges, boundary, interior nodes, demand, holds a
+    source) for the sector of pipe `e`, with the three masks as bit lists."""
+    edges_mask, boundary, nodes_mask, demand, has_source = sector_from(
+        net, present_mask(net, placement), e)
+    return mask_bits(edges_mask), mask_bits(boundary), mask_bits(nodes_mask), demand, has_source
+
+
+def dewatered(net, closed):
+    """Mask of the pipes left without water while the slots in `closed` block."""
+    return ((1 << net.num_edges) - 1) & ~delivered_with_closed(net, closed)[0]
+
+
+# -- sector_from ---------------------------------------------------------------
 
 
 def test_sector_of_pair_with_shared_boundary(fig1, fig1_demo_placement):
-    sec = sector_of(fig1, fig1_demo_placement, edge(fig1, "e34"))
-    assert edge_labels(fig1, sec.edges) == ["e34", "e45"]
-    assert slot_tokens(fig1, sec.boundary) == ["e23:3", "e45:5"]
+    edges, boundary, _, _, _ = sector_at(fig1, fig1_demo_placement, edge(fig1, "e34"))
+    assert edge_labels(fig1, edges) == ["e34", "e45"]
+    assert slot_tokens(fig1, boundary) == ["e23:3", "e45:5"]
 
 
 def test_sector_of_heavy_pair(fig1, fig1_demo_placement):
-    sec = sector_of(fig1, fig1_demo_placement, edge(fig1, "e25"))
-    assert edge_labels(fig1, sec.edges) == ["e12", "e25"]
-    assert slot_tokens(fig1, sec.boundary) == ["e12:1", "e23:2", "e45:5", "e56:5"]
-    assert sec.demand == 20000
-    assert not sec.contains_source
+    edges, boundary, _, demand, has_source = sector_at(fig1, fig1_demo_placement,
+                                                       edge(fig1, "e25"))
+    assert edge_labels(fig1, edges) == ["e12", "e25"]
+    assert slot_tokens(fig1, boundary) == ["e12:1", "e23:2", "e45:5", "e56:5"]
+    assert demand == 20000
+    assert not has_source
 
 
 def test_sector_of_doubly_valved_pipe(fig1):
     p = slots(fig1, "e34:3", "e34:4")
-    sec = sector_of(fig1, p, edge(fig1, "e34"))
-    assert edge_labels(fig1, sec.edges) == ["e34"]
-    assert slot_tokens(fig1, sec.boundary) == ["e34:3", "e34:4"]
+    edges, boundary, _, _, _ = sector_at(fig1, p, edge(fig1, "e34"))
+    assert edge_labels(fig1, edges) == ["e34"]
+    assert slot_tokens(fig1, boundary) == ["e34:3", "e34:4"]
 
 
-# -- sectors -------------------------------------------------------------------
+# -- scan_sectors --------------------------------------------------------------
 
 
 def test_demo_placement_has_four_sectors(fig1, fig1_demo_placement):
-    part = sectors(fig1, fig1_demo_placement)
-    got = sorted(edge_labels(fig1, s.edges) for s in part.sectors)
+    rows = scan_sectors(fig1, present_mask(fig1, fig1_demo_placement))
+    got = sorted(edge_labels(fig1, mask_bits(row[1])) for row in rows)
     assert got == [["e12", "e25"], ["e16", "e56"], ["e23"], ["e34", "e45"]]
 
 
 def test_no_valves_single_sector(fig1):
-    part = sectors(fig1, frozenset())
-    assert len(part.sectors) == 1
-    assert part.sectors[0].contains_source
-    assert part.sectors[0].demand == fig1.total_demand
+    rows = list(scan_sectors(fig1, 0))
+    assert len(rows) == 1
+    assert rows[0][5]
+    assert rows[0][4] == fig1.total_demand
 
 
 def test_all_slots_singleton_sectors(fig1):
-    part = sectors(fig1, frozenset(range(fig1.num_slots)))
-    assert len(part.sectors) == fig1.num_edges
-    assert all(len(s.edges) == 1 for s in part.sectors)
+    rows = list(scan_sectors(fig1, (1 << fig1.num_slots) - 1))
+    assert len(rows) == fig1.num_edges
+    assert all(row[1].bit_count() == 1 for row in rows)
 
 
 def test_partition_property_random(corpus):
@@ -91,13 +105,13 @@ def test_partition_property_random(corpus):
     for net in corpus[:10]:
         for _ in range(20):
             p = frozenset(s for s in range(net.num_slots) if rng.random() < 0.4)
-            part = sectors(net, p)
-            assert sum(s.demand for s in part.sectors) == net.total_demand
-            counted = sorted(e for s in part.sectors for e in s.edges)
+            rows = list(scan_sectors(net, present_mask(net, p)))
+            assert sum(row[4] for row in rows) == net.total_demand
+            counted = sorted(e for row in rows for e in mask_bits(row[1]))
             assert counted == list(range(net.num_edges))
 
 
-# -- evaluate_break ------------------------------------------------------------
+# -- single breaks -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("label,expected_ud", [
@@ -105,16 +119,19 @@ def test_partition_property_random(corpus):
     ("e16", 11000), ("e56", 11000), ("e12", 36000), ("e25", 36000),
 ])
 def test_demo_break_outcomes(fig1, fig1_demo_placement, label, expected_ud):
-    out = evaluate_break(fig1, fig1_demo_placement, edge(fig1, label))
-    assert out.feasible
-    assert out.ud == expected_ud
+    ud = sector_ud(fig1, fig1_demo_placement, edge(fig1, label))
+    assert ud != INFEASIBLE_UD
+    assert ud == expected_ud
 
 
 def test_demo_break_dewatered_sets(fig1, fig1_demo_placement):
-    out = evaluate_break(fig1, fig1_demo_placement, edge(fig1, "e34"))
-    assert edge_labels(fig1, out.dewatered) == ["e34", "e45"]
-    out = evaluate_break(fig1, fig1_demo_placement, edge(fig1, "e25"))
-    assert edge_labels(fig1, out.dewatered) == ["e12", "e23", "e25", "e34", "e45"]
+    _, boundary, _, _, _ = sector_from(fig1, present_mask(fig1, fig1_demo_placement),
+                                       edge(fig1, "e34"))
+    assert edge_labels(fig1, mask_bits(dewatered(fig1, boundary))) == ["e34", "e45"]
+    _, boundary, _, _, _ = sector_from(fig1, present_mask(fig1, fig1_demo_placement),
+                                       edge(fig1, "e25"))
+    assert edge_labels(fig1, mask_bits(dewatered(fig1, boundary))) == [
+        "e12", "e23", "e25", "e34", "e45"]
 
 
 def test_closure_soundness_and_near_minimality(fig1, fig1_demo_placement, corpus):
@@ -123,7 +140,6 @@ def test_closure_soundness_and_near_minimality(fig1, fig1_demo_placement, corpus
     # the region just outside that valve is itself de-watered by the closure)
     # changes the delivered set not at all. A boundary valve can be outright
     # redundant only through unintended isolation, never silently.
-    from valveplan.isolation import delivered_with_closed
     rng = random.Random(5)
     cases = [(fig1, fig1_demo_placement)]
     for net in corpus[:5]:
@@ -132,15 +148,12 @@ def test_closure_soundness_and_near_minimality(fig1, fig1_demo_placement, corpus
                 s for s in range(net.num_slots) if rng.random() < 0.5)))
     for net, placement in cases:
         for e in range(net.num_edges):
-            out = evaluate_break(net, placement, e)
-            if not out.feasible:
+            _, closed, _, _, _ = sector_from(net, present_mask(net, placement), e)
+            if not dewatered(net, closed) >> e & 1:
                 continue
-            closed = 0
-            for s in out.closed:
-                closed |= 1 << s
             base_delivered, _ = delivered_with_closed(net, closed)
             assert not base_delivered >> e & 1, "closure is unsound"
-            for drop in out.closed:
+            for drop in mask_bits(closed):
                 partial = closed & ~(1 << drop)
                 delivered, _ = delivered_with_closed(net, partial)
                 if delivered >> e & 1:
@@ -156,13 +169,11 @@ def test_unintended_isolation_superset(corpus):
     for net in corpus[:10]:
         for _ in range(10):
             p = frozenset(s for s in range(net.num_slots) if rng.random() < 0.5)
-            part = sectors(net, p)
-            for sec in part.sectors:
-                if sec.contains_source:
+            for _, edges_mask, boundary, _, _, has_source in scan_sectors(
+                    net, present_mask(net, p)):
+                if has_source:
                     continue
-                e = min(sec.edges)
-                out = evaluate_break(net, p, e)
-                assert sec.edges <= out.dewatered
+                assert edges_mask & ~dewatered(net, boundary) == 0
 
 
 # -- worst_case_ud ---------------------------------------------------------------
@@ -207,14 +218,7 @@ def test_deletion_formulation_matches_reachability(corpus):
     for net in corpus[:6]:
         for _ in range(60):
             p = frozenset(s for s in range(net.num_slots) if rng.random() < 0.5)
-            part = sectors(net, p)
-            for sec in part.sectors:
-                e = min(sec.edges)
-                out = evaluate_break(net, p, e)
-                feasible, ud = ud_by_component_deletion(net, p, e)
-                assert feasible == out.feasible
-                if feasible:
-                    assert ud == out.ud
+            checked_damage(net, p)
 
 
 def test_deletion_formulation_exhaustive_tiny():
@@ -223,25 +227,17 @@ def test_deletion_formulation_exhaustive_tiny():
                    coords={"1": [0, 0], "2": [1, 0], "3": [1, 1], "4": [0, 1]})
     for k in range(net.num_slots + 1):
         for combo in combinations(range(net.num_slots), k):
-            p = frozenset(combo)
-            part = sectors(net, p)
-            for sec in part.sectors:
-                e = min(sec.edges)
-                out = evaluate_break(net, p, e)
-                feasible, ud = ud_by_component_deletion(net, p, e)
-                assert feasible == out.feasible
-                if feasible:
-                    assert ud == out.ud
+            checked_damage(net, frozenset(combo))
 
 
 def test_redundant_boundary_valve_counted_once(fig1):
     # e25 carries a valve on the node-5 side while both its sides stay in the
     # sector reachable around the lower face: the valve shows up in C once
     p = slots(fig1, "e12:1", "e16:1", "e25:5", "e56:5")
-    sec = sector_of(fig1, p, edge(fig1, "e25"))
-    assert edge(fig1, "e25") in sec.edges
-    assert 4 in {fig1.slot_node(s) for s in sec.boundary} or True  # sanity only
-    assert slot_tokens(fig1, sec.boundary).count("e25:5") == 1
+    edges, boundary, _, _, _ = sector_at(fig1, p, edge(fig1, "e25"))
+    assert edge(fig1, "e25") in edges
+    assert 4 in {fig1.slot_node(s) for s in boundary} or True  # sanity only
+    assert slot_tokens(fig1, boundary).count("e25:5") == 1
 
 
 def deletion_agrees(net, placement, broken, expected_ud):
@@ -250,7 +246,7 @@ def deletion_agrees(net, placement, broken, expected_ud):
     for label in broken:
         e = edge(net, label)
         assert ud_by_component_deletion(net, placement, e) == (True, expected_ud)
-        assert evaluate_break(net, placement, e).ud == expected_ud
+        assert sector_ud(net, placement, e) == expected_ud
 
 
 def test_deletion_sector_reached_through_a_chain():
@@ -295,40 +291,6 @@ def test_deletion_second_source_beyond_the_sector():
 # -- segment-graph evaluator against both references ------------------------------
 
 
-def damage_by_reference(net, placement):
-    """{representative: ud} by `total - delivered_with_closed(boundary)`,
-    INFEASIBLE_UD where the sector holds a source; never calls sector_damage."""
-    out = {}
-    for rep, _, boundary, _, _, has_source in scan_sectors(net, present_mask(net, placement)):
-        out[rep] = (INFEASIBLE_UD if has_source
-                    else net.total_demand - delivered_with_closed(net, boundary)[1])
-    return out
-
-
-def checked_damage(net, placement):
-    """sector_damage as {representative: ud}, after checking every sector
-    against the reference formula and component deletion, and
-    worst_case_fast against the worst sector (lowest feasible-tie rep,
-    lowest source-holding rep when infeasible)."""
-    mask = present_mask(net, placement)
-    got = {rep: ud for rep, _, _, ud in sector_damage(net, mask)}
-    assert list(got) == sorted(got)
-    assert got == damage_by_reference(net, placement)
-    for rep, ud in got.items():
-        feasible, ud2 = ud_by_component_deletion(net, placement, rep)
-        assert feasible == (ud != INFEASIBLE_UD)
-        if feasible:
-            assert ud == ud2
-    infeasible = [rep for rep, ud in got.items() if ud == INFEASIBLE_UD]
-    if infeasible:
-        expected = (INFEASIBLE_UD, infeasible[0], False)
-    else:
-        worst = max(got.values())
-        expected = (worst, min(r for r, ud in got.items() if ud == worst), True)
-    assert worst_case_fast(net, mask) == expected
-    return got
-
-
 def test_all_valved_junction():
     # node 2 has every slot valved: a segment-graph vertex with no sector
     net = make_net([1, 2, 3, 4, 5], [1],
@@ -342,7 +304,7 @@ def test_pipe_valved_at_both_ends():
     # {b} has no interior node; its break also dries c beyond it
     net = make_net([1, 2, 3, 4], [1], [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4)])
     p = slots(net, "a:1", "b:2", "b:3")
-    assert sector_of(net, p, edge(net, "b")).interior_nodes == frozenset()
+    assert sector_at(net, p, edge(net, "b"))[2] == []
     assert checked_damage(net, p) == {0: 7_000, 1: 6_000, 2: 4_000}
 
 
@@ -391,7 +353,7 @@ def test_infeasible_reports_lowest_source_sector(monkeypatch):
     def no_graph(*args):
         raise AssertionError("segment graph built for an infeasible placement")
 
-    monkeypatch.setattr(isolation, "_segment_damage", no_graph)
+    monkeypatch.setattr(isolation, "sector_damage", no_graph)
     assert worst_case_fast(net, present_mask(net, p)) == (INFEASIBLE_UD, b, False)
 
 

@@ -6,12 +6,12 @@ import json
 import pytest
 
 from valveplan.generate import random_document
-from valveplan.isolation import evaluate_break, sectors, ud_by_component_deletion
+from valveplan.isolation import INFEASIBLE_UD, mask_bits, present_mask, scan_sectors
 from valveplan.network import compute_faces, parse_network
 from valveplan.oracle import brute_force
 from valveplan.solver import InfeasibleBudget, SolverOptions, face_slot_lists, solve
 
-from conftest import make_net
+from conftest import checked_damage, make_net, sector_ud
 
 
 def with_second_source(seed):
@@ -27,19 +27,18 @@ def test_two_source_semantics_by_hand():
     net = make_net([1, 2, 3], [1, 3], [("a", 1, 2, 2), ("b", 2, 3, 4)])
     p = frozenset({net.parse_slot_token("a:1"), net.parse_slot_token("a:2"),
                    net.parse_slot_token("b:2"), net.parse_slot_token("b:3")})
-    out = evaluate_break(net, p, net.edge_index["a"])
-    assert out.feasible and out.ud == 2000
+    ud = sector_ud(net, p, net.edge_index["a"])
+    assert ud != INFEASIBLE_UD and ud == 2000
     # blocking only the source-1 side leaves pipe a in one sector with
     # source 3, which then sits interior: the break cannot be de-watered
     p = frozenset({net.parse_slot_token("a:1")})
-    out = evaluate_break(net, p, net.edge_index["a"])
-    assert not out.feasible
+    assert sector_ud(net, p, net.edge_index["a"]) == INFEASIBLE_UD
 
 
 def test_two_source_sector_source_flags():
     net = make_net([1, 2, 3], [1, 3], [("a", 1, 2, 2), ("b", 2, 3, 4)])
-    part = sectors(net, frozenset({net.parse_slot_token("a:2")}))
-    flags = {tuple(sorted(s.edges)): s.contains_source for s in part.sectors}
+    rows = scan_sectors(net, present_mask(net, {net.parse_slot_token("a:2")}))
+    flags = {tuple(mask_bits(row[1])): row[5] for row in rows}
     assert flags == {(0,): True, (1,): True}
 
 
@@ -63,14 +62,7 @@ def test_multi_source_formulation_equivalence():
         net = with_second_source(seed)
         for _ in range(40):
             p = frozenset(s for s in range(net.num_slots) if rng.random() < 0.5)
-            part = sectors(net, p)
-            for sec in part.sectors:
-                e = min(sec.edges)
-                out = evaluate_break(net, p, e)
-                feasible, ud = ud_by_component_deletion(net, p, e)
-                assert feasible == out.feasible
-                if feasible:
-                    assert ud == out.ud
+            checked_damage(net, p)
 
 
 @pytest.fixture

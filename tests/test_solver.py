@@ -705,6 +705,16 @@ def test_restart_mode_same_optimum_more_nodes(fig1):
     assert rest.stats.nodes >= cont.stats.nodes
 
 
+def test_options_reject_negative_or_nan_limits():
+    for name in ("time_limit", "node_limit"):
+        for bad in (-1, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be at least 0"):
+                SolverOptions(**{name: bad})
+        # 0 stops at the root; None means no limit
+        assert getattr(SolverOptions(**{name: 0}), name) == 0
+        assert getattr(SolverOptions(**{name: None}), name) is None
+
+
 def test_restart_closes_every_open_frame(fig1):
     search = Search(fig1, 6, SolverOptions(restart_mode="restarting"))
     assert search.init_root()
