@@ -17,13 +17,17 @@ or with a valve moved, does at least as well within the same budget:
 * face rule: a closed face cycle of the drawing cannot carry exactly one
   valve (a lone valve on a cycle separates nothing). It also looks ahead:
   every face that holds one valve now (a lonely face) needs one more on
-  one of its undecided slots, and one more valve relieves at most the
-  lonely faces its slot lies on. So a branch dies once the lonely faces
-  outnumber the valves left in the budget times the largest such count
-  over the undecided slots (the cover). A slot lies on at most `reach`
-  distinct faces (traced faces give 2, declared faces may give more), so
-  the cover is only counted when `reach` times the valves left does not
-  already rule the branch out;
+  one of its undecided slots, and one more valve relieves only the lonely
+  faces its slot lies on. Lonely faces linked by shared undecided slots
+  form components, and a component of k faces whose best slot lies on w
+  of them needs at least ceil(k / w) more valves (`TrailedState.need`).
+  A slot lies on at most `reach` distinct faces (traced faces give 2,
+  declared faces may give more), so a valve fails at once when the lonely
+  faces exceed `reach` times the valves left; otherwise the components are
+  counted at the propagation fixpoint. A branch dies once they need more
+  valves than are left, and when they need exactly the valves left, every
+  undecided slot on no lonely face is emptied, since a valve there would
+  leave one valve too few;
 * symmetry rule: at a non-source degree-2 node the two surrounding slots
   are interchangeable, so one of them is pinned empty up front;
 * bound rule: classes of nodes already known to share a sector carry a
@@ -253,57 +257,79 @@ class Search:
     # -- propagation ---------------------------------------------------------
 
     def decide(self, slot, value):
-        """Assign and propagate to fixpoint. False means the branch failed."""
+        """Assign and propagate to fixpoint. False means the branch failed.
+
+        Queue entries are (slot, value, forced); a slot the face rule queued
+        counts in `face_forced` once, when the entry actually decides it."""
         st = self.state
+        stats = self.stats
         nv = self.nv
-        pending = deque([(slot, value)])
+        pending = deque([(slot, value, False)])
         completing = False
-        while pending:
-            s, v = pending.popleft()
-            cur = st.value[s]
-            if cur == v:
-                continue
-            if cur != UNDECIDED:
-                self.stats.conflicts += 1
-                return False
-            st.set_value(s, v)
-
-            if v == PRESENT:
-                if st.n_present > nv:
-                    self.stats.budget_fails += 1
-                    return False
-                left = nv - st.n_present
-                lonely = st.lonely
-                if lonely > left and (lonely > self.reach * left
-                                      or lonely > st.lonely_cover() * left):
-                    self.stats.face_fails += 1
-                    return False
-            else:
-                root = st.register_absent(s)
-                if self.opts.lb_prune and st.lb[root] >= self.incumbent_ud:
-                    self.stats.lb_prunes += 1
-                    return False
-
-            for f, _ in st.slot_faces[s]:
-                valves = st.face_valves[f]
-                if valves >= 2:
+        while True:
+            while pending:
+                s, v, forced = pending.popleft()
+                cur = st.value[s]
+                if cur == v:
                     continue
-                undecided = st.face_undecided[f]
-                if undecided == 0:
-                    if valves == 1:
-                        self.stats.face_fails += 1
-                        return False
-                elif undecided == 1:
-                    self.stats.face_forced += 1
-                    pending.append((st.face_undecided_sum[f], PRESENT if valves == 1 else ABSENT))
+                if cur != UNDECIDED:
+                    stats.conflicts += 1
+                    return False
+                st.set_value(s, v)
+                if forced:
+                    stats.face_forced += 1
 
-            if not completing and st.n_undecided and st.n_present == nv:
-                # the budget is spent, so every slot left stays empty. Queue
-                # them once: a later valve fails on the budget anyway
-                completing = True
-                pending.extend((u, ABSENT) for u in range(self.net.num_slots)
-                               if st.value[u] == UNDECIDED)
-        return True
+                if v == PRESENT:
+                    if st.n_present > nv:
+                        stats.budget_fails += 1
+                        return False
+                    if st.lonely > self.reach * (nv - st.n_present):
+                        stats.face_fails += 1
+                        return False
+                else:
+                    root = st.register_absent(s)
+                    if self.opts.lb_prune and st.lb[root] >= self.incumbent_ud:
+                        stats.lb_prunes += 1
+                        return False
+
+                for f, _ in st.slot_faces[s]:
+                    valves = st.face_valves[f]
+                    if valves >= 2:
+                        continue
+                    undecided = st.face_undecided[f]
+                    if undecided == 0:
+                        if valves == 1:
+                            stats.face_fails += 1
+                            return False
+                    elif undecided == 1:
+                        pending.append((st.face_undecided_sum[f],
+                                        PRESENT if valves == 1 else ABSENT, True))
+
+                if not completing and st.n_present == nv and st.n_undecided:
+                    # the budget is spent, so every slot left stays empty. Queue
+                    # them once: a later valve fails on the budget anyway
+                    completing = True
+                    pending.extend((u, ABSENT, False) for u in range(self.net.num_slots)
+                                   if st.value[u] == UNDECIDED)
+
+            # at the fixpoint every lonely face keeps an undecided slot, so
+            # they need at least `need` <= `lonely` more valves. Past the
+            # valves left the branch is dead; at exactly the valves left, a
+            # valve on a slot that relieves no lonely face leaves one valve
+            # too few, so those slots are emptied and propagation goes on
+            left = nv - st.n_present
+            if not st.lonely or st.lonely < left:
+                return True
+            need = st.need()
+            if need > left:
+                stats.face_fails += 1
+                return False
+            if need < left:
+                return True
+            off = st.off_face_slots()
+            if not off:
+                return True
+            pending.extend((u, ABSENT, True) for u in off)
 
     # -- branching ------------------------------------------------------------
 

@@ -10,6 +10,8 @@ When both slots of an edge are absent the endpoint classes merge and their
 bounds add, the shared edge having already been counted.
 """
 
+import math
+
 UNDECIDED, PRESENT, ABSENT = 0, 1, 2
 
 
@@ -29,8 +31,9 @@ class TrailedState:
     * `lonely`: the number of faces that hold exactly one valve.
 
     A slot that occurs k times in a face's multiset counts k times in each.
-    `lonely_cover` reads the counters to bound how many lonely faces one
-    more valve can relieve.
+    `need` reads the counters to bound how many more valves the lonely
+    faces still need, and `off_face_slots` lists the undecided slots that
+    would relieve none of them.
 
     Sector classes are labels, not a union-find forest: `root[n]` is node
     n's class root, so `find` is one read, and `members[r]` lists the nodes
@@ -58,6 +61,7 @@ class TrailedState:
             for slot in sorted(set(slots)):
                 self.slot_faces[slot].append((f, slots.count(slot)))
         self.face_slot_sets = [sorted(set(slots)) for slots in face_slots]
+        self.face_masks = [sum(1 << s for s in slots) for slots in self.face_slot_sets]
         self.face_valves = [0] * len(face_slots)
         self.face_undecided = [len(slots) for slots in face_slots]
         self.face_undecided_sum = [sum(slots) for slots in face_slots]
@@ -70,18 +74,53 @@ class TrailedState:
     def find(self, x):
         return self.root[x]
 
-    def lonely_cover(self):
-        """Most lonely faces that any one undecided slot lies on: one more
-        valve gives a second valve to at most that many."""
+    def need(self):
+        """Fewest more valves that give every lonely face a second one.
+
+        Two lonely faces are linked when an undecided slot lies on both. One
+        valve relieves only the lonely faces its slot lies on, and those all
+        lie in one component of that relation, so a component C needs at
+        least ceil(|C| / w) more valves, w being the most lonely faces that
+        any one undecided slot of C lies on. Returns the sum over the
+        components, or `math.inf` when a lonely face has no undecided slot."""
         value = self.value
         valves = self.face_valves
-        cover = {}
-        for f, slots in enumerate(self.face_slot_sets):
-            if valves[f] == 1:
-                for s in slots:
-                    if value[s] == UNDECIDED:
-                        cover[s] = cover.get(s, 0) + 1
-        return max(cover.values(), default=0)
+        slot_faces = self.slot_faces
+        face_slot_sets = self.face_slot_sets
+        seen = bytearray(len(valves))
+        total = 0
+        for f, c in enumerate(valves):
+            if c != 1 or seen[f]:
+                continue
+            seen[f] = 1
+            component = [f]
+            width = 0
+            for g in component:                 # grows while it is walked
+                for s in face_slot_sets[g]:
+                    if value[s] != UNDECIDED:
+                        continue
+                    w = 0
+                    for h, _ in slot_faces[s]:
+                        if valves[h] == 1:
+                            w += 1
+                            if not seen[h]:
+                                seen[h] = 1
+                                component.append(h)
+                    if w > width:
+                        width = w
+            if not width:
+                return math.inf
+            total += -(-len(component) // width)
+        return total
+
+    def off_face_slots(self):
+        """Undecided slots that lie on no lonely face: a valve there gives
+        no lonely face its second valve."""
+        on_lonely = 0
+        for f, c in enumerate(self.face_valves):
+            if c == 1:
+                on_lonely |= self.face_masks[f]
+        return [s for s, v in enumerate(self.value) if v == UNDECIDED and not on_lonely >> s & 1]
 
     def push_frame(self):
         self._frames.append(len(self._trail))

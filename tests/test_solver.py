@@ -291,21 +291,26 @@ def test_face_lookahead_sound_on_overlapping_faces(seed):
 def test_face_lookahead_pruning_strength():
     # the look-ahead's share of the work on the ladder's most expensive rung:
     # the same proof took 34,227 nodes with the face rule alone, 11,367 with
-    # the reach look-ahead and 9,055 with the per-slot cover
+    # the reach look-ahead, 9,055 with the per-slot cover and 2,327 with the
+    # component bound that also empties the off-face slots when it is tight
     sol = solve(frozen_instance("rand-1-m33"), 8)
     assert (sol.proof, sol.ud) == ("optimal", 285000)
-    assert sol.stats.nodes <= 9_500
+    assert sol.stats.nodes <= 2_500
 
 
-def face_valid_completion(search):
+def face_valid_completion(search, valve=None):
     """Whether some completion of the current partial assignment, within
-    the budget, leaves every face with a valve count other than one."""
+    the budget, leaves every face with a valve count other than one. With
+    `valve`, only completions that put a valve on that undecided slot."""
     st = search.state
     faces = face_slot_lists(search.net)
     slots = range(search.net.num_slots)
     base = {s for s in slots if st.value[s] == PRESENT}
     undecided = [s for s in slots if st.value[s] == UNDECIDED]
-    for k in range(search.nv - st.n_present + 1):
+    if valve is not None:
+        base.add(valve)
+        undecided.remove(valve)
+    for k in range(search.nv - len(base) + 1):
         for extra in combinations(undecided, k):
             chosen = base.union(extra)
             if all(sum(s in chosen for s in face) != 1 for face in faces):
@@ -314,13 +319,25 @@ def face_valid_completion(search):
 
 
 class FaceAuditedSearch(Search):
-    """A search that records, at every branch the face rule fails, whether
-    a face-valid completion of that branch existed after all."""
+    """A search that records, at every branch the face rule fails and at
+    every slot the lonely-face cover empties, whether a face-valid
+    completion (with a valve on that slot) existed after all."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.unsound = []
         self.audited = 0
+        off_face_slots = self.state.off_face_slots
+
+        def audited_off_face_slots():
+            forced = off_face_slots()
+            for slot in forced:
+                self.audited += 1
+                if face_valid_completion(self, valve=slot):
+                    self.unsound.append((slot, PRESENT, bytes(self.state.value)))
+            return forced
+
+        self.state.off_face_slots = audited_off_face_slots
 
     def decide(self, slot, value):
         before = self.stats.face_fails
@@ -334,7 +351,8 @@ class FaceAuditedSearch(Search):
 
 def test_face_lookahead_admissible():
     # every branch the face rule (look-ahead included) fails holds no
-    # face-valid leaf: enumerate the completions at each failure
+    # face-valid leaf, and no slot the lonely-face cover empties carries a
+    # valve in any: enumerate the completions at each failure and forcing
     nets = [random_instance(seed, n_edges=m) for m in (6, 7, 8) for seed in range(8)]
     nets += [k4_all_cycles(seed) for seed in range(2)]
     audited = 0
@@ -346,6 +364,47 @@ def test_face_lookahead_admissible():
             assert search.unsound == [], (net.name, nv)
             audited += search.audited
     assert audited >= 1000
+
+
+@pytest.fixture
+def two_triangles():
+    # triangles 1-2-3 and 2-4-3 share pipe b; pendant pipe f hangs off node 4
+    return make_net([1, 2, 3, 4, 5], [1],
+                    [("a", 1, 2, 1), ("b", 2, 3, 1), ("c", 3, 1, 1), ("d", 2, 4, 1),
+                     ("e", 4, 3, 1), ("f", 4, 5, 1)],
+                    faces=[[1, 2, 3], [2, 4, 3]])
+
+
+def test_face_forced_counts_each_slot_once(two_triangles):
+    # b:2 is the last undecided slot on two one-valve faces at once: it is
+    # queued by both, but decided, and counted, once
+    net = two_triangles
+    slot = net.parse_slot_token
+    search = Search(net, net.num_slots, SolverOptions(symmetry=False))
+    search.state.push_frame()
+    assert search.decide(slot("a:1"), PRESENT)
+    assert search.decide(slot("d:2"), PRESENT)
+    for token in ("a:2", "c:3", "c:1", "d:4", "e:4", "e:3"):
+        assert search.decide(slot(token), ABSENT)
+    before = search.stats.face_forced
+    assert search.decide(slot("b:3"), ABSENT)
+    assert search.state.value[slot("b:2")] == PRESENT
+    assert search.stats.face_forced - before == 1
+
+
+def test_tight_cover_empties_off_face_slots(two_triangles):
+    # one valve on triangle 1-2-3 leaves it lonely, and the one valve left
+    # must go there: every slot off that face is emptied by the one decide
+    net = two_triangles
+    slot = net.parse_slot_token
+    search = Search(net, 2, SolverOptions(symmetry=False))
+    search.state.push_frame()
+    assert search.decide(slot("a:1"), PRESENT)
+    off_face = [slot(t) for t in ("d:2", "d:4", "e:4", "e:3", "f:4", "f:5")]
+    assert [search.state.value[s] for s in off_face] == [ABSENT] * 6
+    assert search.stats.face_forced == 6
+    on_face = [slot(t) for t in ("a:2", "b:2", "b:3", "c:3", "c:1")]
+    assert [search.state.value[s] for s in on_face] == [UNDECIDED] * 5
 
 
 # -- bound propagation -----------------------------------------------------------
@@ -661,10 +720,14 @@ def test_interrupt_returns_best_found(fig1):
     def interrupt(elapsed, ud):
         raise KeyboardInterrupt
 
-    # fig1 at 4 valves improves three times before its optimum of 24 l/s
-    sol = solve(fig1, 4, SolverOptions(on_incumbent=interrupt))
+    # fig1 at 5 valves improves at least once before its optimum of 17 l/s.
+    # That premise is asserted: a pruning change that finds the optimum
+    # first would leave nothing here to interrupt
+    full = solve(fig1, 5)
+    assert full.ud == 17000 and len(full.anytime) >= 2
+    sol = solve(fig1, 5, SolverOptions(on_incumbent=interrupt))
     assert sol.interrupted and sol.proof == "best-found"
-    assert len(sol.anytime) == 1 and sol.ud == sol.anytime[0][1] > 24000
+    assert len(sol.anytime) == 1 and sol.ud == sol.anytime[0][1] > 17000
     assert worst_case_fast(fig1, sum(1 << s for s in sol.placement))[0] == sol.ud
     # at 7 valves the first incumbent meets the floor, which proves it
     sol = solve(fig1, 7, SolverOptions(on_incumbent=interrupt))

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,101 @@ def test_face_counters_match_rescan(fig1_net_doc, name):
     for _ in range(40):
         state, _ = replay(net, _random_ops(rng, net, rng.randint(0, 60)), rng, check)
         check(state)
+
+
+def state_with_faces(faces, present=(), absent=()):
+    """A state over hand-written face slot lists on an 8-slot path."""
+    state = TrailedState(make_net([1, 2, 3, 4, 5], [1], [(f"p{i}", i, i + 1, 1)
+                                                         for i in range(1, 5)]), faces)
+    for slot in present:
+        state.set_value(slot, PRESENT)
+    for slot in absent:
+        state.set_value(slot, ABSENT)
+    return state
+
+
+def test_need_two_lonely_faces_sharing_a_slot():
+    state = state_with_faces([[0, 1, 2], [2, 3, 4]], present=(0, 4))
+    assert state.lonely == 2 and state.need() == 1
+    assert state.off_face_slots() == [5, 6, 7]
+
+
+def test_need_chain_of_three_lonely_faces():
+    # slot 2 links the first two faces, slot 4 the last two: one valve
+    # relieves at most two of the three
+    state = state_with_faces([[0, 1, 2], [2, 3, 4], [4, 5, 6]], present=(0, 3, 6))
+    assert state.lonely == 3 and state.need() == 2
+    assert state.off_face_slots() == [7]
+
+
+def test_need_isolated_lonely_faces():
+    state = state_with_faces([[0, 1, 2], [4, 5, 6]], present=(0,))
+    assert state.lonely == 1 and state.need() == 1
+    # the face without a valve is no lonely face: its slots are off-face
+    assert state.off_face_slots() == [3, 4, 5, 6, 7]
+    state.set_value(4, PRESENT)
+    assert state.lonely == 2 and state.need() == 2
+
+
+def test_need_unrelievable_lonely_face():
+    state = state_with_faces([[0, 1, 2]], present=(0,), absent=(1, 2))
+    assert state.lonely == 1 and state.need() == math.inf
+
+
+def test_need_on_overlapping_declared_faces():
+    # K4 with every cycle declared: a valve on p12:1 leaves the four faces
+    # through pipe p12 lonely, and the slot p12:2 lies on all four, so one
+    # more valve relieves them all (w = 4; a bound for reach 2 would say 2)
+    net = k4_all_cycles(0)
+    state = TrailedState(net, face_slot_lists(net))
+    state.set_value(net.parse_slot_token("p12:1"), PRESENT)
+    assert state.lonely == 4 and state.need() == 1
+    # with p12:2 empty, every other slot lies on two of the four at most
+    state.set_value(net.parse_slot_token("p12:2"), ABSENT)
+    assert state.lonely == 4 and state.need() == 2
+
+
+def fewest_relieving_valves(state, faces):
+    """Fewest undecided slots that put a second valve on every lonely face,
+    by enumeration (math.inf when none do)."""
+    value = state.value
+    lonely = [set(f) for f in faces if sum(value[s] == PRESENT for s in f) == 1]
+    undecided = sorted({s for f in lonely for s in f if value[s] == UNDECIDED})
+    for k in range(len(lonely) + 1):
+        for chosen in combinations(undecided, k):
+            if all(f.intersection(chosen) for f in lonely):
+                return k
+    return math.inf
+
+
+@pytest.mark.parametrize("name", ["fig1", "k4-all-cycles"])
+def test_need_is_a_lower_bound_never_weaker_than_the_slot_cover(fig1_net_doc, name):
+    # `need` never exceeds the true fewest valves, and is never below
+    # ceil(lonely / cover), cover being the most lonely faces on one
+    # undecided slot (the bound it replaced)
+    net = fig1_net_doc if name == "fig1" else k4_all_cycles(1)
+    faces = face_slot_lists(net)
+    seen = 0
+
+    def check(state):
+        nonlocal seen
+        need = state.need()
+        assert need <= fewest_relieving_valves(state, faces)
+        if not state.lonely:
+            assert need == 0
+            return
+        seen += 1
+        cover = max((sum(state.face_valves[f] == 1 for f, _ in state.slot_faces[s])
+                     for s in range(net.num_slots) if state.value[s] == UNDECIDED),
+                    default=0)
+        assert need == math.inf if cover == 0 else need >= -(-state.lonely // cover)
+        assert all(state.face_valves[f] != 1 for s in state.off_face_slots()
+                   for f, _ in state.slot_faces[s])
+
+    rng = random.Random(2024)
+    for _ in range(30):
+        replay(net, _random_ops(rng, net, rng.randint(0, 40)), rng, check)
+    assert seen >= 100
 
 
 def rebuilt_classes(state):
