@@ -16,7 +16,7 @@ import sys
 from . import instances
 from .generate import random_instance
 from .isolation import INFEASIBLE_UD, _worst_break, mask_bits, present_mask, sector_damage
-from .network import InstanceError, format_flow, parse_placement
+from .network import InstanceError, format_flow, parse_placement, read_text
 from .oracle import DEFAULT_CAP, EnumerationCapExceeded, brute_force
 from .pareto import sweep
 from .solver import BudgetError, InfeasibleBudget, SolverOptions, solve
@@ -136,8 +136,7 @@ def _solution_block(report, net, sol):
 def cmd_evaluate(args):
     report = _Report(args.format)
     net = instances.load(args.instance)
-    with open(args.placement, "r", encoding="utf-8") as fh:
-        placement = parse_placement(net, fh.read())
+    placement = parse_placement(net, read_text(args.placement))
     _instance_digest(report, net)
     report.kv("valves", len(placement))
     rows = [None] * net.num_edges

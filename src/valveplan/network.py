@@ -111,6 +111,8 @@ class Network:
         self.node_index = {}
         self._node_by_str = {}
         for i, label in enumerate(self.node_labels):
+            if isinstance(label, (list, dict)):     # unhashable: it names nothing
+                raise ValidationError(f"node id {label!r} must not be an array or object")
             if label in self.node_index or str(label) in self._node_by_str:
                 raise ValidationError(f"duplicate node id {label!r}")
             self.node_index[label] = i
@@ -119,7 +121,7 @@ class Network:
             raise ValidationError("at least one source node is required")
         src = set()
         for label in sources:
-            if label not in self.node_index:
+            if isinstance(label, (list, dict)) or label not in self.node_index:
                 raise ValidationError(f"source {label!r} is not a declared node")
             src.add(self.node_index[label])
         self.sources = frozenset(src)
@@ -134,10 +136,12 @@ class Network:
         self.demand = []
         seen_pairs = {}
         for k, (label, u_label, v_label, w) in enumerate(edges):
+            if isinstance(label, (list, dict)):
+                raise ValidationError(f"edge id {label!r} must not be an array or object")
             if label in self.edge_index or str(label) in self._edge_by_str:
                 raise ValidationError(f"duplicate edge id {label!r}")
             for end in (u_label, v_label):
-                if end not in self.node_index:
+                if isinstance(end, (list, dict)) or end not in self.node_index:
                     raise ValidationError(f"edge {label!r}: endpoint {end!r} is not a declared node")
             u = self.node_index[u_label]
             v = self.node_index[v_label]
@@ -221,11 +225,13 @@ class Network:
         if faces is not None:
             cycles = []
             for cycle in faces:
+                if not isinstance(cycle, (list, tuple)):
+                    raise ValidationError(f"face {cycle!r} must be an array of nodes")
                 if len(cycle) < 3:
                     raise ValidationError(f"face {cycle!r} has fewer than 3 nodes")
                 idx = []
                 for label in cycle:
-                    if label not in self.node_index:
+                    if isinstance(label, (list, dict)) or label not in self.node_index:
                         raise ValidationError(f"face {cycle!r}: unknown node {label!r}")
                     idx.append(self.node_index[label])
                 for a, b in zip(idx, idx[1:] + idx[:1]):
@@ -411,9 +417,17 @@ def serialize_network(net):
     return json.dumps(doc, indent=2)
 
 
+def read_text(path):
+    """The text of a UTF-8 file; ParseError when it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_instance(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read())
+    return parse_network(read_text(path))
 
 
 def parse_placement(net, text):

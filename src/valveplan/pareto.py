@@ -59,8 +59,8 @@ def sweep(net, n_valves_range, opts=None):
     no point rises above an earlier one, limits or not; a point that does
     no better than the last kept one is dropped as dominated.
 
-    Raises BudgetError, before any solve, when the range is empty or runs
-    outside [1, 2 * num_edges].
+    Raises BudgetError, before any solve, when the range is empty or holds
+    a budget that is not an integer in [1, 2 * num_edges].
     Points whose budget cannot isolate every pipe are skipped with a note.
     Points that hit a limit keep their best-found value and are flagged
     through their proof status. A KeyboardInterrupt during a solve ends the
@@ -73,8 +73,8 @@ def sweep(net, n_valves_range, opts=None):
     nvs = sorted(set(n_valves_range))
     if not nvs:
         raise BudgetError("empty valve-count range")
-    check_budget(net, nvs[0])
-    check_budget(net, nvs[-1])
+    for nv in nvs:
+        check_budget(net, nv)
 
     solved = []
     notes = []

@@ -61,7 +61,9 @@ class BudgetError(ValueError):
 
 
 def check_budget(net, n_valves):
-    """Raise BudgetError unless 1 <= n_valves <= 2 * num_edges."""
+    """Raise BudgetError unless n_valves is an int in [1, 2 * num_edges]."""
+    if isinstance(n_valves, bool) or not isinstance(n_valves, int):
+        raise BudgetError(f"valve budget must be an integer, got {n_valves!r}")
     if not 1 <= n_valves <= net.num_slots:
         raise BudgetError(f"valve budget must be in [1, {net.num_slots}], got {n_valves}")
 
@@ -275,7 +277,7 @@ class Search:
                 if cur != UNDECIDED:
                     stats.conflicts += 1
                     return False
-                st.set_value(s, v)
+                root = st.set_value(s, v)
                 if forced:
                     stats.face_forced += 1
 
@@ -286,11 +288,9 @@ class Search:
                     if st.lonely > self.reach * (nv - st.n_present):
                         stats.face_fails += 1
                         return False
-                else:
-                    root = st.register_absent(s)
-                    if self.opts.lb_prune and st.lb[root] >= self.incumbent_ud:
-                        stats.lb_prunes += 1
-                        return False
+                elif self.opts.lb_prune and st.lb[root] >= self.incumbent_ud:
+                    stats.lb_prunes += 1
+                    return False
 
                 for f, _ in st.slot_faces[s]:
                     valves = st.face_valves[f]
@@ -460,7 +460,7 @@ def solve(net, n_valves, opts=None):
     in a loop must check that flag to stop. Raises InfeasibleBudget (with a
     witness pipe) when the budget is below the number of source-side slots,
     which is exactly when no placement of that size can isolate every pipe,
-    and BudgetError (a ValueError) for budgets outside [1, 2 * num_edges].
+    and BudgetError (a ValueError) unless the budget is an int in [1, 2 * num_edges].
     A Solution without a placement only follows a limit or an interrupt.
     """
     if opts is None:

@@ -1,13 +1,14 @@
 """Reversible search state: slot assignments plus sector lower bounds.
 
-Every mutation is recorded on a trail; `push_frame` / `undo_frame` bracket
-one search decision and restore the exact prior state on backtracking.
+The trail holds one record per decision; `push_frame` / `undo_frame`
+bracket one search decision and restore the exact prior state on
+backtracking, deriving all but the slot value back from the record.
 
 The bound bookkeeping follows single-count accounting: an edge's demand
 enters a class lower bound exactly once, when its first slot is decided
 absent (the pipe then certainly shares a sector with that endpoint).
-When both slots of an edge are absent the endpoint classes merge and their
-bounds add, the shared edge having already been counted.
+When the opposite slot is absent already, the endpoint classes merge
+instead and their bounds add, the shared edge having been counted.
 """
 
 import math
@@ -40,6 +41,11 @@ class TrailedState:
     of the class rooted at r. A union relabels the members of the smaller
     class, so a node is relabelled O(log n) times along any branch, and
     undoing the union relabels the same members back.
+
+    `set_value` is the only mutator. Its record is (slot, merged), merged
+    being the class root its union absorbed or -1. Undo runs last in, first
+    out, so it sees the opposite slot and every class as the write did; an
+    absorbed root's members and bound stay untouched while it is merged.
     """
 
     def __init__(self, net, face_slots=()):
@@ -51,7 +57,6 @@ class TrailedState:
         self.root = list(range(n))
         self.members = [[x] for x in range(n)]  # valid at class roots
         self.lb = [0] * n                       # valid at class roots
-        self.attached = bytearray(net.num_edges)
         self._trail = []
         self._frames = []
 
@@ -61,7 +66,6 @@ class TrailedState:
             for slot in sorted(set(slots)):
                 self.slot_faces[slot].append((f, slots.count(slot)))
         self.face_slot_sets = [sorted(set(slots)) for slots in face_slots]
-        self.face_masks = [sum(1 << s for s in slots) for slots in self.face_slot_sets]
         self.face_valves = [0] * len(face_slots)
         self.face_undecided = [len(slots) for slots in face_slots]
         self.face_undecided_sum = [sum(slots) for slots in face_slots]
@@ -116,11 +120,9 @@ class TrailedState:
     def off_face_slots(self):
         """Undecided slots that lie on no lonely face: a valve there gives
         no lonely face its second valve."""
-        on_lonely = 0
-        for f, c in enumerate(self.face_valves):
-            if c == 1:
-                on_lonely |= self.face_masks[f]
-        return [s for s, v in enumerate(self.value) if v == UNDECIDED and not on_lonely >> s & 1]
+        on_lonely = {s for f, c in enumerate(self.face_valves) if c == 1
+                     for s in self.face_slot_sets[f]}
+        return [s for s, v in enumerate(self.value) if v == UNDECIDED and s not in on_lonely]
 
     def push_frame(self):
         self._frames.append(len(self._trail))
@@ -128,41 +130,41 @@ class TrailedState:
     def undo_frame(self):
         mark = self._frames.pop()
         trail = self._trail
+        value = self.value
         while len(trail) > mark:
-            entry = trail.pop()
-            tag = entry[0]
-            if tag == 0:                        # value write
-                slot = entry[1]
-                if self.value[slot] == PRESENT:
-                    self.n_present -= 1
-                    valves = self.face_valves
-                    for f, k in self.slot_faces[slot]:
-                        c = valves[f]
-                        valves[f] = c - k
-                        self.lonely += (c == k + 1) - (c == 1)
-                else:
-                    self.n_absent -= 1
+            slot, merged = trail.pop()
+            if value[slot] == PRESENT:
+                self.n_present -= 1
+                valves = self.face_valves
                 for f, k in self.slot_faces[slot]:
-                    self.face_undecided[f] += k
-                    self.face_undecided_sum[f] += k * slot
-                self.value[slot] = UNDECIDED
-            elif tag == 1:                      # edge attach
-                _, e, root = entry
-                self.attached[e] = 0
-                self.lb[root] -= self.net.demand[e]
-            else:                               # union
-                _, child, root, old_lb, old_size = entry
-                labels = self.root
-                moved = self.members[child]
-                for x in moved:
-                    labels[x] = child
-                del self.members[root][old_size:]
-                self.lb[root] = old_lb
+                    c = valves[f]
+                    valves[f] = c - k
+                    self.lonely += (c == k + 1) - (c == 1)
+            else:
+                self.n_absent -= 1
+                if merged >= 0:
+                    labels = self.root
+                    root = labels[merged]
+                    moved = self.members[merged]
+                    for x in moved:
+                        labels[x] = merged
+                    del self.members[root][-len(moved):]
+                    self.lb[root] -= self.lb[merged]
+                elif value[slot ^ 1] != ABSENT:
+                    self.lb[self.root[self.net.slot_node(slot)]] -= self.net.demand[slot >> 1]
+            for f, k in self.slot_faces[slot]:
+                self.face_undecided[f] += k
+                self.face_undecided_sum[f] += k * slot
+            value[slot] = UNDECIDED
 
     def set_value(self, slot, v):
+        """Decide `slot`. For ABSENT, returns the class root whose bound may
+        have grown: its pipe's demand joined it, or the smaller endpoint
+        class was merged into it."""
         assert self.value[slot] == UNDECIDED
         self.value[slot] = v
         faces = self.slot_faces[slot]
+        root = merged = -1
         if v == PRESENT:
             self.n_present += 1
             valves = self.face_valves
@@ -172,42 +174,26 @@ class TrailedState:
                 self.lonely += (c + k == 1) - (c == 1)
         else:
             self.n_absent += 1
+            net = self.net
+            labels = self.root
+            root = labels[net.slot_node(slot)]
+            if self.value[slot ^ 1] != ABSENT:
+                self.lb[root] += net.demand[slot >> 1]
+            elif (other := labels[net.slot_other_node(slot)]) != root:
+                members = self.members
+                if len(members[root]) < len(members[other]):
+                    root, other = other, root
+                moved = members[other]      # left as it is: undo relabels from it
+                for x in moved:
+                    labels[x] = root
+                members[root].extend(moved)
+                self.lb[root] += self.lb[other]
+                merged = other
         for f, k in faces:
             self.face_undecided[f] -= k
             self.face_undecided_sum[f] -= k * slot
-        self._trail.append((0, slot))
-
-    def register_absent(self, slot):
-        """Bound bookkeeping after `slot` was set absent. Returns the class
-        root whose bound may have grown."""
-        e = slot >> 1
-        node = self.net.slot_node(slot)
-        root = self.root[node]
-        if not self.attached[e]:
-            self.attached[e] = 1
-            self.lb[root] += self.net.demand[e]
-            self._trail.append((1, e, root))
-        opp = slot ^ 1
-        if self.value[opp] == ABSENT:
-            other_root = self.root[self.net.slot_other_node(slot)]
-            root = self._union(root, other_root)
+        self._trail.append((slot, merged))
         return root
-
-    def _union(self, ra, rb):
-        if ra == rb:
-            return ra
-        members = self.members
-        if len(members[ra]) < len(members[rb]):
-            ra, rb = rb, ra
-        kept = members[ra]
-        self._trail.append((2, rb, ra, self.lb[ra], len(kept)))
-        labels = self.root
-        moved = members[rb]         # left as it is: undo relabels from it
-        for x in moved:
-            labels[x] = ra
-        kept.extend(moved)
-        self.lb[ra] += self.lb[rb]
-        return ra
 
     # -- inspection helpers (search heuristics and tests) --------------------
 

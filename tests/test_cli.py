@@ -177,6 +177,18 @@ def test_usage_errors_exit_input_code(capsys):
         assert err == "error: check needs either an instance with --nv or --corpus N\n", argv
 
 
+@pytest.mark.parametrize("which", ["instance", "placement"])
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path, demo_placement_file, which):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("# vanne d\u00e9j\u00e0 pos\u00e9e\n".encode("latin-1"))
+    argv = (["solve", str(bad), "--nv", "6"] if which == "instance"
+            else ["evaluate", "fig1", str(bad)])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text (invalid continuation byte at byte 9)\n"
+
+
 def test_internal_value_error_propagates(capsys, monkeypatch):
     # only input errors become exit 1; a bug inside the solve must surface
     def broken(self):

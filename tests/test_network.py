@@ -156,6 +156,19 @@ def slot_token(token):
                  "'faces' must be an array of node cycles", id="faces-not-an-array"),
     pytest.param(lambda: parse_network(doc(coords=[])), ValidationError,
                  "'coords' must be an object mapping node to [x, y]", id="coords-not-an-object"),
+    pytest.param(lambda: parse_network(doc(nodes=[1, [2], 3])), ValidationError,
+                 "node id [2] must not be an array or object", id="node-id-array"),
+    pytest.param(lambda: parse_network(doc(sources=[{"id": 1}])), ValidationError,
+                 "source {'id': 1} is not a declared node", id="source-object"),
+    pytest.param(lambda: parse_network(doc(edges=[[["a"], 1, 2, 1]])), ValidationError,
+                 "edge id ['a'] must not be an array or object", id="edge-id-array"),
+    pytest.param(lambda: parse_network(doc(edges=[["a", 1, [2], 1]])), ValidationError,
+                 "edge 'a': endpoint [2] is not a declared node", id="edge-endpoint-array"),
+    pytest.param(lambda: parse_network(doc(faces=[5])), ValidationError,
+                 "face 5 must be an array of nodes", id="face-not-an-array"),
+    pytest.param(lambda: parse_network(doc(edges=[["a", 1, 2, 1], ["b", 2, 3, 1], ["c", 3, 1, 1]],
+                                           faces=[[1, [2], 3]])),
+                 ValidationError, "face [1, [2], 3]: unknown node [2]", id="face-node-array"),
 ])
 def test_input_checks(build, error, message):
     with pytest.raises(error) as err:

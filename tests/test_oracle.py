@@ -6,7 +6,7 @@ import pytest
 from valveplan import oracle
 from valveplan.isolation import worst_case_fast
 from valveplan.oracle import EnumerationCapExceeded, brute_force
-from valveplan.solver import solve
+from valveplan.solver import BudgetError, solve
 
 from conftest import k4_all_cycles, make_net
 
@@ -120,6 +120,12 @@ def test_budget_validation(fig1):
         brute_force(fig1, 0)
     with pytest.raises(ValueError):
         brute_force(fig1, 99)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_budget_not_an_integer(fig1, bad):
+    with pytest.raises(BudgetError, match=rf"^valve budget must be an integer, got {bad!r}$"):
+        brute_force(fig1, bad)
 
 
 def test_face_compliant_witness_exists(corpus, corpus_oracle):

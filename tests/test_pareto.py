@@ -110,6 +110,16 @@ def test_out_of_range_budget_fails_before_any_solve(fig1, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("nvs", [[3.0, 4], [2, 3.5, 5], [True, 3]])
+def test_non_integer_budget_fails_before_any_solve(fig1, monkeypatch, nvs):
+    # every budget is checked, not only the ends of the range
+    calls = []
+    monkeypatch.setattr(pareto, "solve", lambda *args: calls.append(args))
+    with pytest.raises(BudgetError, match="^valve budget must be an integer, got "):
+        sweep(fig1, nvs)
+    assert calls == []
+
+
 def test_best_found_points_participate(fig1):
     # starve the solver: warm-started candidates survive as best-found
     # points and still take part in dominance filtering, flagged non-proven

@@ -230,7 +230,6 @@ def test_face_with_single_valve_fails(square_plus):
     search.state.set_value(0, PRESENT)
     for slot in range(1, 7):
         search.state.set_value(slot, ABSENT)
-        search.state.register_absent(slot)
     assert not search.decide(7, ABSENT)
     assert search.stats.face_fails == 1
 
@@ -549,6 +548,12 @@ def test_budget_out_of_range(fig1):
     with pytest.raises(BudgetError):
         solve(fig1, 15)
     assert issubclass(BudgetError, ValueError)
+
+
+@pytest.mark.parametrize("bad", [6.5, 6.0, True, "6", None])
+def test_budget_not_an_integer(fig1, bad):
+    with pytest.raises(BudgetError, match=rf"^valve budget must be an integer, got {bad!r}$"):
+        solve(fig1, bad)
 
 
 def test_infeasible_budget_reports_witness(triangle):

@@ -17,14 +17,21 @@ def build_state(net, decisions):
     state = TrailedState(net, face_slot_lists(net))
     for slot, value in decisions:
         state.set_value(slot, value)
-        if value == ABSENT:
-            state.register_absent(slot)
     return state
 
 
+def attachment(state):
+    """Each pipe with an absent slot, mapped to the class its demand joined:
+    the class at an absent slot's node (with both slots absent, both nodes
+    are in one class), read from the slot values alone."""
+    net = state.net
+    return {slot >> 1: frozenset(state.members[state.find(net.slot_node(slot))])
+            for slot in range(net.num_slots) if state.value[slot] == ABSENT}
+
+
 def snapshot(state):
-    return (bytes(state.value), state.n_present, state.n_absent,
-            bytes(state.attached), state.classes(),
+    return (bytes(state.value), state.n_present, state.n_absent, len(state._trail),
+            attachment(state), state.classes(),
             tuple(state.face_valves), tuple(state.face_undecided),
             tuple(state.face_undecided_sum), state.lonely)
 
@@ -70,9 +77,9 @@ def replay(net, ops, rng, check=None):
             slot = rng.choice(undecided)
             value = rng.choice((PRESENT, ABSENT))
             state.set_value(slot, value)
-            if value == ABSENT:
-                state.register_absent(slot)
             live.append((slot, value))
+        # one trail record per decided slot
+        assert len(state._trail) == state.n_present + state.n_absent
         if check:
             check(state)
     # close any frames left open; what survives is the committed prefix
@@ -270,8 +277,6 @@ def test_full_undo_returns_to_pristine(fig1_net_doc):
     state.push_frame()
     for slot in range(net.num_slots):
         state.set_value(slot, ABSENT if slot % 2 else PRESENT)
-        if slot % 2:
-            state.register_absent(slot)
     state.undo_frame()
     assert snapshot(state) == pristine
 
@@ -282,11 +287,9 @@ def test_lower_bound_single_count():
     state = TrailedState(net)
     a0 = net.parse_slot_token("a:1")
     a1 = net.parse_slot_token("a:2")
-    state.set_value(a0, ABSENT)
-    r = state.register_absent(a0)
+    r = state.set_value(a0, ABSENT)
     assert state.lb[r] == 7000
-    state.set_value(a1, ABSENT)
-    r = state.register_absent(a1)
+    r = state.set_value(a1, ABSENT)
     assert state.lb[r] == 7000
     assert state.find(0) == state.find(1)
 
@@ -298,21 +301,13 @@ def test_lb_matches_attached_edges(fig1_net_doc):
     rng = random.Random(31)
     for _ in range(50):
         state = TrailedState(net)
-        attach_root = {}
         order = list(range(net.num_slots))
         rng.shuffle(order)
         for slot in order[:rng.randint(0, net.num_slots)]:
-            value = rng.choice((PRESENT, ABSENT))
-            state.set_value(slot, value)
-            if value == ABSENT:
-                before = not state.attached[slot >> 1]
-                state.register_absent(slot)
-                if before:
-                    attach_root[slot >> 1] = net.slot_node(slot)
-        by_class = {}
-        for e, node in attach_root.items():
-            by_class.setdefault(state.find(node), 0)
-            by_class[state.find(node)] += net.demand[e]
-        for root in state.roots():
-            assert state.lb[root] == by_class.get(root, 0)
+            state.set_value(slot, rng.choice((PRESENT, ABSENT)))
+            assert len(state._trail) == state.n_present + state.n_absent
+        by_class = dict.fromkeys(state.classes(), 0)
+        for e, nodes in attachment(state).items():
+            by_class[nodes] += net.demand[e]
+        assert state.classes() == by_class
 
