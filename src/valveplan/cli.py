@@ -19,7 +19,7 @@ from .isolation import INFEASIBLE_UD, _worst_break, mask_bits, present_mask, sec
 from .network import InstanceError, format_flow, parse_placement, read_text
 from .oracle import DEFAULT_CAP, EnumerationCapExceeded, brute_force
 from .pareto import sweep
-from .solver import BudgetError, InfeasibleBudget, SolverOptions, solve
+from .solver import BudgetError, InfeasibleBudget, SolverOptions, check_budget, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -251,14 +251,21 @@ def cmd_check(args):
     opts = _solver_options(args)
     outcomes = []
     if args.corpus:
-        nvs = args.nv or [2, 3, 4, 5]
+        nvs = args.nv or range(2, 6)
         for i in range(args.corpus):
             net = random_instance(args.seed + i)
             for nv in nvs:
+                if nv > net.num_slots:
+                    # every later budget is too, so one line skips them all
+                    shown = nv if nv == nvs[-1] else f"{nv}..{nvs[-1]}"
+                    report.kv("check", f"SKIP {net.name} nv={shown}: more valves than its "
+                                       f"{net.num_slots} slots")
+                    outcomes.append("SKIP")
+                    break
                 outcomes.append(_check_one(report, net, nv, opts, args.cap))
     else:
         net = instances.load(args.instance)
-        for nv in args.nv:
+        for nv in [check_budget(net, nv) for nv in args.nv]:   # all before enumerating
             outcomes.append(_check_one(report, net, nv, opts, args.cap))
     if "FAIL" in outcomes:
         result, code = "FAIL", EXIT_MISMATCH

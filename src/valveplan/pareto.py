@@ -70,11 +70,10 @@ def sweep(net, n_valves_range, opts=None):
     """
     if opts is None:
         opts = SolverOptions()
-    nvs = sorted(set(n_valves_range))
+    # each budget is checked as it is read, so a huge range fails early
+    nvs = sorted({check_budget(net, nv) for nv in n_valves_range})
     if not nvs:
         raise BudgetError("empty valve-count range")
-    for nv in nvs:
-        check_budget(net, nv)
 
     solved = []
     notes = []

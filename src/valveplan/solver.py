@@ -14,8 +14,10 @@ or with a valve moved, does at least as well within the same budget:
 
 * source rule: every slot next to a source must hold a valve in any
   feasible placement, so those slots are fixed present at the root;
-* face rule: a closed face cycle of the drawing cannot carry exactly one
-  valve (a lone valve on a cycle separates nothing). It also looks ahead:
+* face rule: a face cannot carry exactly one valve on the pipes its
+  boundary walks an odd number of times. Those pipes form edge-disjoint
+  cycles, and a lone valve on a cycle separates nothing; a pipe walked
+  twice hangs inside the face and is left out. The rule also looks ahead:
   every face that holds one valve now (a lonely face) needs one more on
   one of its undecided slots, and one more valve relieves only the lonely
   faces its slot lies on. Lonely faces linked by shared undecided slots
@@ -27,7 +29,7 @@ or with a valve moved, does at least as well within the same budget:
   counted at the propagation fixpoint. A branch dies once they need more
   valves than are left, and when they need exactly the valves left, every
   undecided slot on no lonely face is emptied, since a valve there would
-  leave one valve too few;
+  leave one valve too few (with the budget spent, every undecided slot);
 * symmetry rule: at a non-source degree-2 node the two surrounding slots
   are interchangeable, so one of them is pinned empty up front;
 * bound rule: classes of nodes already known to share a sector carry a
@@ -61,11 +63,12 @@ class BudgetError(ValueError):
 
 
 def check_budget(net, n_valves):
-    """Raise BudgetError unless n_valves is an int in [1, 2 * num_edges]."""
+    """Return n_valves; raise BudgetError unless it is an int in [1, 2 * num_edges]."""
     if isinstance(n_valves, bool) or not isinstance(n_valves, int):
         raise BudgetError(f"valve budget must be an integer, got {n_valves!r}")
     if not 1 <= n_valves <= net.num_slots:
         raise BudgetError(f"valve budget must be in [1, {net.num_slots}], got {n_valves}")
+    return n_valves
 
 
 class InfeasibleBudget(Exception):
@@ -160,18 +163,17 @@ def required_source_slots(net):
 
 
 def face_slot_lists(net):
-    """Per face: the slot multiset of its boundary cycle (two per pipe,
-    pipes walked twice contribute twice)."""
+    """Per face: the sorted slots of the pipes its boundary walks an odd
+    number of times, two per pipe. Those pipes form edge-disjoint cycles;
+    a pipe walked twice hangs inside the face and lies on none of them."""
     if net.faces is None:
         return []
     out = []
     for cycle in net.faces:
-        slots = []
+        odd = set()
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            e = net.edge_between(a, b)
-            slots.append(2 * e)
-            slots.append(2 * e + 1)
-        out.append(slots)
+            odd ^= {net.edge_between(a, b)}
+        out.append([s for e in sorted(odd) for s in (2 * e, 2 * e + 1)])
     return out
 
 
@@ -226,12 +228,6 @@ class Search:
     def elapsed(self):
         return time.perf_counter() - self.t0
 
-    def _install(self, ud, placement, edge):
-        self._best = (ud, placement, edge)
-        self.anytime.append((self.elapsed(), ud))
-        if self.opts.on_incumbent:
-            self.opts.on_incumbent(self.anytime[-1][0], ud)
-
     def _pad(self, mask):
         """`mask` with its lowest empty slots filled up to exactly `nv`
         valves. A valve never raises any break's damage, so padding an
@@ -243,18 +239,26 @@ class Search:
             free ^= low
         return mask
 
+    def _offer(self, mask):
+        """Pad a placement mask of at most `nv` valves to `nv`, evaluate it
+        and install it on a strict improvement; an infeasible one has ud
+        infinity, which never improves. Returns True when installed."""
+        mask = self._pad(mask)
+        ud, edge, _ = worst_case_fast(self.net, mask)
+        if ud >= self.incumbent_ud:
+            return False
+        self._best = (ud, frozen_placement(mask_bits(mask)), edge)
+        self.anytime.append((self.elapsed(), ud))
+        if self.opts.on_incumbent:
+            self.opts.on_incumbent(self.anytime[-1][0], ud)
+        return True
+
     def try_incumbent(self, placement):
-        """Re-evaluate a candidate of at most `nv` valves, padded to `nv`,
-        and install it if it is a valid strict improvement. Returns True
-        when installed."""
+        """Offer a candidate slot set of at most `nv` valves. Returns True
+        when it was installed."""
         if len(placement) > self.nv or not all(0 <= s < self.net.num_slots for s in placement):
             return False
-        mask = self._pad(present_mask(self.net, placement))
-        ud, edge, feasible = worst_case_fast(self.net, mask)
-        if feasible and ud < self.incumbent_ud:
-            self._install(ud, frozen_placement(mask_bits(mask)), edge)
-            return True
-        return False
+        return self._offer(present_mask(self.net, placement))
 
     # -- propagation ---------------------------------------------------------
 
@@ -267,7 +271,6 @@ class Search:
         stats = self.stats
         nv = self.nv
         pending = deque([(slot, value, False)])
-        completing = False
         while True:
             while pending:
                 s, v, forced = pending.popleft()
@@ -292,7 +295,7 @@ class Search:
                     stats.lb_prunes += 1
                     return False
 
-                for f, _ in st.slot_faces[s]:
+                for f in st.slot_faces[s]:
                     valves = st.face_valves[f]
                     if valves >= 2:
                         continue
@@ -302,23 +305,17 @@ class Search:
                             stats.face_fails += 1
                             return False
                     elif undecided == 1:
-                        pending.append((st.face_undecided_sum[f],
-                                        PRESENT if valves == 1 else ABSENT, True))
-
-                if not completing and st.n_present == nv and st.n_undecided:
-                    # the budget is spent, so every slot left stays empty. Queue
-                    # them once: a later valve fails on the budget anyway
-                    completing = True
-                    pending.extend((u, ABSENT, False) for u in range(self.net.num_slots)
-                                   if st.value[u] == UNDECIDED)
+                        last = next(u for u in st.face_slot_sets[f] if st.value[u] == UNDECIDED)
+                        pending.append((last, PRESENT if valves == 1 else ABSENT, True))
 
             # at the fixpoint every lonely face keeps an undecided slot, so
             # they need at least `need` <= `lonely` more valves. Past the
             # valves left the branch is dead; at exactly the valves left, a
             # valve on a slot that relieves no lonely face leaves one valve
             # too few, so those slots are emptied and propagation goes on
+            # (with no valve left that is every slot, and not by the face rule)
             left = nv - st.n_present
-            if not st.lonely or st.lonely < left:
+            if st.lonely < left:
                 return True
             need = st.need()
             if need > left:
@@ -329,7 +326,7 @@ class Search:
             off = st.off_face_slots()
             if not off:
                 return True
-            pending.extend((u, ABSENT, True) for u in off)
+            pending.extend((u, ABSENT, left > 0) for u in off)
 
     # -- branching ------------------------------------------------------------
 
@@ -374,10 +371,7 @@ class Search:
         """Evaluate a complete assignment. It holds every source-side slot,
         so it is feasible (see the `isolation` module docstring)."""
         self.stats.leaves += 1
-        mask = self._pad(self.state.present_mask())
-        ud, edge, _ = worst_case_fast(self.net, mask)
-        if ud < self.incumbent_ud:
-            self._install(ud, frozen_placement(mask_bits(mask)), edge)
+        if self._offer(self.state.present_mask()):
             if self.opts.restart_mode == "restarting" or self.floor_met:
                 self._unwind = True
         else:

@@ -19,19 +19,16 @@ UNDECIDED, PRESENT, ABSENT = 0, 1, 2
 class TrailedState:
     """Slot values, sector classes and face counters under one trail.
 
-    `face_slots` holds the slot multiset of each face cycle (see
-    `solver.face_slot_lists`); the state keeps, per slot, the (face,
-    multiplicity) pairs of the faces through it in `slot_faces`, and four
-    face counters that `set_value` updates and `undo_frame` reverses, so
-    the face rule reads them in O(1) per face instead of rescanning cycles:
+    `face_slots` holds the slot set of each face (see
+    `solver.face_slot_lists`), kept as `face_slot_sets`; the state keeps,
+    per slot, the faces through it in `slot_faces`, and three face counters
+    that `set_value` updates and `undo_frame` reverses, so the face rule
+    reads them in O(1) per face instead of rescanning cycles:
 
     * `face_valves[f]`: PRESENT slots on face f;
     * `face_undecided[f]`: UNDECIDED slots on face f;
-    * `face_undecided_sum[f]`: the sum of those undecided slot ids, which
-      is the undecided slot itself when exactly one is left;
     * `lonely`: the number of faces that hold exactly one valve.
 
-    A slot that occurs k times in a face's multiset counts k times in each.
     `need` reads the counters to bound how many more valves the lonely
     faces still need, and `off_face_slots` lists the undecided slots that
     would relieve none of them.
@@ -60,15 +57,14 @@ class TrailedState:
         self._trail = []
         self._frames = []
 
-        # per slot: (face, multiplicity) for every face whose cycle holds it
+        # per slot: every face that holds it
         self.slot_faces = [[] for _ in range(net.num_slots)]
         for f, slots in enumerate(face_slots):
-            for slot in sorted(set(slots)):
-                self.slot_faces[slot].append((f, slots.count(slot)))
-        self.face_slot_sets = [sorted(set(slots)) for slots in face_slots]
+            for slot in slots:
+                self.slot_faces[slot].append(f)
+        self.face_slot_sets = face_slots
         self.face_valves = [0] * len(face_slots)
         self.face_undecided = [len(slots) for slots in face_slots]
-        self.face_undecided_sum = [sum(slots) for slots in face_slots]
         self.lonely = 0
 
     @property
@@ -104,7 +100,7 @@ class TrailedState:
                     if value[s] != UNDECIDED:
                         continue
                     w = 0
-                    for h, _ in slot_faces[s]:
+                    for h in slot_faces[s]:
                         if valves[h] == 1:
                             w += 1
                             if not seen[h]:
@@ -136,10 +132,10 @@ class TrailedState:
             if value[slot] == PRESENT:
                 self.n_present -= 1
                 valves = self.face_valves
-                for f, k in self.slot_faces[slot]:
+                for f in self.slot_faces[slot]:
                     c = valves[f]
-                    valves[f] = c - k
-                    self.lonely += (c == k + 1) - (c == 1)
+                    valves[f] = c - 1
+                    self.lonely += (c == 2) - (c == 1)
             else:
                 self.n_absent -= 1
                 if merged >= 0:
@@ -152,9 +148,8 @@ class TrailedState:
                     self.lb[root] -= self.lb[merged]
                 elif value[slot ^ 1] != ABSENT:
                     self.lb[self.root[self.net.slot_node(slot)]] -= self.net.demand[slot >> 1]
-            for f, k in self.slot_faces[slot]:
-                self.face_undecided[f] += k
-                self.face_undecided_sum[f] += k * slot
+            for f in self.slot_faces[slot]:
+                self.face_undecided[f] += 1
             value[slot] = UNDECIDED
 
     def set_value(self, slot, v):
@@ -168,10 +163,10 @@ class TrailedState:
         if v == PRESENT:
             self.n_present += 1
             valves = self.face_valves
-            for f, k in faces:
+            for f in faces:
                 c = valves[f]
-                valves[f] = c + k
-                self.lonely += (c + k == 1) - (c == 1)
+                valves[f] = c + 1
+                self.lonely += (c == 0) - (c == 1)
         else:
             self.n_absent += 1
             net = self.net
@@ -189,9 +184,8 @@ class TrailedState:
                 members[root].extend(moved)
                 self.lb[root] += self.lb[other]
                 merged = other
-        for f, k in faces:
-            self.face_undecided[f] -= k
-            self.face_undecided_sum[f] -= k * slot
+        for f in faces:
+            self.face_undecided[f] -= 1
         self._trail.append((slot, merged))
         return root
 

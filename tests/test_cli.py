@@ -382,6 +382,33 @@ def test_check_corpus(capsys):
     assert "result: PASS" in out
 
 
+def test_check_corpus_skips_budgets_an_instance_cannot_take(capsys):
+    # seed 2 has 5 pipes, so 10 slots: its nv=11 is skipped with its name and
+    # the comparisons already made, and those of seeds 3 and 4, still count
+    code, out, err = run(capsys, "check", "--corpus", "5", "--nv", "2..11")
+    assert (code, err) == (0, "")
+    assert "check: SKIP rand-2 nv=11: more valves than its 10 slots\n" in out
+    assert out.count("check: SKIP") == 1 and "FAIL" not in out
+    assert "check: PASS rand-2 nv=10 " in out and "check: PASS rand-4 nv=11 " in out
+    assert out.endswith("result: PASS\n")
+    # the later budgets of a smaller instance go in the same line
+    code, out, _ = run(capsys, "check", "--corpus", "3", "--seed", "2", "--nv", "10..12",
+                       "--cap", "1")
+    assert "check: SKIP rand-2 nv=11..12: more valves than its 10 slots\n" in out
+    # a budget below 1 fits no instance: an input error before any check
+    code, out, err = run(capsys, "check", "--corpus", "2", "--nv", "0..3")
+    assert (code, out) == (1, "")
+    assert err == "error: valve budget must be in [1, 16], got 0\n"
+
+
+def test_check_instance_budgets_fail_before_any_enumeration(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "brute_force", lambda *args, **kw: calls.append(args))
+    code, out, err = run(capsys, "check", "fig1", "--nv", "13..15")
+    assert (code, out, calls) == (1, "", [])
+    assert err == "error: valve budget must be in [1, 14], got 15\n"
+
+
 def test_check_corpus_fifty(capsys):
     # the full seeded regression corpus, end to end through the CLI
     code, out, _ = run(capsys, "check", "--corpus", "50", "--seed", "0", "--nv", "2..5")

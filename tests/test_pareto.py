@@ -110,6 +110,20 @@ def test_out_of_range_budget_fails_before_any_solve(fig1, monkeypatch):
     assert calls == []
 
 
+def test_huge_budget_range_fails_without_building_it(fig1):
+    # the range is checked as it is read, so rejecting budget 15 of a
+    # million-budget range holds at most 14 budgets, not a million
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"^valve budget must be in \[1, 14\], got 15$"):
+            sweep(fig1, range(1, 10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 @pytest.mark.parametrize("nvs", [[3.0, 4], [2, 3.5, 5], [True, 3]])
 def test_non_integer_budget_fails_before_any_solve(fig1, monkeypatch, nvs):
     # every budget is checked, not only the ends of the range

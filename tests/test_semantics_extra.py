@@ -2,6 +2,7 @@
 face walks that traverse a bridge twice."""
 
 import json
+import random
 
 import pytest
 
@@ -9,7 +10,8 @@ from valveplan.generate import random_document
 from valveplan.isolation import INFEASIBLE_UD, mask_bits, present_mask, scan_sectors
 from valveplan.network import compute_faces, parse_network
 from valveplan.oracle import brute_force
-from valveplan.solver import InfeasibleBudget, SolverOptions, face_slot_lists, solve
+from valveplan.solver import InfeasibleBudget, Search, SolverOptions, face_slot_lists, solve
+from valveplan.state import ABSENT, PRESENT
 
 from conftest import checked_damage, make_net, sector_ud
 
@@ -68,7 +70,7 @@ def test_multi_source_formulation_equivalence():
 @pytest.fixture
 def pendant_in_square():
     # pendant pipe p drawn inside the square: the bounded face walk crosses
-    # it twice, so its slots appear twice in the face multiset
+    # it twice
     return make_net([1, 2, 3, 4, 5], [2],
                     [("a", 1, 2, 4), ("b", 2, 3, 5), ("c", 3, 4, 6),
                      ("d", 4, 1, 7), ("p", 1, 5, 3)],
@@ -80,19 +82,89 @@ def test_bridge_walked_twice_in_face(pendant_in_square):
     net = pendant_in_square
     (face,) = compute_faces(net)
     assert sorted(face) == [1, 1, 2, 3, 4, 5]  # node 1 visited twice
+    # a pipe walked twice lies on no face; the face is the square's 8 slots
     (slots,) = face_slot_lists(net)
+    square = sorted(s for label in "abcd" for e in [net.edge_index[label]]
+                    for s in (2 * e, 2 * e + 1))
+    assert slots == square
     p = net.edge_index["p"]
-    assert slots.count(2 * p) == 2 and slots.count(2 * p + 1) == 2
-    assert len(slots) == 12
+    assert 2 * p not in slots and 2 * p + 1 not in slots
 
 
 def test_lone_valve_on_bridge_is_allowed(pendant_in_square):
     # a single valve on the pendant pipe does separate it from the square,
-    # and the face rule must not reject that placement (the walk counts the
-    # bridge twice, so the face sum is 2, not 1)
+    # and the face rule must not reject that placement (the walk takes the
+    # bridge twice, so its slots lie on no face)
     net = pendant_in_square
     for nv in (2, 3, 4, 5):
         expect = brute_force(net, nv)
         on = solve(net, nv)
         off = solve(net, nv, SolverOptions(face_constraints=False))
         assert on.ud == off.ud == expect.ud
+
+
+SQUARE = {"1": [0, 0], "2": [4, 0], "3": [4, 4], "4": [0, 4]}
+TRIANGLES = {"1": [0, 0], "2": [4, 0], "3": [2, 3], "4": [2, -3], "5": [1.5, 1], "6": [2.2, -1]}
+
+
+def walked_twice_nets(seed):
+    """Networks whose traced faces walk pipes twice: a pendant pipe and a
+    2-pipe pendant path drawn inside a square, fed from a corner or from the
+    path's tip, and a pendant inside each of two triangles, fed from a
+    corner or from a pendant's tip. Demands are drawn from `seed`."""
+    rng = random.Random(seed)
+
+    def pipes(*ends):
+        return [(f"p{u}{v}", u, v, rng.randint(1, 9)) for u, v in ends]
+
+    square = [(1, 2), (2, 3), (3, 4), (4, 1)]
+    path = {**SQUARE, "5": [1, 1], "6": [2, 1.5]}
+    triangles = [(1, 2), (2, 3), (3, 1), (1, 4), (4, 2), (1, 5), (2, 6)]
+    yield make_net([1, 2, 3, 4, 5], [2], pipes(*square, (1, 5)), coords={**SQUARE, "5": [1, 1]})
+    yield make_net([1, 2, 3, 4, 5, 6], [2], pipes(*square, (1, 5), (5, 6)), coords=path)
+    yield make_net([1, 2, 3, 4, 5, 6], [6], pipes(*square, (1, 5), (5, 6)), coords=path)
+    yield make_net([1, 2, 3, 4, 5, 6], [3], pipes(*triangles), coords=TRIANGLES)
+    yield make_net([1, 2, 3, 4, 5, 6], [5], pipes(*triangles), coords=TRIANGLES)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_faces_walking_pipes_twice_match_brute_force(seed):
+    # the face rule keeps only the odd-walked pipes of a face, the cycles of
+    # its boundary; every budget's proven optimum equals enumeration's
+    for net in walked_twice_nets(seed):
+        assert any(len(slots) < 2 * len(cycle)
+                   for cycle, slots in zip(net.faces, face_slot_lists(net)))
+        for nv in range(1, net.num_slots + 1):
+            expect = brute_force(net, nv)
+            try:
+                sol = solve(net, nv)
+            except InfeasibleBudget:
+                assert expect.all_infeasible, nv
+                continue
+            assert (sol.proof, sol.ud, len(sol.placement)) == ("optimal", expect.ud, nv)
+
+
+def test_declared_face_walking_a_pipe_three_times():
+    # the walk 1-2-1-2-3 takes pipe a three times: an odd count, so the face
+    # keeps a's slots and is the triangle; without them it would be a path
+    net = make_net([1, 2, 3, 4], [4], [("a", 1, 2, 4), ("b", 2, 3, 5), ("c", 3, 1, 6),
+                                       ("d", 3, 4, 2)], faces=[[1, 2, 1, 2, 3]])
+    (slots,) = face_slot_lists(net)
+    assert slots == list(range(6))
+    # one valve on a and the rest of the triangle empty: the last slot
+    # cannot stay empty, since a lone valve on the cycle separates nothing
+    slot = net.parse_slot_token
+    search = Search(net, 3, SolverOptions(symmetry=False))
+    search.state.push_frame()
+    assert search.decide(slot("a:2"), PRESENT)
+    for token in ("b:2", "b:3", "c:3", "c:1"):
+        assert search.decide(slot(token), ABSENT)
+    assert search.state.value[slot("a:1")] == PRESENT
+    for nv in range(1, net.num_slots + 1):
+        expect = brute_force(net, nv)
+        try:
+            sol = solve(net, nv)
+        except InfeasibleBudget:
+            assert expect.all_infeasible, nv
+            continue
+        assert (sol.proof, sol.ud, len(sol.placement)) == ("optimal", expect.ud, nv)

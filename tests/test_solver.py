@@ -406,6 +406,22 @@ def test_tight_cover_empties_off_face_slots(two_triangles):
     assert [search.state.value[s] for s in on_face] == [UNDECIDED] * 5
 
 
+@pytest.mark.parametrize("faces", [True, False])
+def test_spent_budget_empties_the_rest_unforced(square_plus, faces):
+    # the decide that places the last valve empties every other undecided
+    # slot; that is the tight cover with no valve left, not the face rule
+    search = Search(square_plus, 3, SolverOptions(symmetry=False, face_constraints=faces))
+    st = search.state
+    st.push_frame()
+    assert search.decide(8, PRESENT)
+    assert search.decide(0, PRESENT)
+    before = search.stats.face_forced
+    assert search.decide(2, PRESENT)
+    assert st.n_undecided == 0 and st.n_present == 3
+    assert [st.value[s] for s in (1, 3, 4, 5, 6, 7)] == [ABSENT] * 6
+    assert search.stats.face_forced == before
+
+
 # -- bound propagation -----------------------------------------------------------
 
 
