@@ -6,6 +6,8 @@ from itertools import combinations
 
 import pytest
 
+from valveplan import solver as solver_module
+from valveplan import state as state_module
 from valveplan.generate import random_instance
 from valveplan.isolation import worst_case_fast
 from valveplan.network import Network, parse_network
@@ -655,6 +657,61 @@ def test_determinism(fig1):
     b = solve(fig1, 5)
     assert a.placement == b.placement
     assert a.stats.as_dict() == b.stats.as_dict()
+
+
+# (seed, pipes) or "fig1", budget, ud in ml/s, sorted placement, counters in
+# SEARCH_COUNTERS order: the search on the ladder's instances, pinned
+SEARCH_COUNTERS = ("nodes", "leaves", "lb_prunes", "face_fails", "face_forced", "budget_fails",
+                   "conflicts", "symmetry_fixed", "source_fixed", "rejected_leaves")
+PINNED_SEARCHES = [
+    ("fig1", 6, 15000, [0, 2, 5, 6, 7, 11], (26, 5, 13, 0, 1, 0, 0, 3, 2, 0)),
+    ((7, 12), 8, 57000, [3, 10, 11, 12, 14, 16, 18, 23], (88, 4, 61, 20, 175, 0, 0, 1, 4, 0)),
+    ((5, 14), 8, 51000, [1, 6, 8, 10, 14, 18, 23, 27],
+     (1784, 173, 853, 586, 2391, 0, 0, 1, 2, 163)),
+    ((7, 16), 6, 149000, [0, 1, 8, 10, 11, 12], (59, 8, 13, 31, 183, 0, 0, 0, 4, 6)),
+    ((7, 20), 8, 143000, [0, 4, 5, 25, 27, 30, 31, 34],
+     (815, 19, 356, 422, 2257, 0, 0, 2, 4, 12)),
+    ((1, 33), 8, 285000, [0, 12, 17, 25, 27, 29, 43, 58],
+     (2327, 150, 594, 1434, 12806, 0, 0, 1, 4, 142)),
+]
+
+
+@pytest.mark.parametrize("case, nv, ud, placement, counters", PINNED_SEARCHES,
+                         ids=lambda p: "-".join(map(str, p)) if isinstance(p, tuple) else None)
+def test_search_is_pinned(fig1, case, nv, ud, placement, counters):
+    # a change to how fast a decision runs must not change which tree is walked
+    net = fig1 if case == "fig1" else random_instance(*case)
+    sol = solve(net, nv)
+    assert sol.proof == "optimal"
+    assert sol.ud == ud
+    assert sorted(sol.placement) == placement
+    assert tuple(getattr(sol.stats, name) for name in SEARCH_COUNTERS) == counters
+
+
+def test_layer_boundaries_are_looked_up_at_call_time(monkeypatch):
+    # a profiler wraps these at class or module level, as perfbench/tracer.py
+    # does; an alias bound at import time would bypass the wrappers unseen
+    net = random_instance(5, 14)
+    plain = solve(net, 8)
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    targets = [(solver_module.Search, "decide"), (solver_module.Search, "choose_branch"),
+               (state_module.TrailedState, "undo_frame"), (solver_module, "worst_case_fast")]
+    for owner, attr in targets:
+        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    wrapped = solve(net, 8)
+    assert sorted(calls) == sorted(attr for _, attr in targets)
+    assert all(calls.values())
+    assert calls["decide"] >= plain.stats.nodes - 1
+    assert calls["worst_case_fast"] >= plain.stats.leaves
+    assert (wrapped.ud, wrapped.placement) == (plain.ud, plain.placement)
+    assert wrapped.stats.as_dict() == plain.stats.as_dict()
 
 
 def test_warm_start_candidate_is_verified(fig1):
