@@ -216,10 +216,11 @@ def _check_one(report, net, nv, opts, cap):
     when the solver proves the oracle's optimum, "FAIL" when it disagrees,
     "LIMIT" when a limit stopped the solve first, and "SKIP" when the
     enumeration cap skips the case."""
+    label = net.name or "<instance>"
     try:
         reference = brute_force(net, nv, cap=cap)
     except EnumerationCapExceeded as exc:
-        report.kv("check", f"SKIP nv={nv}: {exc}")
+        report.kv("check", f"SKIP {label} nv={nv}: {exc}")
         return "SKIP"
     try:
         sol = solve(net, nv, opts)
@@ -237,7 +238,6 @@ def _check_one(report, net, nv, opts, cap):
         # an unproved incumbent disagrees only by beating the optimum
         status = "FAIL" if solver_ud < expect else "LIMIT"
         shown = "best-found" if sol.placement is None else f"best-found:{format_flow(solver_ud)}"
-    label = net.name or "<instance>"
     report.kv("check", f"{status} {label} nv={nv} solver={shown} oracle={format_flow(expect)}")
     return status
 

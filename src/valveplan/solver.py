@@ -48,7 +48,6 @@ slower restart-per-solution behaviour for comparison.
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .isolation import (bridge_lower_bound, frozen_placement, mask_bits, present_mask,
@@ -265,22 +264,36 @@ class Search:
     def decide(self, slot, value):
         """Assign and propagate to fixpoint. False means the branch failed.
 
-        Queue entries are (slot, value, forced); a slot the face rule queued
-        counts in `face_forced` once, when the entry actually decides it."""
+        The queue is a plain list of (slot, value, forced) entries, walked
+        first in, first out by a `for` loop whose list iterator is the read
+        index: it also reaches the entries appended while it runs. A
+        fixpoint that empties off-face slots starts the next list with them.
+        A slot the face rule queued counts in `face_forced` once, when the
+        entry actually decides it; an entry whose slot already holds its
+        value counts nothing."""
         st = self.state
         stats = self.stats
         nv = self.nv
-        pending = deque([(slot, value, False)])
+        values = st.value
+        set_value = st.set_value
+        slot_faces = st.slot_faces
+        face_valves = st.face_valves
+        face_undecided = st.face_undecided
+        face_slot_sets = st.face_slot_sets
+        lb = st.lb
+        reach = self.reach
+        lb_prune = self.opts.lb_prune
+        incumbent = self.incumbent_ud           # only a leaf installs a new one
+        queue = [(slot, value, False)]
         while True:
-            while pending:
-                s, v, forced = pending.popleft()
-                cur = st.value[s]
+            for s, v, forced in queue:          # grows while it is walked
+                cur = values[s]
                 if cur == v:
                     continue
                 if cur != UNDECIDED:
                     stats.conflicts += 1
                     return False
-                root = st.set_value(s, v)
+                root = set_value(s, v)
                 if forced:
                     stats.face_forced += 1
 
@@ -288,25 +301,27 @@ class Search:
                     if st.n_present > nv:
                         stats.budget_fails += 1
                         return False
-                    if st.lonely > self.reach * (nv - st.n_present):
+                    if st.lonely > reach * (nv - st.n_present):
                         stats.face_fails += 1
                         return False
-                elif self.opts.lb_prune and st.lb[root] >= self.incumbent_ud:
+                elif lb_prune and lb[root] >= incumbent:
                     stats.lb_prunes += 1
                     return False
 
-                for f in st.slot_faces[s]:
-                    valves = st.face_valves[f]
+                for f in slot_faces[s]:
+                    valves = face_valves[f]
                     if valves >= 2:
                         continue
-                    undecided = st.face_undecided[f]
+                    undecided = face_undecided[f]
                     if undecided == 0:
                         if valves == 1:
                             stats.face_fails += 1
                             return False
                     elif undecided == 1:
-                        last = next(u for u in st.face_slot_sets[f] if st.value[u] == UNDECIDED)
-                        pending.append((last, PRESENT if valves == 1 else ABSENT, True))
+                        for last in face_slot_sets[f]:
+                            if values[last] == UNDECIDED:
+                                break
+                        queue.append((last, PRESENT if valves == 1 else ABSENT, True))
 
             # at the fixpoint every lonely face keeps an undecided slot, so
             # they need at least `need` <= `lonely` more valves. Past the
@@ -326,7 +341,8 @@ class Search:
             off = st.off_face_slots()
             if not off:
                 return True
-            pending.extend((u, ABSENT, left > 0) for u in off)
+            forced = left > 0
+            queue = [(u, ABSENT, forced) for u in off]
 
     # -- branching ------------------------------------------------------------
 
@@ -360,13 +376,6 @@ class Search:
 
     # -- search ---------------------------------------------------------------
 
-    def _check_limits(self):
-        o = self.opts
-        if o.node_limit is not None and self.stats.nodes > o.node_limit:
-            raise _LimitExceeded
-        if o.time_limit is not None and self.elapsed() > o.time_limit:
-            raise _LimitExceeded
-
     def _leaf(self):
         """Evaluate a complete assignment. It holds every source-side slot,
         so it is feasible (see the `isolation` module docstring)."""
@@ -379,9 +388,15 @@ class Search:
 
     def _enter(self):
         """Count a node; evaluate a leaf (None) or pick the slot to branch on."""
-        self.stats.nodes += 1
-        self._check_limits()
-        if self.state.n_undecided == 0:
+        stats = self.stats
+        stats.nodes += 1
+        o = self.opts
+        if o.node_limit is not None and stats.nodes > o.node_limit:
+            raise _LimitExceeded
+        if o.time_limit is not None and self.elapsed() > o.time_limit:
+            raise _LimitExceeded
+        st = self.state
+        if st.n_present + st.n_absent == len(st.value):
             self._leaf()
             return None
         return self.choose_branch()
@@ -390,27 +405,32 @@ class Search:
         """Depth-first search below the current state, on an explicit stack
         rather than Python's. Every open node but the first sits in a frame
         its parent opened; a restart or a floor stop closes them all."""
-        st = self.state
-        slot = self._enter()
-        stack = [] if slot is None else [(slot, iter(self._order))]
+        # bound once per call, after any wrapper was installed on the class
+        decide = self.decide
+        enter = self._enter
+        push_frame = self.state.push_frame
+        undo_frame = self.state.undo_frame
+        order = self._order
+        slot = enter()
+        stack = [] if slot is None else [(slot, iter(order))]
         while stack:
             slot, values = stack[-1]
             value = next(values, None)
             if value is None:
                 stack.pop()
                 if stack:
-                    st.undo_frame()
+                    undo_frame()
                 continue
-            st.push_frame()
-            if self.decide(slot, value):
-                child = self._enter()
+            push_frame()
+            if decide(slot, value):
+                child = enter()
                 if child is not None:
-                    stack.append((child, iter(self._order)))
+                    stack.append((child, iter(order)))
                     continue
-            st.undo_frame()
+            undo_frame()
             if self._unwind:
                 for _ in range(len(stack) - 1):
-                    st.undo_frame()
+                    undo_frame()
                 return
 
     def init_root(self):

@@ -12,8 +12,14 @@ instead and their bounds add, the shared edge having been counted.
 """
 
 import math
+from itertools import compress
 
 UNDECIDED, PRESENT, ABSENT = 0, 1, 2
+
+# byte translations of slot values: UNDECIDED to 1, decided to 0; and
+# PRESENT to the digit "1", the others to "0"
+_IS_UNDECIDED = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), bytes((1, 0, 0)))
+_PRESENT_DIGIT = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), b"010")
 
 
 class TrailedState:
@@ -43,6 +49,12 @@ class TrailedState:
     being the class root its union absorbed or -1. Undo runs last in, first
     out, so it sees the opposite slot and every class as the write did; an
     absorbed root's members and bound stay untouched while it is merged.
+
+    Both run once per slot decision, so they read the network through
+    per-slot tables built at construction instead of calling it: the
+    slot's node (`_slot_node`), the node across its pipe (`_slot_other`)
+    and the pipe's demand (`_slot_demand`). `undo_frame` pops exactly the
+    frame's records and writes the counters back once per frame.
     """
 
     def __init__(self, net, face_slots=()):
@@ -56,6 +68,10 @@ class TrailedState:
         self.lb = [0] * n                       # valid at class roots
         self._trail = []
         self._frames = []
+        # per slot: its node, the node across its pipe, and the pipe's demand
+        self._slot_node = [net.slot_node(s) for s in range(net.num_slots)]
+        self._slot_other = [net.slot_other_node(s) for s in range(net.num_slots)]
+        self._slot_demand = [net.demand[s >> 1] for s in range(net.num_slots)]
 
         # per slot: every face that holds it
         self.slot_faces = [[] for _ in range(net.num_slots)]
@@ -116,65 +132,82 @@ class TrailedState:
     def off_face_slots(self):
         """Undecided slots that lie on no lonely face: a valve there gives
         no lonely face its second valve."""
-        on_lonely = {s for f, c in enumerate(self.face_valves) if c == 1
-                     for s in self.face_slot_sets[f]}
-        return [s for s, v in enumerate(self.value) if v == UNDECIDED and s not in on_lonely]
+        value = bytearray(self.value)           # a copy, lonely faces' slots marked
+        face_slot_sets = self.face_slot_sets
+        for f, c in enumerate(self.face_valves):
+            if c == 1:
+                for s in face_slot_sets[f]:
+                    value[s] = PRESENT
+        return list(compress(range(len(value)), value.translate(_IS_UNDECIDED)))
 
     def push_frame(self):
         self._frames.append(len(self._trail))
 
     def undo_frame(self):
-        mark = self._frames.pop()
         trail = self._trail
+        count = len(trail) - self._frames.pop()
         value = self.value
-        while len(trail) > mark:
+        slot_faces = self.slot_faces
+        valves = self.face_valves
+        undecided = self.face_undecided
+        labels = self.root
+        members = self.members
+        lb = self.lb
+        n_present = lonely = 0
+        for _ in range(count):
             slot, merged = trail.pop()
+            faces = slot_faces[slot]
             if value[slot] == PRESENT:
-                self.n_present -= 1
-                valves = self.face_valves
-                for f in self.slot_faces[slot]:
+                n_present += 1
+                for f in faces:
                     c = valves[f]
                     valves[f] = c - 1
-                    self.lonely += (c == 2) - (c == 1)
+                    lonely += (c == 2) - (c == 1)
+                    undecided[f] += 1
             else:
-                self.n_absent -= 1
                 if merged >= 0:
-                    labels = self.root
                     root = labels[merged]
-                    moved = self.members[merged]
+                    moved = members[merged]
                     for x in moved:
                         labels[x] = merged
-                    del self.members[root][-len(moved):]
-                    self.lb[root] -= self.lb[merged]
+                    del members[root][-len(moved):]
+                    lb[root] -= lb[merged]
                 elif value[slot ^ 1] != ABSENT:
-                    self.lb[self.root[self.net.slot_node(slot)]] -= self.net.demand[slot >> 1]
-            for f in self.slot_faces[slot]:
-                self.face_undecided[f] += 1
+                    lb[labels[self._slot_node[slot]]] -= self._slot_demand[slot]
+                for f in faces:
+                    undecided[f] += 1
             value[slot] = UNDECIDED
+        self.n_present -= n_present
+        self.n_absent -= count - n_present
+        self.lonely += lonely
 
     def set_value(self, slot, v):
         """Decide `slot`. For ABSENT, returns the class root whose bound may
         have grown: its pipe's demand joined it, or the smaller endpoint
         class was merged into it."""
-        assert self.value[slot] == UNDECIDED
-        self.value[slot] = v
+        value = self.value
+        assert value[slot] == UNDECIDED
+        value[slot] = v
         faces = self.slot_faces[slot]
+        undecided = self.face_undecided
         root = merged = -1
         if v == PRESENT:
             self.n_present += 1
             valves = self.face_valves
+            lonely = self.lonely
             for f in faces:
                 c = valves[f]
                 valves[f] = c + 1
-                self.lonely += (c == 0) - (c == 1)
+                lonely += (c == 0) - (c == 1)
+                undecided[f] -= 1
+            self.lonely = lonely
         else:
             self.n_absent += 1
-            net = self.net
             labels = self.root
-            root = labels[net.slot_node(slot)]
-            if self.value[slot ^ 1] != ABSENT:
-                self.lb[root] += net.demand[slot >> 1]
-            elif (other := labels[net.slot_other_node(slot)]) != root:
+            root = labels[self._slot_node[slot]]
+            if value[slot ^ 1] != ABSENT:
+                self.lb[root] += self._slot_demand[slot]
+            elif (other := labels[self._slot_other[slot]]) != root:
                 members = self.members
                 if len(members[root]) < len(members[other]):
                     root, other = other, root
@@ -184,8 +217,8 @@ class TrailedState:
                 members[root].extend(moved)
                 self.lb[root] += self.lb[other]
                 merged = other
-        for f in faces:
-            self.face_undecided[f] -= 1
+            for f in faces:
+                undecided[f] -= 1
         self._trail.append((slot, merged))
         return root
 
@@ -202,5 +235,5 @@ class TrailedState:
         return {frozenset(self.members[r]): self.lb[r] for r in self.roots()}
 
     def present_mask(self):
-        value = self.value
-        return sum(1 << s for s in range(self.net.num_slots) if value[s] == PRESENT)
+        # slot s is bit s: the values as '0'/'1' digits, highest slot first
+        return int(b"0" + self.value.translate(_PRESENT_DIGIT)[::-1], 2)

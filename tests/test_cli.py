@@ -346,7 +346,8 @@ def test_check_all_skipped_is_not_a_pass(capsys):
     # one budget checked, one skipped: the checked one decides
     code, out, _ = run(capsys, "check", "fig1", "--nv", "2..3", "--cap", "100")
     assert code == 0
-    assert "check: SKIP nv=3" in out and out.endswith("result: PASS\n")
+    assert "check: SKIP fig1 nv=3: C(14, 3) = 364 exceeds the cap of 100\n" in out
+    assert out.endswith("result: PASS\n")
 
 
 def test_check_limit_is_not_a_mismatch(capsys):
@@ -395,6 +396,10 @@ def test_check_corpus_skips_budgets_an_instance_cannot_take(capsys):
     code, out, _ = run(capsys, "check", "--corpus", "3", "--seed", "2", "--nv", "10..12",
                        "--cap", "1")
     assert "check: SKIP rand-2 nv=11..12: more valves than its 10 slots\n" in out
+    # a budget over the enumeration cap names its instance too, so the
+    # corpus's skipped cases can be told apart
+    assert "check: SKIP rand-3 nv=10: C(12, 10) = 66 exceeds the cap of 1\n" in out
+    assert "check: SKIP rand-4 nv=10: C(12, 10) = 66 exceeds the cap of 1\n" in out
     # a budget below 1 fits no instance: an input error before any check
     code, out, err = run(capsys, "check", "--corpus", "2", "--nv", "0..3")
     assert (code, out) == (1, "")

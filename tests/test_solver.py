@@ -677,7 +677,8 @@ PINNED_SEARCHES = [
 
 
 @pytest.mark.parametrize("case, nv, ud, placement, counters", PINNED_SEARCHES,
-                         ids=lambda p: "-".join(map(str, p)) if isinstance(p, tuple) else None)
+                         ids=[("fig1" if case == "fig1" else "rand-%d-m%d" % case) + f"-nv{nv}"
+                              for case, nv, *_ in PINNED_SEARCHES])
 def test_search_is_pinned(fig1, case, nv, ud, placement, counters):
     # a change to how fast a decision runs must not change which tree is walked
     net = fig1 if case == "fig1" else random_instance(*case)
