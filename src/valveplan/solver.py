@@ -341,8 +341,7 @@ class Search:
             off = st.off_face_slots()
             if not off:
                 return True
-            forced = left > 0
-            queue = [(u, ABSENT, forced) for u in off]
+            queue = [(u, ABSENT, left > 0) for u in off]
 
     # -- branching ------------------------------------------------------------
 

@@ -132,13 +132,13 @@ class TrailedState:
     def off_face_slots(self):
         """Undecided slots that lie on no lonely face: a valve there gives
         no lonely face its second valve."""
-        value = bytearray(self.value)           # a copy, lonely faces' slots marked
+        marked = bytearray(self.value)          # slots on lonely faces marked decided
         face_slot_sets = self.face_slot_sets
         for f, c in enumerate(self.face_valves):
             if c == 1:
                 for s in face_slot_sets[f]:
-                    value[s] = PRESENT
-        return list(compress(range(len(value)), value.translate(_IS_UNDECIDED)))
+                    marked[s] = PRESENT
+        return list(compress(range(len(marked)), marked.translate(_IS_UNDECIDED)))
 
     def push_frame(self):
         self._frames.append(len(self._trail))
