@@ -708,7 +708,6 @@ def test_layer_boundaries_are_looked_up_at_call_time(monkeypatch):
         monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
     wrapped = solve(net, 8)
     assert sorted(calls) == sorted(attr for _, attr in targets)
-    assert all(calls.values())
     assert calls["decide"] >= plain.stats.nodes - 1
     assert calls["worst_case_fast"] >= plain.stats.leaves
     assert (wrapped.ud, wrapped.placement) == (plain.ud, plain.placement)
