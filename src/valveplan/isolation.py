@@ -97,12 +97,10 @@ def sector_from(net, present, edge):
     inc = net._inc
     ep = net.endpoints
     w = net.demand
-    smask = net.sources_mask
     edges_mask = 1 << edge
     boundary = 0
     nodes_mask = 0
     demand = w[edge]
-    has_source = False
     stack = [edge]
     while stack:
         f = stack.pop()
@@ -114,8 +112,6 @@ def sector_from(net, present, edge):
             if nodes_mask >> node & 1:
                 continue
             nodes_mask |= 1 << node
-            if smask >> node & 1:
-                has_source = True
             for g, slot_here, _, _ in inc[node]:
                 if present >> slot_here & 1:
                     boundary |= 1 << slot_here
@@ -123,7 +119,7 @@ def sector_from(net, present, edge):
                     edges_mask |= 1 << g
                     demand += w[g]
                     stack.append(g)
-    return edges_mask, boundary, nodes_mask, demand, has_source
+    return edges_mask, boundary, nodes_mask, demand, bool(nodes_mask & net.sources_mask)
 
 
 def delivered_with_closed(net, closed):
@@ -239,33 +235,14 @@ def sector_damage(net, present):
 
 
 def worst_case_fast(net, present):
-    """(ud, argmax_edge, feasible) over all single-pipe breaks, mask input;
-    ties go to the lowest representative edge. An empty source-side slot
-    makes the placement infeasible (module docstring): then only the sectors
-    that hold a source are flooded, no segment graph is built, and the edge
-    is the lowest representative among them. Otherwise the worst row of
-    `sector_damage` is the answer. A network without pipes has no break:
+    """(ud, argmax_edge, feasible) over all single-pipe breaks, mask input:
+    the worst row of `sector_damage`, ties going to the lowest
+    representative edge. A sector that holds a source has INFEASIBLE_UD,
+    which beats every finite damage, so an infeasible placement reports the
+    lowest such sector. A network without pipes has no break:
     (0, None, True)."""
-    open_source_slots = net.source_slots_mask & ~present
-    if open_source_slots:
-        return INFEASIBLE_UD, _lowest_source_sector(net, present, open_source_slots), False
     ud, edge = _worst_break((rep, ud) for rep, _, _, ud in sector_damage(net, present))
-    return ud, edge, True
-
-
-def _lowest_source_sector(net, present, open_source_slots):
-    """Lowest representative among the sectors behind the empty source-side
-    slots in `open_source_slots`: exactly the sectors that hold a source.
-    A slot whose pipe an earlier flood already covered is skipped."""
-    covered = 0
-    lowest = net.num_edges
-    for slot in mask_bits(open_source_slots):
-        if covered >> (slot >> 1) & 1:
-            continue
-        edges_mask = sector_from(net, present, slot >> 1)[0]
-        covered |= edges_mask
-        lowest = min(lowest, (edges_mask & -edges_mask).bit_length() - 1)
-    return lowest
+    return ud, edge, ud != INFEASIBLE_UD
 
 
 def _worst_break(damages):

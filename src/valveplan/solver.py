@@ -109,7 +109,7 @@ class SearchStats:
     lb_prunes: int = 0
     face_fails: int = 0
     face_forced: int = 0
-    budget_fails: int = 0
+    budget_fails: int = 0         # always 0; perfbench/run.py still reads it
     conflicts: int = 0
     reduced_cost_forced: int = 0  # always 0; perfbench/run.py still reads it
     symmetry_fixed: int = 0
@@ -270,7 +270,11 @@ class Search:
         fixpoint that empties off-face slots starts the next list with them.
         A slot the face rule queued counts in `face_forced` once, when the
         entry actually decides it; an entry whose slot already holds its
-        value counts nothing."""
+        value counts nothing. No decision goes past the budget, so none is
+        tested against it: a fixpoint with no valve left empties every
+        undecided slot, and within a walk only a lonely face queues a
+        valve, while the valve that spends the budget fails the reach test
+        if any lonely face is left."""
         st = self.state
         stats = self.stats
         nv = self.nv
@@ -298,9 +302,6 @@ class Search:
                     stats.face_forced += 1
 
                 if v == PRESENT:
-                    if st.n_present > nv:
-                        stats.budget_fails += 1
-                        return False
                     if st.lonely > reach * (nv - st.n_present):
                         stats.face_fails += 1
                         return False

@@ -424,6 +424,46 @@ def test_spent_budget_empties_the_rest_unforced(square_plus, faces):
     assert search.stats.face_forced == before
 
 
+class BudgetAuditedSearch(Search):
+    """A search that records every decide, passed or failed, after which
+    more than `nv` valves are placed, and counts those that place exactly
+    `nv`. Valves are only added within a decide, so the count after it is
+    the largest any step of its propagation reached."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.over = []
+        self.at_budget = 0
+
+    def decide(self, slot, value):
+        ok = super().decide(slot, value)
+        n_present = self.state.n_present
+        if n_present > self.nv:
+            self.over.append((slot, value, ok, bytes(self.state.value)))
+        self.at_budget += n_present == self.nv
+        return ok
+
+
+@pytest.mark.parametrize("toggle", [{}, dict(face_constraints=False), dict(symmetry=False),
+                                    dict(lb_prune=False)],
+                         ids=["default", "no-face", "no-symmetry", "no-lb"])
+def test_no_decide_exceeds_the_budget(corpus, toggle):
+    # the valve budget has no check of its own in decide: the source pins,
+    # the spent-budget cover and the face rule's reach test keep every
+    # branch, and every step of its propagation, at most `nv` valves deep.
+    # Without faces (reach 0) only the spent-budget cover does
+    at_budget = 0
+    for net in corpus:
+        for nv in range(max(2, required_source_slots(net)), 7):
+            search = BudgetAuditedSearch(net, nv, SolverOptions(**toggle))
+            if search.init_root():
+                search.run()
+            assert search.over == [], (net.name, nv)
+            assert search.stats.budget_fails == 0
+            at_budget += search.at_budget
+    assert at_budget >= 1000
+
+
 # -- bound propagation -----------------------------------------------------------
 
 
