@@ -23,8 +23,10 @@ vertex, and a virtual root joins every source. Breaking a sector closes
 exactly the valves on its vertex, so what it leaves dry is the sector plus
 whatever the sector separates from the root as an articulation vertex. One
 lowpoint DFS (Hopcroft & Tarjan 1973) gives that for every sector at once, in time
-linear in sectors plus valves; `delivered_with_closed` stays as the plain
-reachability reference for a single closure.
+linear in sectors plus valves. `lowpoint_damage` is that DFS; `sector_damage`
+builds its graph by flooding, and the solver builds it at a leaf from its
+sector classes (`TrailedState.worst_damage`). `delivered_with_closed` stays
+as the plain reachability reference for a single closure.
 
 Adding a valve never raises any break's damage: the new closure is a subset
 of the old boundary plus valves inside the old sector, so every source path
@@ -169,10 +171,10 @@ def sector_damage(net, present):
     gets INFEASIBLE_UD.
 
     The damage of every sector comes from one lowpoint DFS over the segment
-    graph (module docstring): a break in sector S closes every valve on S's
-    vertex, and the DFS subtree of a child c of S is left without water
-    exactly when low(c) >= disc(S), so ud(S) = w(S) + the demand of those
-    subtrees. Equal to `total_demand - delivered_with_closed(boundary)` for
+    graph (module docstring, `lowpoint_damage`): a break in sector S closes
+    every valve on S's vertex, and the DFS subtree of a child c of S is left
+    without water exactly when low(c) >= disc(S), so ud(S) = w(S) + the
+    demand of those subtrees. Equal to `total_demand - delivered_with_closed(boundary)` for
     each sector, in O(sectors + valves) instead of one flood per sector.
     """
     scanned = list(scan_sectors(net, present))
@@ -202,10 +204,25 @@ def sector_damage(net, present):
         adj[root].append(vertex[s])
         adj[vertex[s]].append(root)
 
-    damage = [row[4] for row in scanned]
-    subtree = damage + [0] * (root + 1 - n_sec)
-    disc = [0] * (root + 1)
-    low = [0] * (root + 1)
+    # every pipe reaches a source with all valves open (Network checks it),
+    # so the DFS visits every sector
+    damage = lowpoint_damage(adj, [row[4] for row in scanned] + [0] * (root + 1 - n_sec), root)
+    for (rep, edges_mask, boundary, _, _, has_source), ud in zip(scanned, damage):
+        yield rep, edges_mask, boundary, INFEASIBLE_UD if has_source else ud
+
+
+def lowpoint_damage(adj, weight, root):
+    """Per vertex v of a segment graph given as adjacency lists: weight[v]
+    plus the weight of every DFS subtree below v that v separates from
+    `root`, which is what a break in sector v leaves dry. A child c's
+    subtree is cut off exactly when low(c) >= disc(v). One iterative
+    lowpoint DFS from `root`; a vertex it does not reach keeps its weight.
+    Only a sector's entry is a break's damage: a junction cannot break.
+    `weight` is consumed: it ends holding the subtree sums."""
+    damage = weight[:]
+    subtree = weight
+    disc = [0] * len(adj)
+    low = [0] * len(adj)
     disc[root] = low[root] = clock = 1
     stack = [(root, iter(adj[root]))]
     while stack:
@@ -225,13 +242,9 @@ def sector_damage(net, present):
                 if low[v] < low[p]:
                     low[p] = low[v]
                 subtree[p] += subtree[v]
-                if p < n_sec and low[v] >= disc[p]:
+                if low[v] >= disc[p]:
                     damage[p] += subtree[v]
-
-    # every pipe reaches a source with all valves open (Network checks it),
-    # so the DFS visits every sector
-    for (rep, edges_mask, boundary, _, _, has_source), ud in zip(scanned, damage):
-        yield rep, edges_mask, boundary, INFEASIBLE_UD if has_source else ud
+    return damage
 
 
 def worst_case_fast(net, present):

@@ -38,6 +38,15 @@ or with a valve moved, does at least as well within the same budget:
   meets the bridge floor, the worst case with a valve on every slot, which
   no placement can beat (see the `isolation` module docstring for why).
 
+A tight cover often empties a dozen slots at one fixpoint, so
+`TrailedState.empty_off_face` does it in one batch under one trail record
+rather than one record per slot, with the same bound test after each slot.
+At a complete assignment of exactly N valves the classes are the sectors
+and their bounds the sector demands, so the leaf is rejected on the
+segment graph built from them (`TrailedState.worst_damage`) before any
+flood; a leaf that may improve, or that needs padding, is evaluated in
+full by `worst_case_fast`.
+
 The class bound ignores unintended isolation, which only adds damage, so
 it never overestimates a completion. Improvements are strict: each new
 incumbent imposes `ud < best` from then on. By default the search continues
@@ -267,10 +276,14 @@ class Search:
         The queue is a plain list of (slot, value, forced) entries, walked
         first in, first out by a `for` loop whose list iterator is the read
         index: it also reaches the entries appended while it runs. A
-        fixpoint that empties off-face slots starts the next list with them.
-        A slot the face rule queued counts in `face_forced` once, when the
-        entry actually decides it; an entry whose slot already holds its
-        value counts nothing. No decision goes past the budget, so none is
+        fixpoint that empties off-face slots does so in one batch
+        (`TrailedState.empty_off_face`), in ascending slot order with the
+        bound tested after each, and starts the next list with the last
+        slots of the faces the batch left holding no valve. A slot the face
+        rule queued counts in `face_forced` once, when the entry or the
+        batch actually decides it; an entry whose slot already holds its
+        value counts nothing, and a batch the bound stops counts the slots
+        it decided. No decision goes past the budget, so none is
         tested against it: a fixpoint with no valve left empties every
         undecided slot, and within a walk only a lonely face queues a
         valve, while the valve that spends the budget fails the reach test
@@ -286,8 +299,9 @@ class Search:
         face_slot_sets = st.face_slot_sets
         lb = st.lb
         reach = self.reach
-        lb_prune = self.opts.lb_prune
-        incumbent = self.incumbent_ud           # only a leaf installs a new one
+        # a class bound at or past it kills the branch; only a leaf installs
+        # a new incumbent, and `lb_prune` off leaves nothing to reach
+        bound = self.incumbent_ud if self.opts.lb_prune else math.inf
         queue = [(slot, value, False)]
         while True:
             for s, v, forced in queue:          # grows while it is walked
@@ -305,7 +319,7 @@ class Search:
                     if st.lonely > reach * (nv - st.n_present):
                         stats.face_fails += 1
                         return False
-                elif lb_prune and lb[root] >= incumbent:
+                elif lb[root] >= bound:
                     stats.lb_prunes += 1
                     return False
 
@@ -342,7 +356,13 @@ class Search:
             off = st.off_face_slots()
             if not off:
                 return True
-            queue = [(u, ABSENT, left > 0) for u in off]
+            emptied, cascades = st.empty_off_face(off, bound)
+            if left:
+                stats.face_forced += emptied
+            if cascades is None:
+                stats.lb_prunes += 1
+                return False
+            queue = [(u, ABSENT, True) for u in cascades]
 
     # -- branching ------------------------------------------------------------
 
@@ -378,13 +398,20 @@ class Search:
 
     def _leaf(self):
         """Evaluate a complete assignment. It holds every source-side slot,
-        so it is feasible (see the `isolation` module docstring)."""
-        self.stats.leaves += 1
-        if self._offer(self.state.present_mask()):
+        so it is feasible (see the `isolation` module docstring). One of
+        exactly `nv` valves whose damage, read off the classes, cannot beat
+        the incumbent is rejected without `worst_case_fast`; any other goes
+        to `_offer`, which pads and evaluates it in full."""
+        stats = self.stats
+        stats.leaves += 1
+        st = self.state
+        if st.n_present == self.nv and st.worst_damage() >= self.incumbent_ud:
+            stats.rejected_leaves += 1
+        elif self._offer(st.present_mask()):
             if self.opts.restart_mode == "restarting" or self.floor_met:
                 self._unwind = True
         else:
-            self.stats.rejected_leaves += 1
+            stats.rejected_leaves += 1
 
     def _enter(self):
         """Count a node; evaluate a leaf (None) or pick the slot to branch on."""

@@ -1,8 +1,10 @@
 """Reversible search state: slot assignments plus sector lower bounds.
 
-The trail holds one record per decision; `push_frame` / `undo_frame`
-bracket one search decision and restore the exact prior state on
-backtracking, deriving all but the slot value back from the record.
+The trail holds one record per slot decision, or one per batch of slots
+that a tight face cover empties; `push_frame` / `undo_frame` bracket one
+search decision and restore the exact prior state on backtracking,
+deriving all but the slot value back from a slot's record and copying a
+batch's arrays back from its record.
 
 The bound bookkeeping follows single-count accounting: an edge's demand
 enters a class lower bound exactly once, when its first slot is decided
@@ -14,11 +16,15 @@ instead and their bounds add, the shared edge having been counted.
 import math
 from itertools import compress
 
+from .isolation import lowpoint_damage
+
 UNDECIDED, PRESENT, ABSENT = 0, 1, 2
 
-# byte translations of slot values: UNDECIDED to 1, decided to 0; and
-# PRESENT to the digit "1", the others to "0"
+# byte translations of slot values: each value to 1 when it is the one
+# named, else to 0; and PRESENT to the digit "1", the others to "0"
 _IS_UNDECIDED = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), bytes((1, 0, 0)))
+_IS_PRESENT = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), bytes((0, 1, 0)))
+_IS_ABSENT = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), bytes((0, 0, 1)))
 _PRESENT_DIGIT = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), b"010")
 
 
@@ -45,16 +51,31 @@ class TrailedState:
     class, so a node is relabelled O(log n) times along any branch, and
     undoing the union relabels the same members back.
 
-    `set_value` is the only mutator. Its record is (slot, merged), merged
-    being the class root its union absorbed or -1. Undo runs last in, first
-    out, so it sees the opposite slot and every class as the write did; an
-    absorbed root's members and bound stay untouched while it is merged.
+    Two mutators write the trail. `set_value` decides one slot; its record
+    is (slot, merged), merged being the class root its union absorbed or
+    -1. Undo runs last in, first out, so it sees the opposite slot and
+    every class as the write did; an absorbed root's members and bound stay
+    untouched while it is merged. `empty_off_face` empties the slots of a
+    tight face cover, often a dozen at once, under a single record
+    (-1, copies): copies of `value`, the class labels, `lb`, `members`
+    (shallow: its unions build new lists) and `face_undecided` as they
+    were before the batch, plus the number of slots emptied. Undo puts the
+    copies back by slice assignment instead of reversing slot by slot. The
+    trail therefore holds one record per slot decision or per batch, not
+    per decided slot.
 
-    Both run once per slot decision, so they read the network through
-    per-slot tables built at construction instead of calling it: the
-    slot's node (`_slot_node`), the node across its pipe (`_slot_other`)
-    and the pipe's demand (`_slot_demand`). `undo_frame` pops exactly the
-    frame's records and writes the counters back once per frame.
+    Only a batch is copied, never a frame. A copy at every `push_frame`
+    would hold O(network) per open frame, so a deep solve on a large
+    network would hold depth times the network. Tight covers are rare
+    along a branch: the ladder's solves hold at most 4 batch records open
+    at depths up to 48, so the trail stays linear in depth plus a few
+    copies.
+
+    Both mutators read the network through per-slot tables built at
+    construction instead of calling it: the slot's node (`_slot_node`),
+    the node across its pipe (`_slot_other`) and the pipe's demand
+    (`_slot_demand`). `undo_frame` pops exactly the frame's records and
+    writes the counters back once per frame.
     """
 
     def __init__(self, net, face_slots=()):
@@ -153,9 +174,13 @@ class TrailedState:
         labels = self.root
         members = self.members
         lb = self.lb
-        n_present = lonely = 0
+        n_present = lonely = extra = 0
         for _ in range(count):
             slot, merged = trail.pop()
+            if slot < 0:                        # a batch: restore its copies
+                value[:], labels[:], lb[:], members[:], undecided[:], emptied = merged
+                extra += emptied - 1
+                continue
             faces = slot_faces[slot]
             if value[slot] == PRESENT:
                 n_present += 1
@@ -178,7 +203,7 @@ class TrailedState:
                     undecided[f] += 1
             value[slot] = UNDECIDED
         self.n_present -= n_present
-        self.n_absent -= count - n_present
+        self.n_absent -= count - n_present + extra
         self.lonely += lonely
 
     def set_value(self, slot, v):
@@ -221,6 +246,96 @@ class TrailedState:
                 undecided[f] -= 1
         self._trail.append((slot, merged))
         return root
+
+    def empty_off_face(self, slots, bound):
+        """Decide the undecided `slots`, which lie on no lonely face, ABSENT
+        in order, as `set_value` would, until one of them makes a class
+        bound reach `bound`. Returns (slots decided, cascades): the cascades
+        are the last undecided slots of the faces left holding no valve,
+        in the order found, or None when the bound stopped the batch.
+
+        Faces through the slots hold no valve or at least two, and the
+        batch adds none, so no face can fail inside it. One record covers
+        the batch: copies of the arrays it writes, which `undo_frame`
+        restores wholesale. A union builds a new member list instead of
+        extending one, so the shallow copy of `members` stays valid."""
+        value = self.value
+        labels = self.root
+        members = self.members
+        lb = self.lb
+        undecided = self.face_undecided
+        saved = (bytes(value), labels[:], lb[:], members[:], undecided[:])
+        valves = self.face_valves
+        slot_faces = self.slot_faces
+        face_slot_sets = self.face_slot_sets
+        slot_node = self._slot_node
+        slot_other = self._slot_other
+        slot_demand = self._slot_demand
+        cascades = []
+        done = 0
+        for slot in slots:
+            value[slot] = ABSENT
+            done += 1
+            root = labels[slot_node[slot]]
+            if value[slot ^ 1] != ABSENT:
+                lb[root] += slot_demand[slot]
+            elif (other := labels[slot_other[slot]]) != root:
+                if len(members[root]) < len(members[other]):
+                    root, other = other, root
+                moved = members[other]
+                for x in moved:
+                    labels[x] = root
+                members[root] = members[root] + moved
+                lb[root] += lb[other]
+            for f in slot_faces[slot]:
+                left = undecided[f] - 1
+                undecided[f] = left
+                if left == 1 and not valves[f]:
+                    for last in face_slot_sets[f]:
+                        if value[last] == UNDECIDED:
+                            break
+                    cascades.append(last)
+            if lb[root] >= bound:
+                cascades = None
+                break
+        self.n_absent += done
+        self._trail.append((-1, saved + (done,)))
+        return done, cascades
+
+    def worst_damage(self):
+        """Worst break damage of a complete assignment, read off the
+        classes: at a leaf a class that holds an empty slot is a sector and
+        its bound is the sector's demand, a single node whose every slot
+        holds a valve is a junction, and a pipe with a valve on both slots
+        is a sector of its own. The segment graph joins, per valve, the
+        sector across its pipe to its node's class, and a virtual root to
+        each source; `isolation.lowpoint_damage` does the rest. Equal to
+        `worst_case_fast`'s ud on the present mask for a feasible leaf."""
+        value = self.value
+        labels = self.root
+        n = len(labels)
+        root = n + (len(value) >> 1)            # class roots, then pipes, then the root
+        adj = [[] for _ in range(root + 1)]
+        weight = self.lb + [0] * (root + 1 - n)
+        slot_node = self._slot_node
+        slot_other = self._slot_other
+        for slot in compress(range(len(value)), value.translate(_IS_PRESENT)):
+            here = labels[slot_node[slot]]
+            if value[slot ^ 1] == ABSENT:
+                across = labels[slot_other[slot]]
+                if across == here:
+                    continue
+            else:
+                across = n + (slot >> 1)
+                weight[across] = self._slot_demand[slot]
+            adj[here].append(across)
+            adj[across].append(here)
+        for s in self.net.source_list:
+            adj[root].append(labels[s])
+            adj[labels[s]].append(root)
+        damage = lowpoint_damage(adj, weight, root)
+        sectors = {labels[k] for k in compress(slot_node, value.translate(_IS_ABSENT))}
+        return max(max(damage[n:root]), max([damage[r] for r in sectors], default=0))
 
     # -- inspection helpers (search heuristics and tests) --------------------
 

@@ -47,6 +47,30 @@ def k4_all_cycles(seed):
     return make_net([1, 2, 3, 4], [1], edges, faces=faces)
 
 
+SQUARE = {"1": [0, 0], "2": [4, 0], "3": [4, 4], "4": [0, 4]}
+TRIANGLES = {"1": [0, 0], "2": [4, 0], "3": [2, 3], "4": [2, -3], "5": [1.5, 1], "6": [2.2, -1]}
+
+
+def walked_twice_nets(seed):
+    """Networks whose traced faces walk pipes twice: a pendant pipe and a
+    2-pipe pendant path drawn inside a square, fed from a corner or from the
+    path's tip, and a pendant inside each of two triangles, fed from a
+    corner or from a pendant's tip. Demands are drawn from `seed`."""
+    rng = random.Random(seed)
+
+    def pipes(*ends):
+        return [(f"p{u}{v}", u, v, rng.randint(1, 9)) for u, v in ends]
+
+    square = [(1, 2), (2, 3), (3, 4), (4, 1)]
+    path = {**SQUARE, "5": [1, 1], "6": [2, 1.5]}
+    triangles = [(1, 2), (2, 3), (3, 1), (1, 4), (4, 2), (1, 5), (2, 6)]
+    yield make_net([1, 2, 3, 4, 5], [2], pipes(*square, (1, 5)), coords={**SQUARE, "5": [1, 1]})
+    yield make_net([1, 2, 3, 4, 5, 6], [2], pipes(*square, (1, 5), (5, 6)), coords=path)
+    yield make_net([1, 2, 3, 4, 5, 6], [6], pipes(*square, (1, 5), (5, 6)), coords=path)
+    yield make_net([1, 2, 3, 4, 5, 6], [3], pipes(*triangles), coords=TRIANGLES)
+    yield make_net([1, 2, 3, 4, 5, 6], [5], pipes(*triangles), coords=TRIANGLES)
+
+
 def sector_ud(net, placement, edge):
     """ud of a break in `edge`, as sector_damage reports it for the sector
     that holds the pipe (INFEASIBLE_UD when that sector holds a source)."""

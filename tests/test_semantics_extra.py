@@ -2,7 +2,6 @@
 face walks that traverse a bridge twice."""
 
 import json
-import random
 
 import pytest
 
@@ -13,7 +12,7 @@ from valveplan.oracle import brute_force
 from valveplan.solver import InfeasibleBudget, Search, SolverOptions, face_slot_lists, solve
 from valveplan.state import ABSENT, PRESENT
 
-from conftest import checked_damage, make_net, sector_ud
+from conftest import checked_damage, make_net, sector_ud, walked_twice_nets
 
 
 def with_second_source(seed):
@@ -101,30 +100,6 @@ def test_lone_valve_on_bridge_is_allowed(pendant_in_square):
         on = solve(net, nv)
         off = solve(net, nv, SolverOptions(face_constraints=False))
         assert on.ud == off.ud == expect.ud
-
-
-SQUARE = {"1": [0, 0], "2": [4, 0], "3": [4, 4], "4": [0, 4]}
-TRIANGLES = {"1": [0, 0], "2": [4, 0], "3": [2, 3], "4": [2, -3], "5": [1.5, 1], "6": [2.2, -1]}
-
-
-def walked_twice_nets(seed):
-    """Networks whose traced faces walk pipes twice: a pendant pipe and a
-    2-pipe pendant path drawn inside a square, fed from a corner or from the
-    path's tip, and a pendant inside each of two triangles, fed from a
-    corner or from a pendant's tip. Demands are drawn from `seed`."""
-    rng = random.Random(seed)
-
-    def pipes(*ends):
-        return [(f"p{u}{v}", u, v, rng.randint(1, 9)) for u, v in ends]
-
-    square = [(1, 2), (2, 3), (3, 4), (4, 1)]
-    path = {**SQUARE, "5": [1, 1], "6": [2, 1.5]}
-    triangles = [(1, 2), (2, 3), (3, 1), (1, 4), (4, 2), (1, 5), (2, 6)]
-    yield make_net([1, 2, 3, 4, 5], [2], pipes(*square, (1, 5)), coords={**SQUARE, "5": [1, 1]})
-    yield make_net([1, 2, 3, 4, 5, 6], [2], pipes(*square, (1, 5), (5, 6)), coords=path)
-    yield make_net([1, 2, 3, 4, 5, 6], [6], pipes(*square, (1, 5), (5, 6)), coords=path)
-    yield make_net([1, 2, 3, 4, 5, 6], [3], pipes(*triangles), coords=TRIANGLES)
-    yield make_net([1, 2, 3, 4, 5, 6], [5], pipes(*triangles), coords=TRIANGLES)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -25,7 +25,7 @@ from valveplan.solver import (
 )
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
-from conftest import k4_all_cycles, make_net, path_net
+from conftest import k4_all_cycles, make_net, path_net, walked_twice_nets
 
 ALL_OFF = dict(face_constraints=False, symmetry=False, lb_prune=False)
 
@@ -749,9 +749,59 @@ def test_layer_boundaries_are_looked_up_at_call_time(monkeypatch):
     wrapped = solve(net, 8)
     assert sorted(calls) == sorted(attr for _, attr in targets)
     assert calls["decide"] >= plain.stats.nodes - 1
-    assert calls["worst_case_fast"] >= plain.stats.leaves
+    assert calls["worst_case_fast"] >= len(plain.anytime)
     assert (wrapped.ud, wrapped.placement) == (plain.ud, plain.placement)
     assert wrapped.stats.as_dict() == plain.stats.as_dict()
+
+
+class LeafDamageAudit(Search):
+    """A search that checks, at every leaf of exactly `nv` valves, the
+    worst damage read off the classes against `worst_case_fast`."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checked = 0
+
+    def _leaf(self):
+        st = self.state
+        if st.n_present == self.nv:
+            assert st.worst_damage() == worst_case_fast(self.net, st.present_mask())[0]
+            self.checked += 1
+        super()._leaf()
+
+
+def test_leaf_filter_damage_equals_worst_case_fast(corpus):
+    # a leaf of exactly nv valves is rejected on the classes' damage alone,
+    # so that damage must be the one worst_case_fast reports
+    cases = [(net, range(2, 6)) for net in corpus]
+    extra = [net for seed in range(3) for net in walked_twice_nets(seed)]
+    extra += [k4_all_cycles(seed) for seed in range(3)]
+    extra += [random_instance(seed, 33) for seed in range(4)]
+    cases += [(net, range(required_source_slots(net), required_source_slots(net) + 4))
+              for net in extra]
+    checked = 0
+    for net, nvs in cases:
+        for nv in nvs:
+            if not required_source_slots(net) <= nv <= net.num_slots:
+                continue
+            search = LeafDamageAudit(net, nv, SolverOptions())
+            if search.init_root():
+                search.run()
+            checked += search.checked
+    assert checked >= 500
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_brute_force_agrees_at_33_pipes(seed):
+    # 14-15 nodes and 19-20 traced faces: the tight cover empties the most
+    # slots here. C(66, 5) is over the default cap, so the cap is explicit
+    net = random_instance(seed, 33)
+    k = required_source_slots(net)
+    for nv in range(k, k + (4 if seed < 3 else 3)):
+        expect = brute_force(net, nv, cap=10**15)
+        sol = solve(net, nv)
+        assert (sol.proof, sol.ud) == ("optimal", expect.ud), nv
+        assert sol.placement in expect.optimal, nv
 
 
 def test_warm_start_candidate_is_verified(fig1):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valveplan.solver import face_slot_lists
+from valveplan import instances
+from valveplan.generate import random_instance
+from valveplan.solver import Search, SolverOptions, face_slot_lists
 from valveplan.state import ABSENT, PRESENT, UNDECIDED, TrailedState
 
-from conftest import k4_all_cycles, make_net
+from conftest import k4_all_cycles, make_net, walked_twice_nets
 
 
 def build_state(net, decisions):
@@ -309,3 +311,72 @@ def test_lb_matches_attached_edges(fig1_net_doc):
             by_class[nodes] += net.demand[e]
         assert state.classes() == by_class
 
+
+
+def state_image(state):
+    """Everything a rollback must restore, members compared as sets."""
+    return (bytes(state.value), list(state.root), [set(m) for m in state.members],
+            list(state.lb), list(state.face_valves), list(state.face_undecided),
+            state.lonely, state.n_present, state.n_absent, len(state._trail))
+
+
+def drive_decide(net, nv, incumbent, rng, steps, batches):
+    """Random push / `Search.decide` / undo sequence, comparing the state
+    after every `undo_frame` with the image taken at its `push_frame`.
+    Appends (slots offered, slots emptied, stopped by the bound) per batch
+    to `batches`."""
+    search = Search(net, nv, SolverOptions())
+    search._best = (incumbent, None, None)
+    st = search.state
+    batch = st.empty_off_face
+
+    def recorded(slots, bound):
+        done, cascades = batch(slots, bound)
+        batches.append((len(slots), done, cascades is None))
+        return done, cascades
+
+    st.empty_off_face = recorded
+    images = []
+    for _ in range(steps):
+        undecided = [s for s in range(net.num_slots) if st.value[s] == UNDECIDED]
+        if images and (not undecided or rng.random() < 0.3):
+            st.undo_frame()
+            assert state_image(st) == images.pop()
+            continue
+        if not undecided:
+            break
+        images.append(state_image(st))
+        st.push_frame()
+        if not search.decide(rng.choice(undecided), rng.choice((PRESENT, ABSENT))):
+            st.undo_frame()
+            assert state_image(st) == images.pop()
+    while images:
+        st.undo_frame()
+        assert state_image(st) == images.pop()
+    assert st._trail == [] and st.n_present == st.n_absent == 0
+
+
+def batch_nets():
+    yield instances.fig1()
+    for seed in range(3):
+        yield k4_all_cycles(seed)
+        yield from walked_twice_nets(seed)
+    for seed in range(3):
+        yield random_instance(seed, 33)
+
+
+def test_batch_rollback_restores_the_pushed_state():
+    # a tight cover empties its off-face slots in one batch under one trail
+    # record; with a finite incumbent the bound stops some batches partway
+    rng = random.Random(1812)
+    batches = []
+    for net in batch_nets():
+        k = net.source_slots_mask.bit_count()
+        for _ in range(12):
+            nv = rng.randint(max(1, k), k + 3)
+            incumbent = rng.choice((math.inf, net.total_demand // rng.randint(2, 6)))
+            drive_decide(net, nv, incumbent, rng, rng.randint(5, 60), batches)
+    stopped = [b for b in batches if b[2]]
+    assert len(batches) >= 500
+    assert sum(done < offered for offered, done, _ in stopped) >= 100
+    assert all(done == offered for offered, done, stop in batches if not stop)
