@@ -323,7 +323,7 @@ def build_parser():
                    help="check N seeded random instances instead")
     p.add_argument("--seed", type=int, default=0, help="first corpus seed")
     p.add_argument("--cap", type=_positive_count, default=DEFAULT_CAP,
-                   help="enumeration cap; budgets with more placements are skipped")
+                   help="enumeration cap; budgets with more feasible placements are skipped")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_check)
     return parser

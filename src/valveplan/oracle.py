@@ -40,17 +40,20 @@ def brute_force(net, n_valves, cap=DEFAULT_CAP):
     `count` is that number, computed; only the C(2m - k, n_valves - k)
     placements that hold all k source-side slots are built and evaluated,
     none when n_valves < k. Witnesses come in lexicographic slot order.
-    Raises EnumerationCapExceeded when `count` would exceed `cap`.
+    Raises EnumerationCapExceeded when the placements it would evaluate
+    exceed `cap`.
     """
     check_budget(net, n_valves)
     count = math.comb(net.num_slots, n_valves)
-    if count > cap:
-        raise EnumerationCapExceeded(
-            f"C({net.num_slots}, {n_valves}) = {count} exceeds the cap of {cap}")
-
     need = net.source_slots_mask
     free = [1 << s for s in range(net.num_slots) if not need >> s & 1]
     n_free = n_valves - need.bit_count()
+    # math.comb rejects a negative count of free valves; none are evaluated then
+    evaluated = math.comb(len(free), n_free) if n_free >= 0 else 0
+    if evaluated > cap:
+        raise EnumerationCapExceeded(
+            f"C({len(free)}, {n_free}) = {evaluated} feasible placements exceed the cap of {cap}")
+
     best = math.inf
     winners = []
     # with fewer valves than source-side slots no placement is feasible

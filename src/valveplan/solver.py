@@ -38,6 +38,15 @@ or with a valve moved, does at least as well within the same budget:
   meets the bridge floor, the worst case with a valve on every slot, which
   no placement can beat (see the `isolation` module docstring for why).
 
+Branching is fail-first on the bound rule. The search branches on the
+undecided slot with the largest `lb(C) + 2 * add`, C being the class of
+the slot's node and `add` the demand that emptying the slot adds to C: the
+pipe's demand, or, when the pipe's other slot is empty already, the bound
+of the class across (0 when that is C). That is the bound the empty
+child's class would carry plus the demand the valve child keeps out of it;
+ties go to the heaviest pipe, then the lowest slot id. The valve child is
+tried first, then the empty one.
+
 A tight cover often empties a dozen slots at one fixpoint, so
 `TrailedState.empty_off_face` does it in one batch under one trail record
 rather than one record per slot, with the same bound test after each slot.
@@ -208,14 +217,17 @@ class Search:
         # most distinct faces one slot lies on, so most lonely faces one
         # more valve can relieve (traced faces give 2, declared ones more)
         self.reach = max(map(len, self.state.slot_faces), default=0)
-        # per node: (static rank, slot) of its slots, heaviest pipe first,
-        # then lowest slot id
-        order = sorted(range(net.num_slots), key=lambda s: (-net.demand[s >> 1], s))
-        slots_at = [[] for _ in range(net.num_nodes)]
-        for rank, slot in enumerate(order):
-            slots_at[net.slot_node(slot)].append((rank, slot))
-        self._node_slots = [(node, tuple(slots)) for node, slots in enumerate(slots_at)
-                            if slots]
+        # the branching key of a slot packs its score and its tie weight
+        # into one int, score * (2m + 1) + tie. The tie weight is 2m minus
+        # the slot's static rank (heaviest pipe first, then lowest slot id);
+        # `_pipe_key` adds the score of an emptied pipe's demand to it
+        slots = net.num_slots
+        self._scale = slots + 1
+        self._tie = [0] * slots
+        for rank, slot in enumerate(sorted(range(slots), key=lambda s: (-net.demand[s >> 1], s))):
+            self._tie[slot] = slots - rank
+        self._pipe_key = [2 * net.demand[s >> 1] * self._scale + tie
+                          for s, tie in enumerate(self._tie)]
 
     # -- incumbent ----------------------------------------------------------
 
@@ -369,29 +381,37 @@ class Search:
     def choose_branch(self):
         """Undecided slot to branch on next (None when complete).
 
-        Order: slot at a node of the class with the largest bound, then
-        heaviest pipe, then lowest slot id. The scan goes over nodes, not
-        slots: a node whose class bound is below the best so far is
-        skipped, and otherwise only its first undecided slot in the static
-        (pipe, slot id) order competes, the lower static rank winning ties.
+        The slot whose emptying weighs most on its class bound, fail-first:
+        for an undecided slot s of class C, `add(s)` is the demand that
+        emptying s adds to C. That is the pipe's demand while the opposite
+        slot is not empty; with the opposite slot empty the pipe is counted
+        already, and emptying s merges in the class across, so it is that
+        class's bound, or 0 when the class across is C itself. The slot
+        with the largest `lb(C) + 2 * add(s)` wins: the bound the empty
+        child's class would carry, plus the demand the valve child keeps
+        out of it. Ties go to the heaviest pipe, then the lowest slot id.
         """
         st = self.state
         value = st.value
         lb = st.lb
-        root = st.root
+        labels = st.root
+        slot_node = st.slot_node
+        slot_other = st.slot_other
+        scale = self._scale
+        tie = self._tie
+        pipe_key = self._pipe_key
         best = None
-        best_lb = -1
-        best_rank = 0
-        for node, slots in self._node_slots:
-            node_lb = lb[root[node]]
-            if node_lb < best_lb:
-                continue
-            for rank, slot in slots:
-                if node_lb == best_lb and rank >= best_rank:
-                    break
-                if value[slot] == UNDECIDED:
-                    best, best_lb, best_rank = slot, node_lb, rank
-                    break
+        best_key = -1
+        for slot in st.undecided_slots():
+            here = labels[slot_node[slot]]
+            if value[slot ^ 1] != ABSENT:
+                key = lb[here] * scale + pipe_key[slot]
+            else:
+                across = labels[slot_other[slot]]
+                score = lb[here] + 2 * lb[across] if across != here else lb[here]
+                key = score * scale + tie[slot]
+            if key > best_key:
+                best, best_key = slot, key
         return best
 
     # -- search ---------------------------------------------------------------

@@ -71,11 +71,11 @@ class TrailedState:
     at depths up to 48, so the trail stays linear in depth plus a few
     copies.
 
-    Both mutators read the network through per-slot tables built at
-    construction instead of calling it: the slot's node (`_slot_node`),
-    the node across its pipe (`_slot_other`) and the pipe's demand
-    (`_slot_demand`). `undo_frame` pops exactly the frame's records and
-    writes the counters back once per frame.
+    Both mutators, and the solver's branching score, read the network
+    through per-slot tables built at construction instead of calling it:
+    the slot's node (`slot_node`), the node across its pipe (`slot_other`)
+    and the pipe's demand (`slot_demand`). `undo_frame` pops exactly the
+    frame's records and writes the counters back once per frame.
     """
 
     def __init__(self, net, face_slots=()):
@@ -90,9 +90,9 @@ class TrailedState:
         self._trail = []
         self._frames = []
         # per slot: its node, the node across its pipe, and the pipe's demand
-        self._slot_node = [net.slot_node(s) for s in range(net.num_slots)]
-        self._slot_other = [net.slot_other_node(s) for s in range(net.num_slots)]
-        self._slot_demand = [net.demand[s >> 1] for s in range(net.num_slots)]
+        self.slot_node = [net.slot_node(s) for s in range(net.num_slots)]
+        self.slot_other = [net.slot_other_node(s) for s in range(net.num_slots)]
+        self.slot_demand = [net.demand[s >> 1] for s in range(net.num_slots)]
 
         # per slot: every face that holds it
         self.slot_faces = [[] for _ in range(net.num_slots)]
@@ -150,6 +150,11 @@ class TrailedState:
             total += -(-len(component) // width)
         return total
 
+    def undecided_slots(self):
+        """The undecided slots in ascending order, as an iterator."""
+        value = self.value
+        return compress(range(len(value)), value.translate(_IS_UNDECIDED))
+
     def off_face_slots(self):
         """Undecided slots that lie on no lonely face: a valve there gives
         no lonely face its second valve."""
@@ -198,7 +203,7 @@ class TrailedState:
                     del members[root][-len(moved):]
                     lb[root] -= lb[merged]
                 elif value[slot ^ 1] != ABSENT:
-                    lb[labels[self._slot_node[slot]]] -= self._slot_demand[slot]
+                    lb[labels[self.slot_node[slot]]] -= self.slot_demand[slot]
                 for f in faces:
                     undecided[f] += 1
             value[slot] = UNDECIDED
@@ -229,10 +234,10 @@ class TrailedState:
         else:
             self.n_absent += 1
             labels = self.root
-            root = labels[self._slot_node[slot]]
+            root = labels[self.slot_node[slot]]
             if value[slot ^ 1] != ABSENT:
-                self.lb[root] += self._slot_demand[slot]
-            elif (other := labels[self._slot_other[slot]]) != root:
+                self.lb[root] += self.slot_demand[slot]
+            elif (other := labels[self.slot_other[slot]]) != root:
                 members = self.members
                 if len(members[root]) < len(members[other]):
                     root, other = other, root
@@ -268,9 +273,9 @@ class TrailedState:
         valves = self.face_valves
         slot_faces = self.slot_faces
         face_slot_sets = self.face_slot_sets
-        slot_node = self._slot_node
-        slot_other = self._slot_other
-        slot_demand = self._slot_demand
+        slot_node = self.slot_node
+        slot_other = self.slot_other
+        slot_demand = self.slot_demand
         cascades = []
         done = 0
         for slot in slots:
@@ -317,8 +322,8 @@ class TrailedState:
         root = n + (len(value) >> 1)            # class roots, then pipes, then the root
         adj = [[] for _ in range(root + 1)]
         weight = self.lb + [0] * (root + 1 - n)
-        slot_node = self._slot_node
-        slot_other = self._slot_other
+        slot_node = self.slot_node
+        slot_other = self.slot_other
         for slot in compress(range(len(value)), value.translate(_IS_PRESENT)):
             here = labels[slot_node[slot]]
             if value[slot ^ 1] == ABSENT:
@@ -327,7 +332,7 @@ class TrailedState:
                     continue
             else:
                 across = n + (slot >> 1)
-                weight[across] = self._slot_demand[slot]
+                weight[across] = self.slot_demand[slot]
             adj[here].append(across)
             adj[across].append(here)
         for s in self.net.source_list:

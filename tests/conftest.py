@@ -22,6 +22,12 @@ CORPUS_SEEDS = tuple(range(50))
 CORPUS_NVS = (2, 3, 4, 5)
 
 
+def real_density_net(seed):
+    """23 nodes and 33 pipes, the density of a municipal network, fed from
+    a node of degree at least 2 ("real-<seed>")."""
+    return random_instance(seed, 33, n_nodes=23, min_source_degree=2)
+
+
 def make_net(nodes, sources, edges, **extra):
     """Shorthand builder: edges as (label, u, v, demand_lps)."""
     doc = {"nodes": nodes, "sources": sources,

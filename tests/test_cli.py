@@ -338,15 +338,15 @@ def test_check_range(capsys):
 
 
 def test_check_all_skipped_is_not_a_pass(capsys):
-    # C(14, 3) = 364 placements exceed the cap, so nothing was compared
+    # C(12, 1) = 12 feasible placements exceed the cap, so nothing was compared
     code, out, _ = run(capsys, "check", "fig1", "--nv", "3", "--cap", "1")
     assert code == 3
     assert "PASS" not in out
     assert out.endswith("result: SKIP\n")
     # one budget checked, one skipped: the checked one decides
-    code, out, _ = run(capsys, "check", "fig1", "--nv", "2..3", "--cap", "100")
+    code, out, _ = run(capsys, "check", "fig1", "--nv", "2..3", "--cap", "10")
     assert code == 0
-    assert "check: SKIP fig1 nv=3: C(14, 3) = 364 exceeds the cap of 100\n" in out
+    assert "check: SKIP fig1 nv=3: C(12, 1) = 12 feasible placements exceed the cap of 10\n" in out
     assert out.endswith("result: PASS\n")
 
 
@@ -398,8 +398,8 @@ def test_check_corpus_skips_budgets_an_instance_cannot_take(capsys):
     assert "check: SKIP rand-2 nv=11..12: more valves than its 10 slots\n" in out
     # a budget over the enumeration cap names its instance too, so the
     # corpus's skipped cases can be told apart
-    assert "check: SKIP rand-3 nv=10: C(12, 10) = 66 exceeds the cap of 1\n" in out
-    assert "check: SKIP rand-4 nv=10: C(12, 10) = 66 exceeds the cap of 1\n" in out
+    assert "check: SKIP rand-3 nv=10: C(9, 7) = 36 feasible placements exceed the cap of 1\n" in out
+    assert "check: SKIP rand-4 nv=10: C(9, 7) = 36 feasible placements exceed the cap of 1\n" in out
     # a budget below 1 fits no instance: an input error before any check
     code, out, err = run(capsys, "check", "--corpus", "2", "--nv", "0..3")
     assert (code, out) == (1, "")

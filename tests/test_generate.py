@@ -1,5 +1,11 @@
+import hashlib
+
+import pytest
+
 from valveplan.generate import random_document, random_instance
 from valveplan.network import compute_faces, parse_network
+
+from conftest import real_density_net
 
 
 def test_deterministic_per_seed():
@@ -34,3 +40,38 @@ def test_explicit_edge_count():
     assert net.num_edges == 12
     net = random_instance(3, n_edges=(12, 15))
     assert 12 <= net.num_edges <= 15
+
+
+def digest(documents):
+    h = hashlib.sha256()
+    for doc in documents:
+        h.update(doc.encode())
+    return h.hexdigest()
+
+
+def test_default_arguments_keep_every_seed():
+    # the corpus and the benchmark's frozen instances are defined by their
+    # seeds: the density knobs must not move a document made without them
+    docs = [doc for s in range(50) for doc in (random_document(s), random_document(s, 33))]
+    assert digest(docs) == "d98aecfc9cbf8efd66d3afbfeeaa4f846a7ef1ad5e104d92112d2404ba04a824"
+
+
+def test_node_count_and_source_degree_floor():
+    docs = [random_document(s, 33, n_nodes=23, min_source_degree=2) for s in range(10)]
+    assert digest(docs) == "5bb306ced4636f1a24cafac06f7b5fc58bed7e8b95bf828e22c741d81b7d53d4"
+    for s in range(10):
+        net = real_density_net(s)
+        assert (net.num_nodes, net.num_edges) == (23, 33)
+        (source,) = net.sources
+        assert net.degree(source) >= 2
+    for s in range(5):
+        net = random_instance(s, 12, n_nodes=7, min_source_degree=3)
+        assert (net.num_nodes, net.num_edges) == (7, 12)
+        assert net.degree(next(iter(net.sources))) >= 3
+
+
+def test_node_count_must_fit_the_pipes():
+    # a spanning tree needs n - 1 pipes and a plane drawing allows 3n - 6
+    for n_nodes, n_edges in ((2, 5), (10, 8), (5, 10)):
+        with pytest.raises(ValueError, match="cannot join"):
+            random_document(0, n_edges, n_nodes=n_nodes)

@@ -8,7 +8,7 @@ from valveplan.isolation import worst_case_fast
 from valveplan.oracle import EnumerationCapExceeded, brute_force
 from valveplan.solver import BudgetError, solve
 
-from conftest import k4_all_cycles, make_net
+from conftest import k4_all_cycles, make_net, real_density_net
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,18 @@ def test_all_infeasible_reported(triangle):
 
 def test_cap_enforced(fig1):
     with pytest.raises(EnumerationCapExceeded):
-        brute_force(fig1, 7, cap=1000)
+        brute_force(fig1, 7, cap=700)
+
+
+def test_cap_counts_the_placements_evaluated(fig1):
+    # fig1 has 2 source-side slots, so nv=7 evaluates C(12, 5) = 792 of the
+    # C(14, 7) placements, and nv=1 evaluates none
+    result = brute_force(fig1, 7, cap=792)
+    assert result.count == math.comb(14, 7) and result.ud == 15000
+    result = brute_force(fig1, 1, cap=1)
+    assert result.all_infeasible and result.count == 14
+    with pytest.raises(EnumerationCapExceeded, match=r"C\(12, 5\) = 792 feasible placements"):
+        brute_force(fig1, 7, cap=791)
 
 
 def test_budget_validation(fig1):
@@ -155,3 +166,15 @@ def test_face_compliant_witness_exists(corpus, corpus_oracle):
             assert compliant, f"instance {idx} nv={nv}: no face-compliant witness"
             checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_solver_agrees_at_real_density(seed):
+    # 33 pipes are far past enumerating every placement, but the feasible
+    # ones at nv 5..6 stay under the default cap
+    net = real_density_net(seed)
+    for nv in (5, 6):
+        optimal = brute_force(net, nv)
+        sol = solve(net, nv)
+        assert sol.proof == "optimal" and sol.ud == optimal.ud
+        assert sol.placement in optimal.optimal

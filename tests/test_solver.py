@@ -509,26 +509,31 @@ def test_reduced_cost_skips_same_class():
 
 
 def reference_branch(search):
-    """The full slot scan: the undecided slot of the largest class bound,
-    then heaviest pipe, then lowest slot id."""
+    """The full slot scan of the branching score: the undecided slot with
+    the largest lb(C) + 2 * add(s), C being its node's class and add(s) the
+    demand emptying it adds to C; then heaviest pipe, then lowest slot id."""
     net, st = search.net, search.state
-    order = sorted(range(net.num_slots), key=lambda s: (-net.demand[s >> 1], s))
-    node_lb = [st.lb[st.find(n)] for n in range(net.num_nodes)]
-    best = None
-    best_lb = -1
-    for slot in order:
-        node = net.slot_node(slot)
-        if st.value[slot] == UNDECIDED and node_lb[node] > best_lb:
-            best_lb = node_lb[node]
-            best = slot
-    return best
+
+    def added(slot):
+        if st.value[slot ^ 1] != ABSENT:
+            return net.demand[slot >> 1]
+        here = st.find(net.slot_node(slot))
+        across = st.find(net.slot_other_node(slot))
+        return 0 if across == here else st.lb[across]
+
+    def key(slot):
+        score = st.lb[st.find(net.slot_node(slot))] + 2 * added(slot)
+        return (-score, -net.demand[slot >> 1], slot)
+
+    undecided = [s for s in range(net.num_slots) if st.value[s] == UNDECIDED]
+    return min(undecided, key=key, default=None)
 
 
 def test_choose_branch_matches_full_slot_scan(fig1, fig2, corpus):
     # random decisions and rollbacks; ties in demand and in class bound are
     # common on fig2 (unit demands) and on the corpus's small demands
     rng = random.Random(909)
-    checked = 0
+    checked = across_empty = 0
     for net in [fig1, fig2] + corpus[:10]:
         for _ in range(5):
             search = Search(net, rng.randint(2, net.num_slots), SolverOptions(face_constraints=False))
@@ -545,9 +550,13 @@ def test_choose_branch_matches_full_slot_scan(fig1, fig2, corpus):
                     if not search.decide(rng.choice(undecided), rng.choice((PRESENT, ABSENT))):
                         st.undo_frame()
                         depth -= 1
-                assert search.choose_branch() == reference_branch(search)
+                slot = search.choose_branch()
+                assert slot == reference_branch(search)
                 checked += 1
+                across_empty += slot is not None and st.value[slot ^ 1] == ABSENT
     assert checked == 12 * 5 * 40
+    # the score's other case, a slot whose opposite slot is empty, is reached
+    assert across_empty > 0
 
 
 def test_choose_branch_tiebreak_lowest_slot(fig2):
@@ -556,22 +565,28 @@ def test_choose_branch_tiebreak_lowest_slot(fig2):
     assert search.choose_branch() == 0
 
 
-def test_choose_branch_prefers_largest_class(fig1):
-    search = Search(fig1, 6, SolverOptions(symmetry=False))
+def test_choose_branch_prefers_merging_slot_to_heavier_pipe():
+    # square 1-2-3-4 fed from 1; emptying b:3 and c:3 gives node 3's class
+    # a bound of 15 l/s. Emptying b:2 or c:4 would merge that class in, a
+    # score of 0 + 2 * 15 against 2 * 10 for the heaviest pipe d, so the
+    # merging slot on the heavier of b and c wins
+    net = make_net([1, 2, 3, 4], [1],
+                   [("a", 1, 2, 2), ("b", 2, 3, 8), ("c", 3, 4, 7), ("d", 1, 4, 10)])
+    search = Search(net, 4, SolverOptions(face_constraints=False, symmetry=False))
     search.state.push_frame()
-    # attach e34 (7 l/s) to node 3's class
-    assert search.decide(fig1.parse_slot_token("e34:3"), ABSENT)
-    slot = search.choose_branch()
-    node = fig1.slot_node(slot)
+    assert net.slot_token(search.choose_branch()) in ("d:1", "d:4")
+    for token in ("b:3", "c:3"):
+        assert search.decide(net.parse_slot_token(token), ABSENT)
     st = search.state
-    assert st.find(node) == st.find(fig1.node_index[3])
+    assert st.lb[st.find(net.node_index[3])] == 15000
+    assert net.slot_token(search.choose_branch()) == "b:2"
 
 
 def test_fig1_root_branch_is_frozen(fig1):
     # regression constants from a reference run
     search = Search(fig1, 6, SolverOptions())
     assert search.init_root()
-    assert fig1.slot_token(search.choose_branch()) == "e23:3"
+    assert fig1.slot_token(search.choose_branch()) == "e25:2"
     bare = Search(fig1, 6, SolverOptions(symmetry=False))
     assert bare.init_root()
     assert fig1.slot_token(bare.choose_branch()) == "e25:2"
@@ -704,15 +719,15 @@ def test_determinism(fig1):
 SEARCH_COUNTERS = ("nodes", "leaves", "lb_prunes", "face_fails", "face_forced", "budget_fails",
                    "conflicts", "symmetry_fixed", "source_fixed", "rejected_leaves")
 PINNED_SEARCHES = [
-    ("fig1", 6, 15000, [0, 2, 5, 6, 7, 11], (26, 5, 13, 0, 1, 0, 0, 3, 2, 0)),
-    ((7, 12), 8, 57000, [3, 10, 11, 12, 14, 16, 18, 23], (88, 4, 61, 20, 175, 0, 0, 1, 4, 0)),
+    ("fig1", 6, 15000, [0, 2, 3, 6, 7, 9], (5, 1, 0, 0, 0, 0, 0, 3, 2, 0)),
+    ((7, 12), 8, 57000, [3, 10, 11, 12, 14, 16, 18, 23], (77, 3, 48, 24, 114, 0, 0, 1, 4, 0)),
     ((5, 14), 8, 51000, [1, 6, 8, 10, 14, 18, 23, 27],
-     (1784, 173, 853, 586, 2391, 0, 0, 1, 2, 163)),
-    ((7, 16), 6, 149000, [0, 1, 8, 10, 11, 12], (59, 8, 13, 31, 183, 0, 0, 0, 4, 6)),
+     (1099, 146, 428, 380, 927, 0, 0, 1, 2, 133)),
+    ((7, 16), 6, 149000, [0, 1, 8, 10, 12, 13], (41, 6, 12, 18, 134, 0, 0, 0, 4, 3)),
     ((7, 20), 8, 143000, [0, 4, 5, 25, 27, 30, 31, 34],
-     (815, 19, 356, 422, 2257, 0, 0, 2, 4, 12)),
+     (676, 9, 277, 382, 1709, 0, 0, 2, 4, 3)),
     ((1, 33), 8, 285000, [0, 12, 17, 25, 27, 29, 43, 58],
-     (2327, 150, 594, 1434, 12806, 0, 0, 1, 4, 142)),
+     (1472, 139, 372, 823, 5888, 0, 0, 1, 4, 135)),
 ]
 
 
@@ -888,14 +903,14 @@ def test_interrupt_returns_best_found(fig1):
     def interrupt(elapsed, ud):
         raise KeyboardInterrupt
 
-    # fig1 at 5 valves improves at least once before its optimum of 17 l/s.
-    # That premise is asserted: a pruning change that finds the optimum
-    # first would leave nothing here to interrupt
-    full = solve(fig1, 5)
-    assert full.ud == 17000 and len(full.anytime) >= 2
-    sol = solve(fig1, 5, SolverOptions(on_incumbent=interrupt))
+    # fig1 at 4 valves improves at least once before its optimum of 24 l/s.
+    # That premise is asserted: a pruning or branching change that finds
+    # the optimum first would leave nothing here to interrupt
+    full = solve(fig1, 4)
+    assert full.ud == 24000 and len(full.anytime) >= 2
+    sol = solve(fig1, 4, SolverOptions(on_incumbent=interrupt))
     assert sol.interrupted and sol.proof == "best-found"
-    assert len(sol.anytime) == 1 and sol.ud == sol.anytime[0][1] > 17000
+    assert len(sol.anytime) == 1 and sol.ud == sol.anytime[0][1] > 24000
     assert worst_case_fast(fig1, sum(1 << s for s in sol.placement))[0] == sol.ud
     # at 7 valves the first incumbent meets the floor, which proves it
     sol = solve(fig1, 7, SolverOptions(on_incumbent=interrupt))
@@ -929,9 +944,9 @@ def test_search_depth_does_not_deepen_the_python_stack():
 
 
 def test_restart_mode_same_optimum_more_nodes(fig1):
-    cont = solve(fig1, 6, SolverOptions(restart_mode="continuing"))
-    rest = solve(fig1, 6, SolverOptions(restart_mode="restarting"))
-    assert cont.ud == rest.ud == 15000
+    cont = solve(fig1, 4, SolverOptions(restart_mode="continuing"))
+    rest = solve(fig1, 4, SolverOptions(restart_mode="restarting"))
+    assert cont.ud == rest.ud == 24000
     assert rest.stats.restarts >= 1
     assert rest.stats.nodes >= cont.stats.nodes
 
@@ -947,7 +962,7 @@ def test_options_reject_negative_or_nan_limits():
 
 
 def test_restart_closes_every_open_frame(fig1):
-    search = Search(fig1, 6, SolverOptions(restart_mode="restarting"))
+    search = Search(fig1, 4, SolverOptions(restart_mode="restarting"))
     assert search.init_root()
     root = bytes(search.state.value)
     search.run()
