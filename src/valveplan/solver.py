@@ -27,9 +27,13 @@ or with a valve moved, does at least as well within the same budget:
   declared faces may give more), so a valve fails at once when the lonely
   faces exceed `reach` times the valves left; otherwise the components are
   counted at the propagation fixpoint. A branch dies once they need more
-  valves than are left, and when they need exactly the valves left, every
-  undecided slot on no lonely face is emptied, since a valve there would
-  leave one valve too few (with the budget spent, every undecided slot);
+  valves than are left. One cover then empties every undecided slot on no
+  lonely face whose valve would starve the lonely faces: on z faces
+  without a valve, it makes those lonely too, and fails the reach test
+  when lonely + z > reach * (left - 1). When the components need exactly
+  the valves left, every such slot qualifies whatever its z, since a
+  valve there relieves nothing and leaves one valve too few (with the
+  budget spent, every undecided slot);
 * symmetry rule: at a non-source degree-2 node the two surrounding slots
   are interchangeable, so one of them is pinned empty up front;
 * bound rule: classes of nodes already known to share a sector carry a
@@ -47,7 +51,7 @@ child's class would carry plus the demand the valve child keeps out of it;
 ties go to the heaviest pipe, then the lowest slot id. The valve child is
 tried first, then the empty one.
 
-A tight cover often empties a dozen slots at one fixpoint, so
+The cover often empties a dozen slots at one fixpoint, so
 `TrailedState.empty_off_face` does it in one batch under one trail record
 rather than one record per slot, with the same bound test after each slot.
 At a complete assignment of exactly N valves the classes are the sectors
@@ -287,15 +291,21 @@ class Search:
 
         The queue is a plain list of (slot, value, forced) entries, walked
         first in, first out by a `for` loop whose list iterator is the read
-        index: it also reaches the entries appended while it runs. A
-        fixpoint that empties off-face slots does so in one batch
-        (`TrailedState.empty_off_face`), in ascending slot order with the
-        bound tested after each, and starts the next list with the last
-        slots of the faces the batch left holding no valve. A slot the face
-        rule queued counts in `face_forced` once, when the entry or the
-        batch actually decides it; an entry whose slot already holds its
-        value counts nothing, and a batch the bound stops counts the slots
-        it decided. No decision goes past the budget, so none is
+        index: it also reaches the entries appended while it runs.
+
+        At the fixpoint one lonely-face cover empties, in one batch
+        (`TrailedState.empty_off_face`), every undecided slot on no lonely
+        face whose valve would leave more lonely faces than the valves
+        left can relieve: on z faces without a valve, it qualifies when
+        lonely + z > reach * (left - 1), and when the lonely faces need
+        exactly the valves left (the tight cover) it qualifies whatever
+        its z. The batch goes in ascending slot order with the bound tested
+        after each slot, and starts the next list with the last slots of
+        the faces it left holding no valve. A slot the face rule queued or
+        the cover emptied counts in `face_forced` once, when the entry or
+        the batch actually decides it; an entry whose slot already holds
+        its value counts nothing, and a batch the bound stops counts the
+        slots it decided. No decision goes past the budget, so none is
         tested against it: a fixpoint with no valve left empties every
         undecided slot, and within a walk only a lonely face queues a
         valve, while the valve that spends the budget fails the reach test
@@ -351,21 +361,27 @@ class Search:
                         queue.append((last, PRESENT if valves == 1 else ABSENT, True))
 
             # at the fixpoint every lonely face keeps an undecided slot, so
-            # they need at least `need` <= `lonely` more valves. Past the
-            # valves left the branch is dead; at exactly the valves left, a
-            # valve on a slot that relieves no lonely face leaves one valve
-            # too few, so those slots are emptied and propagation goes on
-            # (with no valve left that is every slot, and not by the face rule)
+            # they need at least `need` <= `lonely` more valves, and past the
+            # valves left the branch is dead. A valve on a slot that lies on
+            # no lonely face but on z faces without a valve makes those z
+            # lonely too, and fails the reach test once lonely + z exceeds
+            # reach * (left - 1): such slots are emptied, and propagation
+            # goes on. At need == left every slot off the lonely faces
+            # qualifies (z >= 0; with no valve left that is every slot, and
+            # not by the face rule); below lonely <= reach * (left - 2) none
+            # can, since no slot lies on more than `reach` faces
             left = nv - st.n_present
-            if st.lonely < left:
+            lonely = st.lonely
+            if lonely >= left and (need := st.need()) >= left:
+                if need > left:
+                    stats.face_fails += 1
+                    return False
+                z = 0
+            elif lonely > reach * (left - 2):
+                z = reach * (left - 1) - lonely + 1
+            else:
                 return True
-            need = st.need()
-            if need > left:
-                stats.face_fails += 1
-                return False
-            if need < left:
-                return True
-            off = st.off_face_slots()
+            off = st.off_face_slots(z)
             if not off:
                 return True
             emptied, cascades = st.empty_off_face(off, bound)
@@ -374,6 +390,10 @@ class Search:
             if cascades is None:
                 stats.lb_prunes += 1
                 return False
+            if not cascades:
+                # no face rule fires, and `need` and every z stand as they
+                # were: the slots emptied lie on no lonely face
+                return True
             queue = [(u, ABSENT, True) for u in cascades]
 
     # -- branching ------------------------------------------------------------

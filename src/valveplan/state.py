@@ -1,7 +1,7 @@
 """Reversible search state: slot assignments plus sector lower bounds.
 
 The trail holds one record per slot decision, or one per batch of slots
-that a tight face cover empties; `push_frame` / `undo_frame` bracket one
+that the lonely-face cover empties; `push_frame` / `undo_frame` bracket one
 search decision and restore the exact prior state on backtracking,
 deriving all but the slot value back from a slot's record and copying a
 batch's arrays back from its record.
@@ -43,7 +43,8 @@ class TrailedState:
 
     `need` reads the counters to bound how many more valves the lonely
     faces still need, and `off_face_slots` lists the undecided slots that
-    would relieve none of them.
+    would relieve none of them, or only those among them that would leave
+    at least z more faces lonely.
 
     Sector classes are labels, not a union-find forest: `root[n]` is node
     n's class root, so `find` is one read, and `members[r]` lists the nodes
@@ -55,8 +56,8 @@ class TrailedState:
     is (slot, merged), merged being the class root its union absorbed or
     -1. Undo runs last in, first out, so it sees the opposite slot and
     every class as the write did; an absorbed root's members and bound stay
-    untouched while it is merged. `empty_off_face` empties the slots of a
-    tight face cover, often a dozen at once, under a single record
+    untouched while it is merged. `empty_off_face` empties the slots of the
+    lonely-face cover, often a dozen at once, under a single record
     (-1, copies): copies of `value`, the class labels, `lb`, `members`
     (shallow: its unions build new lists) and `face_undecided` as they
     were before the batch, plus the number of slots emptied. Undo puts the
@@ -66,10 +67,9 @@ class TrailedState:
 
     Only a batch is copied, never a frame. A copy at every `push_frame`
     would hold O(network) per open frame, so a deep solve on a large
-    network would hold depth times the network. Tight covers are rare
-    along a branch: the ladder's solves hold at most 4 batch records open
-    at depths up to 48, so the trail stays linear in depth plus a few
-    copies.
+    network would hold depth times the network. Covers are rare along a
+    branch: the ladder's solves hold at most 4 batch records open at
+    depths up to 46, so the trail stays linear in depth plus a few copies.
 
     Both mutators, and the solver's branching score, read the network
     through per-slot tables built at construction instead of calling it:
@@ -155,12 +155,34 @@ class TrailedState:
         value = self.value
         return compress(range(len(value)), value.translate(_IS_UNDECIDED))
 
-    def off_face_slots(self):
-        """Undecided slots that lie on no lonely face: a valve there gives
-        no lonely face its second valve."""
-        marked = bytearray(self.value)          # slots on lonely faces marked decided
+    def off_face_slots(self, z=0):
+        """Undecided slots that lie on no lonely face and on at least `z`
+        faces that hold no valve, in ascending order: a valve there gives
+        no lonely face its second valve and leaves those faces lonely. The
+        solver's cover passes z = 0 when the lonely faces need exactly the
+        valves left, else the fewest new lonely faces that fail the next
+        valve's reach test.
+
+        With z > 0 only the undecided slots of faces without a valve can
+        qualify, so only those faces are walked: most calls find none."""
+        value = self.value
+        valves = self.face_valves
         face_slot_sets = self.face_slot_sets
-        for f, c in enumerate(self.face_valves):
+        if z > 0:
+            if 0 not in valves:
+                return []
+            undecided = self.face_undecided
+            hits = {}                           # undecided slot: valve-less faces on it
+            for f, c in enumerate(valves):
+                if not c and undecided[f]:
+                    for s in face_slot_sets[f]:
+                        if value[s] == UNDECIDED:
+                            hits[s] = hits.get(s, 0) + 1
+            slot_faces = self.slot_faces
+            return sorted(s for s, k in hits.items()
+                          if k >= z and 1 not in map(valves.__getitem__, slot_faces[s]))
+        marked = bytearray(value)               # slots on lonely faces marked decided
+        for f, c in enumerate(valves):
             if c == 1:
                 for s in face_slot_sets[f]:
                     marked[s] = PRESENT
@@ -253,8 +275,9 @@ class TrailedState:
         return root
 
     def empty_off_face(self, slots, bound):
-        """Decide the undecided `slots`, which lie on no lonely face, ABSENT
-        in order, as `set_value` would, until one of them makes a class
+        """Decide the undecided `slots` of the lonely-face cover (see
+        `off_face_slots`), which lie on no lonely face, ABSENT in order,
+        as `set_value` would, until one of them makes a class
         bound reach `bound`. Returns (slots decided, cascades): the cascades
         are the last undecided slots of the faces left holding no valve,
         in the order found, or None when the bound stopped the batch.

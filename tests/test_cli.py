@@ -357,7 +357,7 @@ def test_check_limit_is_not_a_mismatch(capsys):
     assert "FAIL" not in out and out.count("check: LIMIT fig1") == 2
     assert out.endswith("result: LIMIT\n")
     # a proved budget next to a limited one: still a limit, not a pass
-    code, out, _ = run(capsys, "check", "fig1", "--nv", "2..3", "--node-limit", "5")
+    code, out, _ = run(capsys, "check", "fig1", "--nv", "2..3", "--node-limit", "3")
     assert code == 3
     assert "check: PASS fig1 nv=2" in out and "check: LIMIT fig1 nv=3" in out
     assert out.endswith("result: LIMIT\n")

@@ -292,11 +292,14 @@ def test_face_lookahead_sound_on_overlapping_faces(seed):
 def test_face_lookahead_pruning_strength():
     # the look-ahead's share of the work on the ladder's most expensive rung:
     # the same proof took 34,227 nodes with the face rule alone, 11,367 with
-    # the reach look-ahead, 9,055 with the per-slot cover and 2,327 with the
-    # component bound that also empties the off-face slots when it is tight
+    # the reach look-ahead, 9,055 with the per-slot cover, 2,327 with the
+    # component bound that also empties the off-face slots when it is tight,
+    # 1,472 with the branching score and 907 once the cover also empties
+    # every slot whose valve would leave more lonely faces than the valves
+    # left can relieve
     sol = solve(frozen_instance("rand-1-m33"), 8)
     assert (sol.proof, sol.ud) == ("optimal", 285000)
-    assert sol.stats.nodes <= 2_500
+    assert sol.stats.nodes <= 1_000
 
 
 def face_valid_completion(search, valve=None):
@@ -322,18 +325,21 @@ def face_valid_completion(search, valve=None):
 class FaceAuditedSearch(Search):
     """A search that records, at every branch the face rule fails and at
     every slot the lonely-face cover empties, whether a face-valid
-    completion (with a valve on that slot) existed after all."""
+    completion (with a valve on that slot) existed after all. `starved`
+    counts the slots the cover empties below a tight `need` (z > 0)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.unsound = []
         self.audited = 0
+        self.starved = 0
         off_face_slots = self.state.off_face_slots
 
-        def audited_off_face_slots():
-            forced = off_face_slots()
+        def audited_off_face_slots(z=0):
+            forced = off_face_slots(z)
             for slot in forced:
                 self.audited += 1
+                self.starved += z > 0
                 if face_valid_completion(self, valve=slot):
                     self.unsound.append((slot, PRESENT, bytes(self.state.value)))
             return forced
@@ -353,10 +359,11 @@ class FaceAuditedSearch(Search):
 def test_face_lookahead_admissible():
     # every branch the face rule (look-ahead included) fails holds no
     # face-valid leaf, and no slot the lonely-face cover empties carries a
-    # valve in any: enumerate the completions at each failure and forcing
+    # valve in any, whether the cover is tight or the valve would starve
+    # the lonely faces: enumerate the completions at each failure and forcing
     nets = [random_instance(seed, n_edges=m) for m in (6, 7, 8) for seed in range(8)]
     nets += [k4_all_cycles(seed) for seed in range(2)]
-    audited = 0
+    audited = starved = 0
     for net in nets:
         for nv in range(required_source_slots(net), net.num_slots + 1):
             search = FaceAuditedSearch(net, nv, SolverOptions())
@@ -364,7 +371,9 @@ def test_face_lookahead_admissible():
                 search.run()
             assert search.unsound == [], (net.name, nv)
             audited += search.audited
+            starved += search.starved
     assert audited >= 1000
+    assert starved >= 500
 
 
 @pytest.fixture
@@ -406,6 +415,22 @@ def test_tight_cover_empties_off_face_slots(two_triangles):
     assert search.stats.face_forced == 6
     on_face = [slot(t) for t in ("a:2", "b:2", "b:3", "c:3", "c:1")]
     assert [search.state.value[s] for s in on_face] == [UNDECIDED] * 5
+
+
+def test_starving_valve_slots_are_emptied(two_triangles):
+    # the source pins leave triangle 1-2-3 with two valves and one valve
+    # left: a valve on triangle 2-4-3 would leave it lonely with none left
+    # to relieve it, so the root empties its six slots, pendant f stays open
+    net = two_triangles
+    slot = net.parse_slot_token
+    search = Search(net, 3, SolverOptions())
+    assert search.init_root()
+    starved = [slot(t) for t in ("b:2", "b:3", "d:2", "d:4", "e:4", "e:3")]
+    assert [search.state.value[s] for s in starved] == [ABSENT] * 6
+    assert search.stats.face_forced == 6
+    open_slots = [slot(t) for t in ("a:2", "c:3", "f:4", "f:5")]
+    assert [search.state.value[s] for s in open_slots] == [UNDECIDED] * 4
+    assert solve(net, 3).ud == 5000
 
 
 @pytest.mark.parametrize("faces", [True, False])
@@ -451,10 +476,12 @@ def test_no_decide_exceeds_the_budget(corpus, toggle):
     # the valve budget has no check of its own in decide: the source pins,
     # the spent-budget cover and the face rule's reach test keep every
     # branch, and every step of its propagation, at most `nv` valves deep.
-    # Without faces (reach 0) only the spent-budget cover does
+    # Without faces (reach 0) only the spent-budget cover does. Budgets go
+    # up to 7, so the sample keeps over 1,000 at-budget decides now that the
+    # starvation cover cuts many of them early
     at_budget = 0
     for net in corpus:
-        for nv in range(max(2, required_source_slots(net)), 7):
+        for nv in range(max(2, required_source_slots(net)), 8):
             search = BudgetAuditedSearch(net, nv, SolverOptions(**toggle))
             if search.init_root():
                 search.run()
@@ -720,14 +747,14 @@ SEARCH_COUNTERS = ("nodes", "leaves", "lb_prunes", "face_fails", "face_forced", 
                    "conflicts", "symmetry_fixed", "source_fixed", "rejected_leaves")
 PINNED_SEARCHES = [
     ("fig1", 6, 15000, [0, 2, 3, 6, 7, 9], (5, 1, 0, 0, 0, 0, 0, 3, 2, 0)),
-    ((7, 12), 8, 57000, [3, 10, 11, 12, 14, 16, 18, 23], (77, 3, 48, 24, 114, 0, 0, 1, 4, 0)),
+    ((7, 12), 8, 57000, [3, 10, 11, 12, 14, 16, 18, 23], (57, 3, 45, 7, 137, 0, 0, 1, 4, 0)),
     ((5, 14), 8, 51000, [1, 6, 8, 10, 14, 18, 23, 27],
-     (1099, 146, 428, 380, 927, 0, 0, 1, 2, 133)),
-    ((7, 16), 6, 149000, [0, 1, 8, 10, 12, 13], (41, 6, 12, 18, 134, 0, 0, 0, 4, 3)),
+     (704, 146, 321, 92, 1261, 0, 0, 1, 2, 133)),
+    ((7, 16), 6, 149000, [0, 1, 8, 10, 12, 13], (32, 6, 12, 9, 163, 0, 0, 0, 4, 3)),
     ((7, 20), 8, 143000, [0, 4, 5, 25, 27, 30, 31, 34],
-     (676, 9, 277, 382, 1709, 0, 0, 2, 4, 3)),
+     (327, 9, 230, 80, 1874, 0, 0, 2, 4, 3)),
     ((1, 33), 8, 285000, [0, 12, 17, 25, 27, 29, 43, 58],
-     (1472, 139, 372, 823, 5888, 0, 0, 1, 4, 135)),
+     (907, 139, 313, 317, 6426, 0, 0, 1, 4, 135)),
 ]
 
 

@@ -160,8 +160,11 @@ def test_need_chain_of_three_lonely_faces():
 def test_need_isolated_lonely_faces():
     state = state_with_faces([[0, 1, 2], [4, 5, 6]], present=(0,))
     assert state.lonely == 1 and state.need() == 1
-    # the face without a valve is no lonely face: its slots are off-face
+    # the face without a valve is no lonely face: its slots are off-face,
+    # and with z = 1 only they are kept (slots 3 and 7 lie on no face)
     assert state.off_face_slots() == [3, 4, 5, 6, 7]
+    assert state.off_face_slots(1) == [4, 5, 6]
+    assert state.off_face_slots(2) == []
     state.set_value(4, PRESENT)
     assert state.lonely == 2 and state.need() == 2
 
@@ -201,7 +204,8 @@ def fewest_relieving_valves(state, faces):
 def test_need_is_a_lower_bound_never_weaker_than_the_slot_cover(fig1_net_doc, name):
     # `need` never exceeds the true fewest valves, and is never below
     # ceil(lonely / cover), cover being the most lonely faces on one
-    # undecided slot (the bound it replaced)
+    # undecided slot (the bound it replaced); `off_face_slots(z)` keeps the
+    # off-face slots on at least z faces without a valve
     net = fig1_net_doc if name == "fig1" else k4_all_cycles(1)
     faces = face_slot_lists(net)
     seen = 0
@@ -210,6 +214,10 @@ def test_need_is_a_lower_bound_never_weaker_than_the_slot_cover(fig1_net_doc, na
         nonlocal seen
         need = state.need()
         assert need <= fewest_relieving_valves(state, faces)
+        off = state.off_face_slots()
+        for z in (1, 2, 3):
+            assert state.off_face_slots(z) == [
+                s for s in off if sum(state.face_valves[f] == 0 for f in state.slot_faces[s]) >= z]
         if not state.lonely:
             assert need == 0
             return
@@ -218,8 +226,7 @@ def test_need_is_a_lower_bound_never_weaker_than_the_slot_cover(fig1_net_doc, na
                      for s in range(net.num_slots) if state.value[s] == UNDECIDED),
                     default=0)
         assert need == math.inf if cover == 0 else need >= -(-state.lonely // cover)
-        assert all(state.face_valves[f] != 1 for s in state.off_face_slots()
-                   for f in state.slot_faces[s])
+        assert all(state.face_valves[f] != 1 for s in off for f in state.slot_faces[s])
 
     rng = random.Random(2024)
     for _ in range(30):
