@@ -302,31 +302,35 @@ def ud_by_component_deletion(net, placement, edge):
     path so the two can check each other.
     """
     present = set(placement)
+    endpoints = net.endpoints
+    incident = net.incident
     member = {edge}
     interior = set()
     work = [edge]
     while work:
         f = work.pop()
-        for k in net.endpoints[f]:
-            if k in interior or net.slot_id(f, k) in present:
+        slot = 2 * f - 1                        # 2f at the first endpoint, 2f + 1 at the second
+        for k in endpoints[f]:
+            slot += 1
+            if k in interior or slot in present:
                 continue
             interior.add(k)
-            for g in net.incident[k]:
-                if g not in member and net.slot_id(g, k) not in present:
+            for g in incident[k]:
+                if g not in member and 2 * g + (endpoints[g][0] != k) not in present:
                     member.add(g)
                     work.append(g)
 
-    if any(s in interior for s in net.source_list):
+    if not interior.isdisjoint(net.source_list):
         return False, None
 
     reached = set(net.source_list)
     stack = list(net.source_list)
     while stack:
         a = stack.pop()
-        for f in net.incident[a]:
+        for f in incident[a]:
             if f in member:
                 continue
-            u, v = net.endpoints[f]
+            u, v = endpoints[f]
             b = v if a == u else u
             if b not in interior and b not in reached:
                 reached.add(b)
@@ -336,7 +340,7 @@ def ud_by_component_deletion(net, placement, edge):
     for f in range(net.num_edges):
         if f in member:
             continue
-        u, v = net.endpoints[f]
+        u, v = endpoints[f]
         if u in reached or v in reached:
             deliverable += net.demand[f]
     return True, net.total_demand - deliverable

@@ -54,6 +54,14 @@ tried first, then the empty one.
 The cover often empties a dozen slots at one fixpoint, so
 `TrailedState.empty_off_face` does it in one batch under one trail record
 rather than one record per slot, with the same bound test after each slot.
+Like a propagator that wakes only when a variable it watches changes, the
+cover is re-derived only at a fixpoint whose walk placed a valve or
+emptied a slot of a lonely face. Every successful `Search.decide` leaves
+a settled state, whose components need at most the valves left and whose
+cover is empty; emptying a slot on no lonely face leaves `need`, the
+lonely faces and the valves left as they were and only shrinks the cover,
+so the state stays settled. The fresh state, with no slot decided, is the
+one state not left by a `decide`, so it is never taken as settled.
 At a complete assignment of exactly N valves the classes are the sectors
 and their bounds the sector demands, so the leaf is rejected on the
 segment graph built from them (`TrailedState.worst_damage`) before any
@@ -309,7 +317,16 @@ class Search:
         tested against it: a fixpoint with no valve left empties every
         undecided slot, and within a walk only a lonely face queues a
         valve, while the valve that spends the budget fails the reach test
-        if any lonely face is left."""
+        if any lonely face is left.
+
+        The fixpoint re-derives the cover only when the walk since the last
+        settled state placed a valve or emptied a slot of a lonely face, or
+        when the decide started from the fresh state. A successful decide,
+        and a batch that leaves no cascade to walk, leave the state settled
+        (`need` <= left and an empty cover), and undoing a frame returns to
+        a state that was settled, or fresh, at its `push_frame`. So only
+        `decide` may write the search's state, and after a failed decide
+        the caller undoes the frame before deciding again."""
         st = self.state
         stats = self.stats
         nv = self.nv
@@ -324,6 +341,8 @@ class Search:
         # a class bound at or past it kills the branch; only a leaf installs
         # a new incumbent, and `lb_prune` off leaves nothing to reach
         bound = self.incumbent_ud if self.opts.lb_prune else math.inf
+        # the state is settled unless it is the fresh one, with no slot decided
+        woke = not (st.n_present or st.n_absent)
         queue = [(slot, value, False)]
         while True:
             for s, v, forced in queue:          # grows while it is walked
@@ -338,6 +357,7 @@ class Search:
                     stats.face_forced += 1
 
                 if v == PRESENT:
+                    woke = True
                     if st.lonely > reach * (nv - st.n_present):
                         stats.face_fails += 1
                         return False
@@ -349,6 +369,8 @@ class Search:
                     valves = face_valves[f]
                     if valves >= 2:
                         continue
+                    if valves:                  # an empty slot leaves a lonely face
+                        woke = True
                     undecided = face_undecided[f]
                     if undecided == 0:
                         if valves == 1:
@@ -360,6 +382,11 @@ class Search:
                                 break
                         queue.append((last, PRESENT if valves == 1 else ABSENT, True))
 
+            # a walk that placed no valve and emptied no slot of a lonely
+            # face leaves `need`, `lonely` and `left` as they were and only
+            # shrinks the cover, so from a settled state it stays settled
+            if not woke:
+                return True
             # at the fixpoint every lonely face keeps an undecided slot, so
             # they need at least `need` <= `lonely` more valves, and past the
             # valves left the branch is dead. A valve on a slot that lies on
@@ -372,7 +399,8 @@ class Search:
             # can, since no slot lies on more than `reach` faces
             left = nv - st.n_present
             lonely = st.lonely
-            if lonely >= left and (need := st.need()) >= left:
+            marked = bytearray(values)
+            if lonely >= left and (need := st.need(marked)) >= left:
                 if need > left:
                     stats.face_fails += 1
                     return False
@@ -381,7 +409,7 @@ class Search:
                 z = reach * (left - 1) - lonely + 1
             else:
                 return True
-            off = st.off_face_slots(z)
+            off = st.off_face_slots(z, marked)
             if not off:
                 return True
             emptied, cascades = st.empty_off_face(off, bound)
@@ -394,6 +422,8 @@ class Search:
                 # no face rule fires, and `need` and every z stand as they
                 # were: the slots emptied lie on no lonely face
                 return True
+            # the batch leaves the state settled; its cascades may wake it
+            woke = False
             queue = [(u, ABSENT, True) for u in cascades]
 
     # -- branching ------------------------------------------------------------

@@ -111,7 +111,7 @@ class TrailedState:
     def find(self, x):
         return self.root[x]
 
-    def need(self):
+    def need(self, marked=None):
         """Fewest more valves that give every lonely face a second one.
 
         Two lonely faces are linked when an undecided slot lies on both. One
@@ -119,12 +119,20 @@ class TrailedState:
         lie in one component of that relation, so a component C needs at
         least ceil(|C| / w) more valves, w being the most lonely faces that
         any one undecided slot of C lies on. Returns the sum over the
-        components, or `math.inf` when a lonely face has no undecided slot."""
+        components, or `math.inf` when a lonely face has no undecided slot.
+
+        `marked`, if given, is a copy of `value` in which the undecided
+        slots of the lonely faces it walks are set PRESENT. After a finite
+        result that is every undecided slot on a lonely face, so
+        `off_face_slots(0, marked)` reads the tight cover off the copy
+        instead of walking the lonely faces again."""
         value = self.value
         valves = self.face_valves
         slot_faces = self.slot_faces
         face_slot_sets = self.face_slot_sets
         seen = bytearray(len(valves))
+        if marked is None:
+            marked = bytearray(len(value))
         total = 0
         for f, c in enumerate(valves):
             if c != 1 or seen[f]:
@@ -136,6 +144,7 @@ class TrailedState:
                 for s in face_slot_sets[g]:
                     if value[s] != UNDECIDED:
                         continue
+                    marked[s] = PRESENT
                     w = 0
                     for h in slot_faces[s]:
                         if valves[h] == 1:
@@ -155,7 +164,7 @@ class TrailedState:
         value = self.value
         return compress(range(len(value)), value.translate(_IS_UNDECIDED))
 
-    def off_face_slots(self, z=0):
+    def off_face_slots(self, z=0, marked=None):
         """Undecided slots that lie on no lonely face and on at least `z`
         faces that hold no valve, in ascending order: a valve there gives
         no lonely face its second valve and leaves those faces lonely. The
@@ -164,7 +173,9 @@ class TrailedState:
         valve's reach test.
 
         With z > 0 only the undecided slots of faces without a valve can
-        qualify, so only those faces are walked: most calls find none."""
+        qualify, so only those faces are walked: most calls find none. With
+        z = 0, `marked` may be the copy of `value` that `need` marked after
+        a finite result; without it the lonely faces are marked here."""
         value = self.value
         valves = self.face_valves
         face_slot_sets = self.face_slot_sets
@@ -181,11 +192,12 @@ class TrailedState:
             slot_faces = self.slot_faces
             return sorted(s for s, k in hits.items()
                           if k >= z and 1 not in map(valves.__getitem__, slot_faces[s]))
-        marked = bytearray(value)               # slots on lonely faces marked decided
-        for f, c in enumerate(valves):
-            if c == 1:
-                for s in face_slot_sets[f]:
-                    marked[s] = PRESENT
+        if marked is None:
+            marked = bytearray(value)           # slots on lonely faces marked decided
+            for f, c in enumerate(valves):
+                if c == 1:
+                    for s in face_slot_sets[f]:
+                        marked[s] = PRESENT
         return list(compress(range(len(marked)), marked.translate(_IS_UNDECIDED)))
 
     def push_frame(self):

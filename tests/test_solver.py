@@ -25,7 +25,7 @@ from valveplan.solver import (
 )
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
-from conftest import k4_all_cycles, make_net, path_net, walked_twice_nets
+from conftest import k4_all_cycles, make_net, path_net, real_density_net, walked_twice_nets
 
 ALL_OFF = dict(face_constraints=False, symmetry=False, lb_prune=False)
 
@@ -335,8 +335,8 @@ class FaceAuditedSearch(Search):
         self.starved = 0
         off_face_slots = self.state.off_face_slots
 
-        def audited_off_face_slots(z=0):
-            forced = off_face_slots(z)
+        def audited_off_face_slots(z=0, marked=None):
+            forced = off_face_slots(z, marked)
             for slot in forced:
                 self.audited += 1
                 self.starved += z > 0
@@ -356,15 +356,20 @@ class FaceAuditedSearch(Search):
         return ok
 
 
+def face_audit_nets():
+    """Small networks on which the face rule's audits enumerate completions:
+    traced faces (reach 2) and K4 with every cycle declared (reach 4)."""
+    nets = [random_instance(seed, n_edges=m) for m in (6, 7, 8) for seed in range(8)]
+    return nets + [k4_all_cycles(seed) for seed in range(2)]
+
+
 def test_face_lookahead_admissible():
     # every branch the face rule (look-ahead included) fails holds no
     # face-valid leaf, and no slot the lonely-face cover empties carries a
     # valve in any, whether the cover is tight or the valve would starve
     # the lonely faces: enumerate the completions at each failure and forcing
-    nets = [random_instance(seed, n_edges=m) for m in (6, 7, 8) for seed in range(8)]
-    nets += [k4_all_cycles(seed) for seed in range(2)]
     audited = starved = 0
-    for net in nets:
+    for net in face_audit_nets():
         for nv in range(required_source_slots(net), net.num_slots + 1):
             search = FaceAuditedSearch(net, nv, SolverOptions())
             if search.init_root():
@@ -374,6 +379,52 @@ def test_face_lookahead_admissible():
             starved += search.starved
     assert audited >= 1000
     assert starved >= 500
+
+
+class SettledAudit(Search):
+    """A search that makes, after every successful `decide` (so also after
+    `init_root`), the check the fixpoint makes, and asserts that it finds
+    nothing: the lonely faces need at most the valves left, and the cover
+    for that z is empty. `decide` skips the check after a walk that placed
+    no valve and emptied no slot of a lonely face, which is exact only
+    while this holds."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checked = 0
+
+    def decide(self, slot, value):
+        ok = super().decide(slot, value)
+        if ok:
+            st = self.state
+            left = self.nv - st.n_present
+            need = st.need()
+            assert need <= left
+            if need == left:
+                z = 0
+            elif st.lonely > self.reach * (left - 2):
+                z = self.reach * (left - 1) - st.lonely + 1
+            else:
+                z = None
+            if z is not None:
+                assert st.off_face_slots(z) == [], (slot, value, z)
+                self.checked += 1
+        return ok
+
+
+def test_decide_leaves_a_settled_state():
+    checked = 0
+    for net in face_audit_nets():
+        for nv in range(required_source_slots(net), net.num_slots + 1):
+            search = SettledAudit(net, nv, SolverOptions())
+            if search.init_root():
+                search.run()
+            checked += search.checked
+    search = SettledAudit(real_density_net(0), 8, SolverOptions())
+    assert search.init_root()
+    search.run()
+    assert search.incumbent_ud == 179000
+    assert checked >= 1000 and search.checked >= 1000
 
 
 @pytest.fixture
@@ -431,6 +482,25 @@ def test_starving_valve_slots_are_emptied(two_triangles):
     open_slots = [slot(t) for t in ("a:2", "c:3", "f:4", "f:5")]
     assert [search.state.value[s] for s in open_slots] == [UNDECIDED] * 4
     assert solve(net, 3).ud == 5000
+
+
+def test_fresh_state_is_not_settled(two_triangles):
+    # with one valve, a valve on either triangle would leave it lonely and
+    # none left to relieve it, so the fresh state's cover (z = 1) holds all
+    # ten triangle slots; the first decide must empty them although its walk
+    # places no valve, and so must a decide after undoing back to that state
+    net = two_triangles
+    slot = net.parse_slot_token
+    search = Search(net, 1, SolverOptions())
+    st = search.state
+    triangles = [s for s in range(net.num_slots) if net.slot_edge(s) != net.edge_index["f"]]
+    for _ in range(2):
+        st.push_frame()
+        assert search.decide(slot("f:5"), ABSENT)
+        assert [st.value[s] for s in triangles] == [ABSENT] * 10
+        assert st.value[slot("f:4")] == UNDECIDED
+        st.undo_frame()
+    assert search.stats.face_forced == 20
 
 
 @pytest.mark.parametrize("faces", [True, False])

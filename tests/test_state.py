@@ -205,16 +205,20 @@ def test_need_is_a_lower_bound_never_weaker_than_the_slot_cover(fig1_net_doc, na
     # `need` never exceeds the true fewest valves, and is never below
     # ceil(lonely / cover), cover being the most lonely faces on one
     # undecided slot (the bound it replaced); `off_face_slots(z)` keeps the
-    # off-face slots on at least z faces without a valve
+    # off-face slots on at least z faces without a valve, and reads the same
+    # z = 0 cover off the copy of the values that a finite `need` marked
     net = fig1_net_doc if name == "fig1" else k4_all_cycles(1)
     faces = face_slot_lists(net)
     seen = 0
 
     def check(state):
         nonlocal seen
-        need = state.need()
+        marked = bytearray(state.value)
+        need = state.need(marked)
         assert need <= fewest_relieving_valves(state, faces)
         off = state.off_face_slots()
+        if need < math.inf:
+            assert state.off_face_slots(0, marked) == off
         for z in (1, 2, 3):
             assert state.off_face_slots(z) == [
                 s for s in off if sum(state.face_valves[f] == 0 for f in state.slot_faces[s]) >= z]
