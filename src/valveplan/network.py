@@ -34,6 +34,8 @@ information is simply absent (it only feeds an optional pruning rule).
 import json
 import math
 
+from .isolation import delivered_with_closed
+
 MLS = 1000  # internal flow unit: millilitres per second
 
 
@@ -189,20 +191,12 @@ class Network:
                                      for row in self._inc[s])
 
     def _check_reachable(self):
-        if not self.endpoints:
-            return
-        seen = set(self.sources)
-        stack = list(self.sources)
-        while stack:
-            n = stack.pop()
-            for e, _, other, _ in self._inc[n]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        for e, (u, v) in enumerate(self.endpoints):
-            if u not in seen:
-                raise ValidationError(
-                    f"edge {self.edge_labels[e]!r} is not reachable from any source")
+        delivered, _ = delivered_with_closed(self, 0)
+        missing = ~delivered & ((1 << len(self.endpoints)) - 1)
+        if missing:
+            e = (missing & -missing).bit_length() - 1     # the lowest one
+            raise ValidationError(
+                f"edge {self.edge_labels[e]!r} is not reachable from any source")
 
     def _init_coords(self, coords):
         if coords is None:

@@ -341,8 +341,9 @@ class Search:
         # a class bound at or past it kills the branch; only a leaf installs
         # a new incumbent, and `lb_prune` off leaves nothing to reach
         bound = self.incumbent_ud if self.opts.lb_prune else math.inf
-        # the state is settled unless it is the fresh one, with no slot decided
-        woke = not (st.n_present or st.n_absent)
+        # the state is settled unless it is the fresh one, read off the
+        # values: no valve and no empty slot
+        woke = not st.n_present and ABSENT not in values
         queue = [(slot, value, False)]
         while True:
             for s, v, forced in queue:          # grows while it is walked
@@ -399,8 +400,7 @@ class Search:
             # can, since no slot lies on more than `reach` faces
             left = nv - st.n_present
             lonely = st.lonely
-            marked = bytearray(values)
-            if lonely >= left and (need := st.need(marked)) >= left:
+            if lonely >= left and (need := st.need()) >= left:
                 if need > left:
                     stats.face_fails += 1
                     return False
@@ -409,7 +409,7 @@ class Search:
                 z = reach * (left - 1) - lonely + 1
             else:
                 return True
-            off = st.off_face_slots(z, marked)
+            off = st.off_face_slots(z)
             if not off:
                 return True
             emptied, cascades = st.empty_off_face(off, bound)
@@ -418,11 +418,8 @@ class Search:
             if cascades is None:
                 stats.lb_prunes += 1
                 return False
-            if not cascades:
-                # no face rule fires, and `need` and every z stand as they
-                # were: the slots emptied lie on no lonely face
-                return True
-            # the batch leaves the state settled; its cascades may wake it
+            # the batch leaves the state settled; its cascades, if any, may
+            # wake it, and with none the loop returns at once
             woke = False
             queue = [(u, ABSENT, True) for u in cascades]
 
@@ -492,11 +489,10 @@ class Search:
             raise _LimitExceeded
         if o.time_limit is not None and self.elapsed() > o.time_limit:
             raise _LimitExceeded
-        st = self.state
-        if st.n_present + st.n_absent == len(st.value):
+        slot = self.choose_branch()
+        if slot is None:
             self._leaf()
-            return None
-        return self.choose_branch()
+        return slot
 
     def explore(self):
         """Depth-first search below the current state, on an explicit stack

@@ -60,10 +60,10 @@ class TrailedState:
     lonely-face cover, often a dozen at once, under a single record
     (-1, copies): copies of `value`, the class labels, `lb`, `members`
     (shallow: its unions build new lists) and `face_undecided` as they
-    were before the batch, plus the number of slots emptied. Undo puts the
-    copies back by slice assignment instead of reversing slot by slot. The
-    trail therefore holds one record per slot decision or per batch, not
-    per decided slot.
+    were before the batch. Undo puts the copies back by slice assignment
+    instead of reversing slot by slot. The trail therefore holds one record
+    per slot decision or per batch, not per decided slot. Of the slot
+    counts only `n_present` is kept; the others are read off `value`.
 
     Only a batch is copied, never a frame. A copy at every `push_frame`
     would hold O(network) per open frame, so a deep solve on a large
@@ -83,7 +83,6 @@ class TrailedState:
         n = net.num_nodes
         self.value = bytearray(net.num_slots)
         self.n_present = 0
-        self.n_absent = 0
         self.root = list(range(n))
         self.members = [[x] for x in range(n)]  # valid at class roots
         self.lb = [0] * n                       # valid at class roots
@@ -106,12 +105,12 @@ class TrailedState:
 
     @property
     def n_undecided(self):
-        return self.net.num_slots - self.n_present - self.n_absent
+        return self.value.count(UNDECIDED)
 
     def find(self, x):
         return self.root[x]
 
-    def need(self, marked=None):
+    def need(self):
         """Fewest more valves that give every lonely face a second one.
 
         Two lonely faces are linked when an undecided slot lies on both. One
@@ -119,20 +118,12 @@ class TrailedState:
         lie in one component of that relation, so a component C needs at
         least ceil(|C| / w) more valves, w being the most lonely faces that
         any one undecided slot of C lies on. Returns the sum over the
-        components, or `math.inf` when a lonely face has no undecided slot.
-
-        `marked`, if given, is a copy of `value` in which the undecided
-        slots of the lonely faces it walks are set PRESENT. After a finite
-        result that is every undecided slot on a lonely face, so
-        `off_face_slots(0, marked)` reads the tight cover off the copy
-        instead of walking the lonely faces again."""
+        components, or `math.inf` when a lonely face has no undecided slot."""
         value = self.value
         valves = self.face_valves
         slot_faces = self.slot_faces
         face_slot_sets = self.face_slot_sets
         seen = bytearray(len(valves))
-        if marked is None:
-            marked = bytearray(len(value))
         total = 0
         for f, c in enumerate(valves):
             if c != 1 or seen[f]:
@@ -144,7 +135,6 @@ class TrailedState:
                 for s in face_slot_sets[g]:
                     if value[s] != UNDECIDED:
                         continue
-                    marked[s] = PRESENT
                     w = 0
                     for h in slot_faces[s]:
                         if valves[h] == 1:
@@ -164,7 +154,7 @@ class TrailedState:
         value = self.value
         return compress(range(len(value)), value.translate(_IS_UNDECIDED))
 
-    def off_face_slots(self, z=0, marked=None):
+    def off_face_slots(self, z=0):
         """Undecided slots that lie on no lonely face and on at least `z`
         faces that hold no valve, in ascending order: a valve there gives
         no lonely face its second valve and leaves those faces lonely. The
@@ -173,9 +163,7 @@ class TrailedState:
         valve's reach test.
 
         With z > 0 only the undecided slots of faces without a valve can
-        qualify, so only those faces are walked: most calls find none. With
-        z = 0, `marked` may be the copy of `value` that `need` marked after
-        a finite result; without it the lonely faces are marked here."""
+        qualify, so only those faces are walked: most calls find none."""
         value = self.value
         valves = self.face_valves
         face_slot_sets = self.face_slot_sets
@@ -192,12 +180,11 @@ class TrailedState:
             slot_faces = self.slot_faces
             return sorted(s for s, k in hits.items()
                           if k >= z and 1 not in map(valves.__getitem__, slot_faces[s]))
-        if marked is None:
-            marked = bytearray(value)           # slots on lonely faces marked decided
-            for f, c in enumerate(valves):
-                if c == 1:
-                    for s in face_slot_sets[f]:
-                        marked[s] = PRESENT
+        marked = bytearray(value)               # slots on lonely faces marked decided
+        for f, c in enumerate(valves):
+            if c == 1:
+                for s in face_slot_sets[f]:
+                    marked[s] = PRESENT
         return list(compress(range(len(marked)), marked.translate(_IS_UNDECIDED)))
 
     def push_frame(self):
@@ -213,12 +200,11 @@ class TrailedState:
         labels = self.root
         members = self.members
         lb = self.lb
-        n_present = lonely = extra = 0
+        n_present = lonely = 0
         for _ in range(count):
             slot, merged = trail.pop()
             if slot < 0:                        # a batch: restore its copies
-                value[:], labels[:], lb[:], members[:], undecided[:], emptied = merged
-                extra += emptied - 1
+                value[:], labels[:], lb[:], members[:], undecided[:] = merged
                 continue
             faces = slot_faces[slot]
             if value[slot] == PRESENT:
@@ -242,7 +228,6 @@ class TrailedState:
                     undecided[f] += 1
             value[slot] = UNDECIDED
         self.n_present -= n_present
-        self.n_absent -= count - n_present + extra
         self.lonely += lonely
 
     def set_value(self, slot, v):
@@ -266,7 +251,6 @@ class TrailedState:
                 undecided[f] -= 1
             self.lonely = lonely
         else:
-            self.n_absent += 1
             labels = self.root
             root = labels[self.slot_node[slot]]
             if value[slot ^ 1] != ABSENT:
@@ -338,8 +322,7 @@ class TrailedState:
             if lb[root] >= bound:
                 cascades = None
                 break
-        self.n_absent += done
-        self._trail.append((-1, saved + (done,)))
+        self._trail.append((-1, saved))
         return done, cascades
 
     def worst_damage(self):

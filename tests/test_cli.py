@@ -208,6 +208,17 @@ def test_solve_fig1(capsys):
     assert "stat_lower_bound: 15000" in out
 
 
+@pytest.mark.parametrize("mode, restarts", [("continuing", 0), ("restarting", 3)])
+def test_solve_restart_modes_same_answer(capsys, mode, restarts):
+    # restarting abandons the tree after each of fig1's three improvements
+    # at nv=4 and proves the same optimum
+    code, out, _ = run(capsys, "solve", "fig1", "--nv", "4", "--restart-mode", mode)
+    assert code == 0
+    assert "ud_lps: 24" in out
+    assert "proof: optimal" in out
+    assert f"stat_restarts: {restarts}" in out
+
+
 def test_solve_rules_off_same_ud_more_nodes(capsys):
     code, out_on, _ = run(capsys, "solve", "fig1", "--nv", "6")
     assert code == 0

@@ -335,8 +335,8 @@ class FaceAuditedSearch(Search):
         self.starved = 0
         off_face_slots = self.state.off_face_slots
 
-        def audited_off_face_slots(z=0, marked=None):
-            forced = off_face_slots(z, marked)
+        def audited_off_face_slots(z=0):
+            forced = off_face_slots(z)
             for slot in forced:
                 self.audited += 1
                 self.starved += z > 0

@@ -32,7 +32,7 @@ def attachment(state):
 
 
 def snapshot(state):
-    return (bytes(state.value), state.n_present, state.n_absent, len(state._trail),
+    return (bytes(state.value), state.n_present, len(state._trail),
             attachment(state), state.classes(),
             tuple(state.face_valves), tuple(state.face_undecided), state.lonely)
 
@@ -79,7 +79,7 @@ def replay(net, ops, rng, check=None):
             state.set_value(slot, value)
             live.append((slot, value))
         # one trail record per decided slot
-        assert len(state._trail) == state.n_present + state.n_absent
+        assert len(state._trail) == state.n_present + state.value.count(ABSENT)
         if check:
             check(state)
     # close any frames left open; what survives is the committed prefix
@@ -205,20 +205,16 @@ def test_need_is_a_lower_bound_never_weaker_than_the_slot_cover(fig1_net_doc, na
     # `need` never exceeds the true fewest valves, and is never below
     # ceil(lonely / cover), cover being the most lonely faces on one
     # undecided slot (the bound it replaced); `off_face_slots(z)` keeps the
-    # off-face slots on at least z faces without a valve, and reads the same
-    # z = 0 cover off the copy of the values that a finite `need` marked
+    # off-face slots on at least z faces without a valve
     net = fig1_net_doc if name == "fig1" else k4_all_cycles(1)
     faces = face_slot_lists(net)
     seen = 0
 
     def check(state):
         nonlocal seen
-        marked = bytearray(state.value)
-        need = state.need(marked)
+        need = state.need()
         assert need <= fewest_relieving_valves(state, faces)
         off = state.off_face_slots()
-        if need < math.inf:
-            assert state.off_face_slots(0, marked) == off
         for z in (1, 2, 3):
             assert state.off_face_slots(z) == [
                 s for s in off if sum(state.face_valves[f] == 0 for f in state.slot_faces[s]) >= z]
@@ -316,7 +312,7 @@ def test_lb_matches_attached_edges(fig1_net_doc):
         rng.shuffle(order)
         for slot in order[:rng.randint(0, net.num_slots)]:
             state.set_value(slot, rng.choice((PRESENT, ABSENT)))
-            assert len(state._trail) == state.n_present + state.n_absent
+            assert len(state._trail) == state.n_present + state.value.count(ABSENT)
         by_class = dict.fromkeys(state.classes(), 0)
         for e, nodes in attachment(state).items():
             by_class[nodes] += net.demand[e]
@@ -328,7 +324,7 @@ def state_image(state):
     """Everything a rollback must restore, members compared as sets."""
     return (bytes(state.value), list(state.root), [set(m) for m in state.members],
             list(state.lb), list(state.face_valves), list(state.face_undecided),
-            state.lonely, state.n_present, state.n_absent, len(state._trail))
+            state.lonely, state.n_present, len(state._trail))
 
 
 def drive_decide(net, nv, incumbent, rng, steps, batches):
@@ -364,7 +360,7 @@ def drive_decide(net, nv, incumbent, rng, steps, batches):
     while images:
         st.undo_frame()
         assert state_image(st) == images.pop()
-    assert st._trail == [] and st.n_present == st.n_absent == 0
+    assert st._trail == [] and st.n_present == st.value.count(ABSENT) == 0
 
 
 def batch_nets():
