@@ -23,10 +23,11 @@ vertex, and a virtual root joins every source. Breaking a sector closes
 exactly the valves on its vertex, so what it leaves dry is the sector plus
 whatever the sector separates from the root as an articulation vertex. One
 lowpoint DFS (Hopcroft & Tarjan 1973) gives that for every sector at once, in time
-linear in sectors plus valves. `lowpoint_damage` is that DFS; `sector_damage`
-builds its graph by flooding, and the solver builds it at a leaf from its
-sector classes (`TrailedState.worst_damage`). `delivered_with_closed` stays
-as the plain reachability reference for a single closure.
+linear in sectors plus valves. `segment_damage` builds the graph from a
+labelling of nodes by sector and runs that DFS; `sector_damage` labels by
+flooding, and the solver's leaves label by their sector classes
+(`TrailedState.worst_damage`). `delivered_with_closed` stays as the plain
+reachability reference for a single closure.
 
 Adding a valve never raises any break's damage: the new closure is a subset
 of the old boundary plus valves inside the old sector, so every source path
@@ -168,61 +169,66 @@ def sector_damage(net, present):
     representatives ascending: the one per-sector damage evaluator. Every
     pipe of a sector entails the same closure, so one break per sector is
     evaluated; a sector that holds a source cannot be de-watered at all and
-    gets INFEASIBLE_UD.
-
-    The damage of every sector comes from one lowpoint DFS over the segment
-    graph (module docstring, `lowpoint_damage`): a break in sector S closes
-    every valve on S's vertex, and the DFS subtree of a child c of S is left
-    without water exactly when low(c) >= disc(S), so ud(S) = w(S) + the
-    demand of those subtrees. Equal to `total_demand - delivered_with_closed(boundary)` for
-    each sector, in O(sectors + valves) instead of one flood per sector.
+    gets INFEASIBLE_UD. Each sector is labelled by its lowest interior
+    node, or is pipe vertex n + rep when it has none, and `segment_damage`
+    gives every damage at once: `total_demand - delivered_with_closed(boundary)`
+    per sector, in O(sectors + valves) instead of one flood per sector.
     """
     scanned = list(scan_sectors(net, present))
-    n_sec = len(scanned)
-    # vertices: sectors 0..n_sec-1, then the all-valved junctions, then the root
-    vertex = [-1] * net.num_nodes
-    for i, row in enumerate(scanned):
-        for k in mask_bits(row[3]):
-            vertex[k] = i
-    n_vert = n_sec
-    for k, v in enumerate(vertex):
-        if v < 0:
-            vertex[k] = n_vert
-            n_vert += 1
-    root = n_vert
-    adj = [[] for _ in range(root + 1)]
-    ep = net.endpoints
-    for i, (_, edges_mask, boundary, _, _, _) in enumerate(scanned):
-        for slot in mask_bits(boundary):
-            e = slot >> 1
-            if edges_mask >> e & 1:      # the pipe side: record each valve once
-                v = vertex[ep[e][slot & 1]]
-                if v != i:
-                    adj[i].append(v)
-                    adj[v].append(i)
-    for s in net.source_list:
-        adj[root].append(vertex[s])
-        adj[vertex[s]].append(root)
-
+    n = net.num_nodes
+    label = list(range(n))
+    weight = [0] * n
+    vertex = []
+    for rep, _, _, nodes_mask, demand, _ in scanned:
+        if nodes_mask:
+            low = (nodes_mask & -nodes_mask).bit_length() - 1
+            for k in mask_bits(nodes_mask):
+                label[k] = low
+            weight[low] = demand
+            vertex.append(low)
+        else:
+            vertex.append(n + rep)
     # every pipe reaches a source with all valves open (Network checks it),
     # so the DFS visits every sector
-    damage = lowpoint_damage(adj, [row[4] for row in scanned] + [0] * (root + 1 - n_sec), root)
-    for (rep, edges_mask, boundary, _, _, has_source), ud in zip(scanned, damage):
-        yield rep, edges_mask, boundary, INFEASIBLE_UD if has_source else ud
+    damage = segment_damage(net, present, label, weight)
+    for (rep, edges_mask, boundary, _, _, has_source), v in zip(scanned, vertex):
+        yield rep, edges_mask, boundary, INFEASIBLE_UD if has_source else damage[v]
 
 
-def lowpoint_damage(adj, weight, root):
-    """Per vertex v of a segment graph given as adjacency lists: weight[v]
-    plus the weight of every DFS subtree below v that v separates from
-    `root`, which is what a break in sector v leaves dry. A child c's
-    subtree is cut off exactly when low(c) >= disc(v). One iterative
-    lowpoint DFS from `root`; a vertex it does not reach keeps its weight.
-    Only a sector's entry is a break's damage: a junction cannot break.
-    `weight` is consumed: it ends holding the subtree sums."""
-    damage = weight[:]
-    subtree = weight
-    disc = [0] * len(adj)
-    low = [0] * len(adj)
+def segment_damage(net, present, label, weight):
+    """Per vertex v of the segment graph of `present`: weight[v] plus every
+    DFS subtree below v that v separates from the root, which is what a
+    break in sector v leaves dry. Vertex k < n is the node vertex `label`
+    names for some node (its sector, or the node itself when every slot at
+    it holds a valve), weighing weight[k]; vertex n + e is pipe e when both
+    its slots hold a valve, weighing its demand; the root comes last. Each
+    valve joins its pipe's sector to its node's vertex unless they are one,
+    and the root joins every source's vertex. A child c's subtree is cut
+    off exactly when low(c) >= disc(v): one iterative lowpoint DFS from the
+    root, and a vertex it does not reach keeps its weight."""
+    n = len(label)
+    ep = net.endpoints
+    root = n + len(ep)
+    subtree = weight + [0] * (root + 1 - n)
+    adj = [[] for _ in range(root + 1)]
+    for slot in mask_bits(present):
+        e = slot >> 1
+        here = label[ep[e][slot & 1]]
+        if present >> (slot ^ 1) & 1:
+            across = n + e
+            subtree[across] = net.demand[e]
+        else:
+            across = label[ep[e][(slot & 1) ^ 1]]
+            if across == here:
+                continue
+        adj[here].append(across)
+        adj[across].append(here)
+    for s in net.source_list:
+        adj[root].append(label[s])
+        adj[label[s]].append(root)
+    damage = subtree[:]
+    disc = [0] * (root + 1)
+    low = disc[:]
     disc[root] = low[root] = clock = 1
     stack = [(root, iter(adj[root]))]
     while stack:

@@ -295,21 +295,31 @@ class Network:
         return f"{self.edge_labels[e]}:{self.node_labels[self.slot_node(slot)]}"
 
     def parse_slot_token(self, token):
+        """Slot id of an `edge_label:node_label` token. Either label may hold
+        a `:`, so every split is tried, and exactly one must name an edge
+        and one of its endpoints."""
         token = token.strip()
         if ":" not in token:
             raise ValidationError(f"bad slot token {token!r}, expected edge:node")
+        slots = []
+        at = token.find(":")
+        while at >= 0:
+            e = self._edge_by_str.get(token[:at])
+            n = self._node_by_str.get(token[at + 1:])
+            if e is not None and n in self.endpoints[e]:
+                slots.append(self.slot_id(e, n))
+            at = token.find(":", at + 1)
+        if len(slots) == 1:
+            return slots[0]
+        if slots:
+            raise ValidationError(f"slot token {token!r} names more than one slot")
         edge_s, node_s = token.rsplit(":", 1)
         if edge_s not in self._edge_by_str:
             raise ValidationError(f"slot token {token!r}: unknown edge {edge_s!r}")
         if node_s not in self._node_by_str:
             raise ValidationError(f"slot token {token!r}: unknown node {node_s!r}")
-        e = self._edge_by_str[edge_s]
-        n = self._node_by_str[node_s]
-        try:
-            return self.slot_id(e, n)
-        except ValueError:
-            raise ValidationError(
-                f"slot token {token!r}: node {node_s!r} is not an endpoint of edge {edge_s!r}")
+        raise ValidationError(
+            f"slot token {token!r}: node {node_s!r} is not an endpoint of edge {edge_s!r}")
 
     def placement_tokens(self, placement):
         return [self.slot_token(s) for s in sorted(placement)]
@@ -488,16 +498,26 @@ def _trace_internal_faces(net):
             s += pos[a][0] * pos[b][1] - pos[b][0] * pos[a][1]
         return s / 2.0
 
-    # this next-dart rule walks bounded faces clockwise: the single outer
-    # face is the one with positive (counter-clockwise) signed area
-    areas = [area(w) for w in walks]
-    outer = areas.index(max(areas))
-    internal = [w for i, w in enumerate(walks) if i != outer]
-    active_nodes = sum(1 for n in range(net.num_nodes) if net.incident[n])
-    if len(internal) != net.num_edges - active_nodes + 1:
+    # this next-dart rule walks bounded faces clockwise: each component's
+    # outer walk is the one with positive (counter-clockwise) signed area, or
+    # zero for a tree, and a plane drawing of E edges on V nodes in C
+    # components has E - V + C bounded faces
+    internal = [w for w in walks if area(w) < 0]
+    seen = set()                            # the nodes that have a pipe
+    components = 0
+    for start in range(net.num_nodes):
+        if start in seen or not net.incident[start]:
+            continue
+        components += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for _, _, other, _ in net._inc[stack.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+    if len(internal) != net.num_edges - len(seen) + components:
         raise PlanarityError("face count does not match a plane embedding")
-    if any(area(w) >= 0 for w in internal):
-        raise PlanarityError("drawing produced a degenerate internal face")
     return [_canonical_cycle(w) for w in internal]
 
 

@@ -16,14 +16,13 @@ instead and their bounds add, the shared edge having been counted.
 import math
 from itertools import compress
 
-from .isolation import lowpoint_damage
+from .isolation import segment_damage
 
 UNDECIDED, PRESENT, ABSENT = 0, 1, 2
 
 # byte translations of slot values: each value to 1 when it is the one
 # named, else to 0; and PRESENT to the digit "1", the others to "0"
 _IS_UNDECIDED = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), bytes((1, 0, 0)))
-_IS_PRESENT = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), bytes((0, 1, 0)))
 _IS_ABSENT = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), bytes((0, 0, 1)))
 _PRESENT_DIGIT = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), b"010")
 
@@ -328,37 +327,16 @@ class TrailedState:
     def worst_damage(self):
         """Worst break damage of a complete assignment, read off the
         classes: at a leaf a class that holds an empty slot is a sector and
-        its bound is the sector's demand, a single node whose every slot
-        holds a valve is a junction, and a pipe with a valve on both slots
-        is a sector of its own. The segment graph joins, per valve, the
-        sector across its pipe to its node's class, and a virtual root to
-        each source; `isolation.lowpoint_damage` does the rest. Equal to
-        `worst_case_fast`'s ud on the present mask for a feasible leaf."""
-        value = self.value
+        its bound is the sector's demand, and a class without one is a
+        junction whose every slot holds a valve. So the class labels and
+        `lb` are the node labelling and weights `isolation.segment_damage`
+        takes; the worst break is its largest damage over those sectors and
+        the pipes with a valve on both slots. Equal to `worst_case_fast`'s
+        ud on the present mask for a feasible leaf."""
         labels = self.root
-        n = len(labels)
-        root = n + (len(value) >> 1)            # class roots, then pipes, then the root
-        adj = [[] for _ in range(root + 1)]
-        weight = self.lb + [0] * (root + 1 - n)
-        slot_node = self.slot_node
-        slot_other = self.slot_other
-        for slot in compress(range(len(value)), value.translate(_IS_PRESENT)):
-            here = labels[slot_node[slot]]
-            if value[slot ^ 1] == ABSENT:
-                across = labels[slot_other[slot]]
-                if across == here:
-                    continue
-            else:
-                across = n + (slot >> 1)
-                weight[across] = self.slot_demand[slot]
-            adj[here].append(across)
-            adj[across].append(here)
-        for s in self.net.source_list:
-            adj[root].append(labels[s])
-            adj[labels[s]].append(root)
-        damage = lowpoint_damage(adj, weight, root)
-        sectors = {labels[k] for k in compress(slot_node, value.translate(_IS_ABSENT))}
-        return max(max(damage[n:root]), max([damage[r] for r in sectors], default=0))
+        damage = segment_damage(self.net, self.present_mask(), labels, self.lb)
+        sectors = {labels[k] for k in compress(self.slot_node, self.value.translate(_IS_ABSENT))}
+        return max([damage[r] for r in sectors] + damage[len(labels):-1], default=0)
 
     # -- inspection helpers (search heuristics and tests) --------------------
 

@@ -77,6 +77,16 @@ def walked_twice_nets(seed):
     yield make_net([1, 2, 3, 4, 5, 6], [5], pipes(*triangles), coords=TRIANGLES)
 
 
+def disjoint_triangles():
+    """Two disjoint triangles drawn side by side, one fed from node 1 and
+    the other from node 4: a traced drawing of two components."""
+    return make_net([1, 2, 3, 4, 5, 6], [1, 4],
+                    [("a", 1, 2, 4), ("b", 2, 3, 7), ("c", 3, 1, 2),
+                     ("d", 4, 5, 5), ("e", 5, 6, 3), ("f", 6, 4, 6)],
+                    coords={"1": [0, 0], "2": [2, 0], "3": [1, 2],
+                            "4": [4, 0], "5": [6, 0], "6": [5, 2]})
+
+
 def sector_ud(net, placement, edge):
     """ud of a break in `edge`, as sector_damage reports it for the sector
     that holds the pipe (INFEASIBLE_UD when that sector holds a source)."""

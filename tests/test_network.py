@@ -16,7 +16,7 @@ from valveplan.network import (
 )
 from valveplan.generate import random_instance
 
-from conftest import make_net
+from conftest import disjoint_triangles, make_net
 
 
 def test_fig1_parses_to_expected_shape(fig1):
@@ -194,8 +194,18 @@ def test_slot_indexing_is_a_bijection(fig1):
 
 
 def test_slot_tokens_round_trip(fig1):
-    for slot in range(fig1.num_slots):
-        assert fig1.parse_slot_token(fig1.slot_token(slot)) == slot
+    # node "x:y" prints slot tokens "a:x:y" and "b:x:x:y"; of each token's
+    # splits only one names an edge and one of its endpoints
+    colons = make_net(["x:y", "y", "x", "z"], ["y"],
+                      [("a", "x:y", "y", 1), ("b", "y", "x", 1), ("a:x", "x", "z", 1),
+                       ("b:x", "x:y", "x", 1)])
+    for net in (fig1, colons):
+        for slot in range(net.num_slots):
+            assert net.parse_slot_token(net.slot_token(slot)) == slot
+    # "a:x:y" names pipe a at node x:y and pipe a:x at node y
+    both = make_net(["x:y", "y", "x"], ["y"], [("a", "x:y", "y", 1), ("a:x", "x", "y", 1)])
+    with pytest.raises(ValidationError, match="more than one slot"):
+        both.parse_slot_token("a:x:y")
     with pytest.raises(ValidationError, match="not an endpoint"):
         fig1.parse_slot_token("e12:3")
     with pytest.raises(ValidationError, match="unknown edge"):
@@ -259,11 +269,13 @@ def test_crossing_drawing_detected():
 
 
 def test_euler_face_count_on_random_instances():
-    # internal faces of a connected plane graph: |E| - |N| + 1
-    for seed in range(20):
-        net = random_instance(seed)
+    # internal faces of a plane graph with C components: |E| - |N| + C; each
+    # component's outer walk is dropped, not just the largest one
+    cases = [(random_instance(seed), 1) for seed in range(20)] + [(disjoint_triangles(), 2)]
+    for net, components in cases:
         faces = compute_faces(net)
-        assert len(faces) == net.num_edges - net.num_nodes + 1
+        assert len(faces) == net.num_edges - net.num_nodes + components
+    assert disjoint_triangles().faces == ((0, 1, 2), (3, 4, 5))
 
 
 def test_declared_faces_used_as_is(fig1):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -8,7 +9,7 @@ import pytest
 
 from valveplan import solver as solver_module
 from valveplan import state as state_module
-from valveplan.generate import random_instance
+from valveplan.generate import random_document, random_instance
 from valveplan.isolation import worst_case_fast
 from valveplan.network import Network, parse_network
 from valveplan.oracle import brute_force
@@ -25,7 +26,14 @@ from valveplan.solver import (
 )
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
-from conftest import k4_all_cycles, make_net, path_net, real_density_net, walked_twice_nets
+from conftest import (
+    disjoint_triangles,
+    k4_all_cycles,
+    make_net,
+    path_net,
+    real_density_net,
+    walked_twice_nets,
+)
 
 ALL_OFF = dict(face_constraints=False, symmetry=False, lb_prune=False)
 
@@ -884,11 +892,18 @@ class LeafDamageAudit(Search):
 
 def test_leaf_filter_damage_equals_worst_case_fast(corpus):
     # a leaf of exactly nv valves is rejected on the classes' damage alone,
-    # so that damage must be the one worst_case_fast reports
+    # so that damage must be the one worst_case_fast reports; the two-source
+    # networks root the segment graph at more than one junction
     cases = [(net, range(2, 6)) for net in corpus]
     extra = [net for seed in range(3) for net in walked_twice_nets(seed)]
     extra += [k4_all_cycles(seed) for seed in range(3)]
     extra += [random_instance(seed, 33) for seed in range(4)]
+    for m in (9, 13, 17, 21):
+        doc = json.loads(random_document(m, n_edges=m))
+        doc["sources"] = sorted(set(doc["sources"]) | {doc["nodes"][-1]})
+        extra.append(parse_network(json.dumps(doc)))
+    extra += [make_net(list(range(1, 10)), [1, 9],
+                       [(f"p{i}", i, i + 1, i) for i in range(1, 9)]), disjoint_triangles()]
     cases += [(net, range(required_source_slots(net), required_source_slots(net) + 4))
               for net in extra]
     checked = 0
@@ -913,6 +928,21 @@ def test_brute_force_agrees_at_33_pipes(seed):
         expect = brute_force(net, nv, cap=10**15)
         sol = solve(net, nv)
         assert (sol.proof, sol.ud) == ("optimal", expect.ud), nv
+        assert sol.placement in expect.optimal, nv
+
+
+def test_brute_force_agrees_on_two_traced_components():
+    # each triangle's traced face feeds the face rule, fed from its own source
+    net = disjoint_triangles()
+    assert net.faces == ((0, 1, 2), (3, 4, 5))
+    for nv in range(1, net.num_slots + 1):
+        expect = brute_force(net, nv)
+        try:
+            sol = solve(net, nv)
+        except InfeasibleBudget:
+            assert expect.all_infeasible, nv
+            continue
+        assert (sol.proof, sol.ud, len(sol.placement)) == ("optimal", expect.ud, nv)
         assert sol.placement in expect.optimal, nv
 
 
