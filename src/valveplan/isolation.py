@@ -24,10 +24,12 @@ exactly the valves on its vertex, so what it leaves dry is the sector plus
 whatever the sector separates from the root as an articulation vertex. One
 lowpoint DFS (Hopcroft & Tarjan 1973) gives that for every sector at once, in time
 linear in sectors plus valves. `segment_damage` builds the graph from a
-labelling of nodes by sector and runs that DFS; `sector_damage` labels by
-flooding, and the solver's leaves label by their sector classes
-(`TrailedState.worst_damage`). `delivered_with_closed` stays as the plain
-reachability reference for a single closure.
+labelling of nodes by sector and runs that DFS. `worst_case_fast` labels
+with one node flood over the whole network (`sector_labels`);
+`sector_damage` floods sector by sector (`scan_sectors`), which also gives
+each sector's pipe and boundary masks; and the solver's leaves label by
+their sector classes (`TrailedState.worst_damage`). `delivered_with_closed`
+stays as the plain reachability reference for a single closure.
 
 Adding a valve never raises any break's damage: the new closure is a subset
 of the old boundary plus valves inside the old sector, so every source path
@@ -51,6 +53,7 @@ integer ml/s.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 INFEASIBLE_UD = math.inf
@@ -85,10 +88,12 @@ def mask_bits(mask):
 
 
 def frozen_placement(bits):
-    """The slots in `bits` as a frozenset whose table is sized once for the
-    final count: copied from a set rather than grown one slot at a time,
-    a 19-24-valve placement takes 1,240 bytes instead of 2,264."""
-    return frozenset(set(bits))
+    """The slots in the list `bits` as a frozenset, built the way that gives
+    the smaller hash table. Copied from a set, the table is sized once for
+    the final count: a 19-24-valve placement takes 1,240 bytes instead of
+    the 2,264 it takes grown one slot at a time. Grown, 16-18 valves still
+    fit the 728-byte table that copying skips past."""
+    return min(frozenset(bits), frozenset(set(bits)), key=sys.getsizeof)
 
 
 def sector_from(net, present, edge):
@@ -253,15 +258,66 @@ def segment_damage(net, present, label, weight):
     return damage
 
 
+def sector_labels(net, present):
+    """(label, weight, vertex) of the segment graph of `present`, from one
+    node flood in O(nodes + pipes). label[k] is the lowest interior node of
+    node k's sector, or k itself when every slot at k holds a valve; weight
+    is indexed by those labels and sums each sector's demand, a pipe with
+    both slots empty counted once, at its first endpoint. vertex[e] is pipe
+    e's segment-graph vertex: its sector's label, or n + e when both its
+    slots hold a valve. (label, weight) is what `segment_damage` takes."""
+    inc = net._inc
+    w = net.demand
+    n = len(inc)
+    label = [-1] * n
+    weight = [0] * n
+    vertex = list(range(n, n + len(w)))
+    for k in range(n):
+        if label[k] >= 0:
+            continue
+        # nodes below k are labelled, so k is its sector's lowest interior node
+        label[k] = k
+        demand = 0
+        stack = [k]
+        while stack:
+            for g, here, other, there in inc[stack.pop()]:
+                if present >> here & 1:
+                    continue
+                if present >> there & 1:
+                    demand += w[g]
+                    vertex[g] = k
+                    continue
+                if not here & 1:
+                    demand += w[g]
+                    vertex[g] = k
+                if label[other] < 0:
+                    label[other] = k
+                    stack.append(other)
+        weight[k] = demand
+    return label, weight, vertex
+
+
 def worst_case_fast(net, present):
     """(ud, argmax_edge, feasible) over all single-pipe breaks, mask input:
-    the worst row of `sector_damage`, ties going to the lowest
-    representative edge. A sector that holds a source has INFEASIBLE_UD,
-    which beats every finite damage, so an infeasible placement reports the
-    lowest such sector. A network without pipes has no break:
-    (0, None, True)."""
-    ud, edge = _worst_break((rep, ud) for rep, _, _, ud in sector_damage(net, present))
-    return ud, edge, ud != INFEASIBLE_UD
+    the damage of the worst row `sector_damage` would give, ties going to
+    the lowest representative edge, read off one `sector_labels` flood and
+    one `segment_damage` DFS instead of a flood per sector. Pipes are read
+    in ascending order and the first maximum wins, so the argmax is the
+    lowest pipe of a worst sector, its representative. A placement with an
+    empty source-side slot is infeasible: it skips the DFS and reports the
+    lowest representative of a sector that holds a source. A network
+    without pipes has no break: (0, None, True)."""
+    label, weight, vertex = sector_labels(net, present)
+    if net.source_slots_mask & ~present:
+        # a fully valved source keeps its own label, which no pipe takes
+        fed = {label[s] for s in net.source_list}
+        return INFEASIBLE_UD, next(e for e, v in enumerate(vertex) if v in fed), False
+    if not vertex:
+        return 0, None, True
+    damage = segment_damage(net, present, label, weight)
+    per_pipe = list(map(damage.__getitem__, vertex))
+    ud = max(per_pipe)
+    return ud, per_pipe.index(ud), True
 
 
 def _worst_break(damages):

@@ -8,11 +8,11 @@ filtering.
 
 from dataclasses import dataclass, replace
 
-from .isolation import present_mask, worst_case_fast
+from .isolation import mask_bits, present_mask, sector_from, worst_case_fast
 from .solver import BudgetError, InfeasibleBudget, SolverOptions, check_budget, solve
 
 
-@dataclass
+@dataclass(slots=True)
 class ParetoPoint:
     n_valves: int
     ud: float                  # ml/s
@@ -21,7 +21,7 @@ class ParetoPoint:
     elapsed: float
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepResult:
     points: list               # the non-dominated frontier, ascending valve count
     dropped: list              # solved points removed by dominance
@@ -30,25 +30,38 @@ class SweepResult:
 
 
 def _best_extension(net, placement):
-    """Cheapest one-valve extension of a placement, or None.
+    """Cheapest one-valve extension of a placement, or None when every slot
+    holds a valve; ties go to the lowest slot.
 
     Used to seed the next solve's incumbent: a solution for k valves plus
     any extra valve is a candidate for k+1. The base is a solved placement,
     so it holds every source-side slot and every extension is feasible.
     Candidates are never trusted blindly; the solver re-evaluates before
     installing.
+
+    Only an empty slot of the worst break's sector can lower the worst case.
+    A valve anywhere else leaves that sector, its closure and so its damage
+    as they are, and no valve raises any damage: such an extension keeps
+    the base's worst case exactly. So the extensions tried are the worst
+    sector's empty slots, ascending, and when none of them does better than
+    the base (a both-valve pipe, or a second sector as bad) every extension
+    ties and the lowest free slot wins, as a scan of every slot would pick.
     """
     base = present_mask(net, placement)
-    best = None
-    best_ud = None
-    for s in range(net.num_slots):
-        if base >> s & 1:
-            continue
-        ud, _, _ = worst_case_fast(net, base | 1 << s)
-        if best_ud is None or ud < best_ud:
-            best_ud = ud
-            best = placement | {s}
-    return best
+    free = ~base & ((1 << net.num_slots) - 1)
+    if not free:
+        return None
+    best_ud, edge, _ = worst_case_fast(net, base)
+    best = (free & -free).bit_length() - 1
+    for g in mask_bits(sector_from(net, base, edge)[0]):
+        for s in (2 * g, 2 * g + 1):
+            if base >> s & 1:
+                continue
+            ud, _, _ = worst_case_fast(net, base | 1 << s)
+            if ud < best_ud:
+                best_ud = ud
+                best = s
+    return placement | {best}
 
 
 def sweep(net, n_valves_range, opts=None):

@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from valveplan import isolation
-from valveplan.generate import random_document
+from valveplan.generate import random_document, random_instance
 from valveplan.isolation import (
     INFEASIBLE_UD,
     delivered_with_closed,
@@ -20,8 +21,8 @@ from valveplan.isolation import (
     worst_case_ud,
 )
 from valveplan.network import parse_network
-from conftest import (checked_damage, damage_by_reference, make_net, path_net,
-                      sector_ud)
+from conftest import (checked_damage, damage_by_reference, disjoint_triangles, make_net,
+                      path_net, real_density_net, sector_ud)
 
 
 def edge(net, label):
@@ -51,6 +52,19 @@ def sector_at(net, placement, e):
 def dewatered(net, closed):
     """Mask of the pipes left without water while the slots in `closed` block."""
     return ((1 << net.num_edges) - 1) & ~delivered_with_closed(net, closed)[0]
+
+
+def test_frozen_placement_takes_the_smaller_table():
+    # a sweep keeps one placement per budget: 16-18 valves fit the table
+    # that growing gives, 19 and more the one that copying a set gives
+    for k in range(1, 40):
+        bits = list(range(0, 3 * k, 3))
+        got = isolation.frozen_placement(bits)
+        assert got == frozenset(bits)
+        assert sys.getsizeof(got) == min(sys.getsizeof(frozenset(bits)),
+                                         sys.getsizeof(frozenset(set(bits))))
+    assert sys.getsizeof(isolation.frozen_placement(list(range(17)))) \
+        < sys.getsizeof(frozenset(set(range(17))))
 
 
 # -- sector_from ---------------------------------------------------------------
@@ -385,11 +399,16 @@ def test_worst_case_never_refloods(monkeypatch):
     worst = max(ref.values())
     expected = (worst, min(r for r, ud in ref.items() if ud == worst), True)
 
-    def reflood(*args):
-        raise AssertionError("delivered_with_closed called")
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+        return call
 
-    monkeypatch.setattr(isolation, "delivered_with_closed", reflood)
-    assert worst_case_fast(net, mask) == expected
+    monkeypatch.setattr(isolation, "delivered_with_closed", forbidden("delivered_with_closed"))
+    with monkeypatch.context() as m:
+        # one node flood labels every sector: no flood per sector either
+        m.setattr(isolation, "sector_from", forbidden("sector_from"))
+        assert worst_case_fast(net, mask) == expected
     assert {rep: ud for rep, _, _, ud in sector_damage(net, mask)} == ref
 
 
@@ -437,19 +456,21 @@ def test_feasibility_rule_every_mask(fig1, corpus):
 
 def test_feasibility_two_sources_share_a_sector(monkeypatch):
     # sources 2 and 3 both lie in the sector {a, b, c}: four open
-    # source-side slots, one flood
+    # source-side slots, one witness, and no sector flooded again
     net = make_net([1, 2, 3, 4], [2, 3], [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4)])
     mask = present_mask(net, slots(net, "a:1", "c:4"))
-    floods = []
-    real = isolation.sector_from
+    calls = []
 
-    def counted(*args):
-        floods.append(args[2])
-        return real(*args)
+    def counted(name):
+        def call(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
 
-    monkeypatch.setattr(isolation, "sector_from", counted)
+    for name in ("sector_from", "delivered_with_closed"):
+        monkeypatch.setattr(isolation, name, counted(name))
     assert worst_case_fast(net, mask) == (INFEASIBLE_UD, edge(net, "a"), False)
-    assert len(floods) == 1
+    assert calls == []
     monkeypatch.undo()
     assert not check_feasibility_rule(net, mask)
 
@@ -471,3 +492,95 @@ def test_feasibility_source_with_every_slot_valved():
     assert mask == net.source_slots_mask
     assert check_feasibility_rule(net, mask)
     assert worst_case_fast(net, mask) == (9_000, edge(net, "a"), True)
+
+
+# -- the one-flood labelling against the per-sector rows ----------------------
+
+
+def test_sector_labels_match_scan_sectors(corpus):
+    # every sector's interior nodes carry its lowest one, which weighs the
+    # sector's demand; a fully valved node keeps its own label and weighs
+    # nothing; each pipe sits on its sector's label, or on n + e
+    rng = random.Random(24)
+    for net in corpus[:20]:
+        n = net.num_nodes
+        for _ in range(40):
+            mask = rng.getrandbits(net.num_slots)
+            label, weight, vertex = isolation.sector_labels(net, mask)
+            want_label, want_weight = list(range(n)), [0] * n
+            want_vertex = [n + e for e in range(net.num_edges)]
+            for _, edges_mask, _, nodes_mask, demand, _ in scan_sectors(net, mask):
+                if not nodes_mask:
+                    continue
+                low = mask_bits(nodes_mask)[0]
+                for k in mask_bits(nodes_mask):
+                    want_label[k] = low
+                want_weight[low] = demand
+                for e in mask_bits(edges_mask):
+                    want_vertex[e] = low
+            assert (label, weight, vertex) == (want_label, want_weight, want_vertex)
+
+
+def test_worst_case_on_two_source_fed_components():
+    net = disjoint_triangles()
+    for mask in range(1 << net.num_slots):
+        check_feasibility_rule(net, mask)
+
+
+def test_worst_case_across_a_fully_valved_junction():
+    # junction 3 holds a valve on every slot, between the sector {a, b} and
+    # the single-pipe sectors c and d: a break in {a, b} also dries c and d
+    net = make_net([1, 2, 3, 4, 5], [1],
+                   [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4), ("d", 3, 5, 8)])
+    mask = present_mask(net, slots(net, "a:1", "b:3", "c:3", "d:3"))
+    label, _, _ = isolation.sector_labels(net, mask)
+    assert label[net.node_index[3]] == net.node_index[3]
+    assert check_feasibility_rule(net, mask)
+    assert worst_case_fast(net, mask) == (15_000, edge(net, "a"), True)
+
+
+def valved_cycle(first, second):
+    """Triangle fed from node 1 with valves on both source-side slots and
+    on both slots of b; `first` and `second` name the two pipes that come
+    first in edge order, as (label, demand)."""
+    ends = {"a": (1, 2), "b": (2, 3), "c": (3, 1)}
+    demand = {"c": 2, **dict([first, second])}
+    order = [first[0], second[0]] + [x for x in "abc" if x not in (first[0], second[0])]
+    net = make_net([1, 2, 3], [1], [(x, *ends[x], demand[x]) for x in order])
+    return net, present_mask(net, slots(net, "a:1", "c:1", "b:2", "b:3"))
+
+
+def test_worst_case_both_valve_pipe_is_the_unique_worst():
+    net, mask = valved_cycle(("a", 1), ("b", 50))
+    assert check_feasibility_rule(net, mask)
+    assert worst_case_fast(net, mask) == (50_000, edge(net, "b"), True)
+
+
+@pytest.mark.parametrize("first, second, witness", [
+    (("a", 3), ("b", 3), "a"),          # the sector {a} comes first
+    (("b", 3), ("a", 3), "b"),          # the both-valve pipe b comes first
+])
+def test_worst_case_tie_between_sector_and_pipe_vertex(first, second, witness):
+    net, mask = valved_cycle(first, second)
+    assert check_feasibility_rule(net, mask)
+    assert worst_case_fast(net, mask) == (3_000, edge(net, witness), True)
+
+
+def test_infeasible_witness_is_not_edge_zero():
+    # source 3 is interior to {b, c}; edge 0 (a) is a sector of its own
+    net = make_net([1, 2, 3, 4], [3], [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4)])
+    mask = present_mask(net, slots(net, "a:2"))
+    assert not check_feasibility_rule(net, mask)
+    assert worst_case_fast(net, mask) == (INFEASIBLE_UD, edge(net, "b"), False)
+
+
+@pytest.mark.parametrize("net_name", [f"rand-{s}-m33" for s in range(6)]
+                         + [f"real-{s}" for s in range(4)])
+def test_worst_case_on_33_pipe_networks(net_name):
+    seed = int(net_name.split("-")[1])
+    net = real_density_net(seed) if net_name.startswith("real") else random_instance(seed, 33)
+    rng = random.Random(seed)
+    for _ in range(60):
+        mask = rng.getrandbits(net.num_slots) & rng.getrandbits(net.num_slots)
+        check_feasibility_rule(net, mask)
+        check_feasibility_rule(net, mask | net.source_slots_mask)

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from valveplan import pareto
+from valveplan.generate import random_instance
+from valveplan.isolation import present_mask, sector_from, worst_case_fast
 from valveplan.oracle import brute_force
 from valveplan.pareto import sweep
 from valveplan.solver import BudgetError, SolverOptions
@@ -153,3 +157,128 @@ def test_interrupt_ends_the_sweep_after_that_budget(fig1):
     assert [p.n_valves for p in result.points] == [2, 3, 4]
     assert result.points[-1].proof == "best-found"
     assert result.notes == ["n_valves=4: interrupted; larger budgets were not solved"]
+
+
+# -- the warm start: the best one-valve extension -----------------------------
+
+
+def exhaustive_extension(net, placement):
+    """The best one-valve extension by trying every free slot, ascending;
+    the first cheapest wins. None when every slot holds a valve."""
+    base = present_mask(net, placement)
+    best = best_ud = None
+    for s in range(net.num_slots):
+        if base >> s & 1:
+            continue
+        ud, _, _ = worst_case_fast(net, base | 1 << s)
+        if best_ud is None or ud < best_ud:
+            best, best_ud = placement | {s}, ud
+    return best
+
+
+def random_feasible_placements(net, count, rng):
+    need = [s for s in range(net.num_slots) if net.source_slots_mask >> s & 1]
+    free = [s for s in range(net.num_slots) if not net.source_slots_mask >> s & 1]
+    for _ in range(count):
+        yield frozenset(need + rng.sample(free, rng.randint(0, len(free))))
+
+
+def test_best_extension_equals_exhaustive_scan(fig1, fig2, corpus):
+    from conftest import real_density_net
+    rng = random.Random(24)
+    nets = [(fig1, 60), (fig2, 60)] + [(net, 12) for net in corpus]
+    nets += [(random_instance(seed, 33), 15) for seed in range(3)]
+    nets += [(real_density_net(seed), 15) for seed in range(2)]
+    for net, count in nets:
+        for placement in random_feasible_placements(net, count, rng):
+            assert pareto._best_extension(net, placement) == exhaustive_extension(net, placement), \
+                (net.name, sorted(placement))
+
+
+def test_best_extension_both_valve_pipe_worst():
+    # b holds a valve on both slots and is the worst break: no valve lowers
+    # it, so every extension ties and the lowest free slot (a:2) wins
+    from conftest import make_net
+    net = make_net([1, 2, 3], [1], [("a", 1, 2, 1), ("b", 2, 3, 50), ("c", 3, 1, 2)])
+    placement = frozenset(net.parse_slot_token(t) for t in ("a:1", "c:1", "b:2", "b:3"))
+    assert worst_case_fast(net, present_mask(net, placement))[:2] == (50_000, net.edge_index["b"])
+    expected = placement | {net.parse_slot_token("a:2")}
+    assert pareto._best_extension(net, placement) == expected == exhaustive_extension(net, placement)
+
+
+def test_best_extension_two_tied_worst_sectors():
+    # two pendant paths of 10 l/s hang off the source: a valve inside one
+    # leaves the other as bad, so the lowest free slot (a:2) wins
+    from conftest import make_net
+    net = make_net([1, 2, 3, 4, 5], [1],
+                   [("a", 1, 2, 5), ("b", 2, 3, 5), ("c", 1, 4, 5), ("d", 4, 5, 5)])
+    placement = frozenset(net.parse_slot_token(t) for t in ("a:1", "c:1"))
+    assert worst_case_fast(net, present_mask(net, placement))[:2] == (10_000, net.edge_index["a"])
+    expected = placement | {net.parse_slot_token("a:2")}
+    assert pareto._best_extension(net, placement) == expected == exhaustive_extension(net, placement)
+
+
+def test_best_extension_of_a_full_placement_is_none(fig1):
+    assert pareto._best_extension(fig1, frozenset(range(fig1.num_slots))) is None
+
+
+def test_best_extension_evaluates_only_the_worst_sector(fig2, monkeypatch):
+    # once for the base, then once per empty slot of the worst break's sector
+    rng = random.Random(7)
+    for placement in random_feasible_placements(fig2, 30, rng):
+        base = present_mask(fig2, placement)
+        if base == (1 << fig2.num_slots) - 1:
+            continue
+        edges_mask = sector_from(fig2, base, worst_case_fast(fig2, base)[1])[0]
+        empty = sum(not base >> s & 1 for s in range(fig2.num_slots) if edges_mask >> (s >> 1) & 1)
+        calls = []
+
+        def counted(net, mask):
+            calls.append(mask)
+            return worst_case_fast(net, mask)
+
+        monkeypatch.setattr(pareto, "worst_case_fast", counted)
+        pareto._best_extension(fig2, placement)
+        monkeypatch.undo()
+        assert len(calls) == 1 + empty, sorted(placement)
+
+
+# -- the sweep's searches, pinned ---------------------------------------------
+
+# per solved budget: (nv, SearchStats.nodes, ud, proof); budgets below the
+# source-side slot count raise InfeasibleBudget before any search
+SWEEP_PINS = {
+    "fig1": (range(2, 15), [
+        (2, 1, 47000, "optimal"), (3, 1, 36000, "optimal"), (4, 10, 24000, "optimal"),
+        (5, 14, 17000, "optimal")] + [(nv, 0, 15000, "optimal") for nv in range(6, 15)]),
+    "fig2": (range(2, 21), [
+        (2, 1, 10000, "optimal"), (3, 1, 9000, "optimal"), (4, 20, 5000, "optimal"),
+        (5, 57, 5000, "optimal"), (6, 99, 4000, "optimal"), (7, 98, 3000, "optimal"),
+        (8, 69, 2000, "optimal"), (9, 19, 2000, "optimal"), (10, 34, 2000, "optimal"),
+        (11, 68, 2000, "optimal"), (12, 150, 2000, "optimal"),
+        (13, 38, 1000, "optimal")] + [(nv, 0, 1000, "optimal") for nv in range(14, 21)]),
+    "rand-7-m12": (range(2, 25), [
+        (4, 1, 147000, "optimal"), (5, 3, 117000, "optimal"), (6, 14, 97000, "optimal"),
+        (7, 38, 77000, "optimal"), (8, 43, 57000, "optimal"), (9, 58, 40000, "optimal"),
+        (10, 186, 39000, "optimal"), (11, 503, 30000, "optimal"), (12, 195, 28000, "optimal"),
+        (13, 297, 25000, "optimal"), (14, 380, 22000, "optimal")]
+        + [(nv, 0, 20000, "optimal") for nv in range(15, 25)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PINS))
+def test_sweep_searches_are_pinned(name, fig1, fig2, monkeypatch):
+    # a changed warm start changes the trees walked; it must show here
+    net = {"fig1": fig1, "fig2": fig2}.get(name) or random_instance(7, 12)
+    nvs, pinned = SWEEP_PINS[name]
+    solved = []
+    real = pareto.solve
+
+    def recorded(net, nv, opts):
+        sol = real(net, nv, opts)
+        solved.append((nv, sol.stats.nodes, sol.ud, sol.proof))
+        return sol
+
+    monkeypatch.setattr(pareto, "solve", recorded)
+    sweep(net, nvs)
+    assert solved == pinned
