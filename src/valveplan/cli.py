@@ -10,12 +10,14 @@ kept from comparing), 4 check mismatch.
 """
 
 import argparse
+import csv
+import io
 import math
 import sys
 
 from . import instances
 from .generate import random_instance
-from .isolation import INFEASIBLE_UD, _worst_break, mask_bits, present_mask, sector_damage
+from .isolation import INFEASIBLE_UD, mask_bits, present_mask, sector_damage
 from .network import InstanceError, format_flow, parse_placement, read_text
 from .oracle import DEFAULT_CAP, EnumerationCapExceeded, brute_force
 from .pareto import sweep
@@ -43,8 +45,13 @@ class _Report:
         self.lines.append(f"{key}: {value}\t#timing")
 
     def row(self, *cells):
-        sep = "," if self.fmt == "csv" else "  "
-        self.lines.append(sep.join(str(c) for c in cells))
+        if self.fmt == "csv":
+            # quoted only where a cell holds a comma, a quote or a line break
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow(cells)
+            self.lines.append(out.getvalue()[:-1])
+        else:
+            self.lines.append("  ".join(str(c) for c in cells))
 
     def emit(self, stream=None):
         print("\n".join(self.lines), file=stream or sys.stdout)
@@ -146,7 +153,8 @@ def cmd_evaluate(args):
         for e in mask_bits(edges_mask):
             rows[e] = (pos, boundary.bit_count(), ud)
         damages.append((rep, ud))
-    worst, worst_edge = _worst_break(damages)
+    # the first maximum: ties go to the lowest representative
+    worst_edge, worst = max(damages, key=lambda d: d[1], default=(None, 0))
     report.row("edge", "sector", "closed_valves", "ud_lps", "isolable")
     for e, (pos, closed, ud) in enumerate(rows):
         report.row(net.edge_labels[e], pos, closed, format_flow(ud),

@@ -24,12 +24,13 @@ exactly the valves on its vertex, so what it leaves dry is the sector plus
 whatever the sector separates from the root as an articulation vertex. One
 lowpoint DFS (Hopcroft & Tarjan 1973) gives that for every sector at once, in time
 linear in sectors plus valves. `segment_damage` builds the graph from a
-labelling of nodes by sector and runs that DFS. `worst_case_fast` labels
-with one node flood over the whole network (`sector_labels`);
-`sector_damage` floods sector by sector (`scan_sectors`), which also gives
-each sector's pipe and boundary masks; and the solver's leaves label by
-their sector classes (`TrailedState.worst_damage`). `delivered_with_closed`
-stays as the plain reachability reference for a single closure.
+labelling of nodes by sector and runs that DFS. One node flood over the
+whole network labels the sectors (`sector_labels`) for both
+`worst_case_fast` and `sector_damage`, which also reads each sector's
+pipe and boundary masks off the labels; the solver's leaves label by
+their sector classes (`TrailedState.worst_damage`). `sector_from` and
+`scan_sectors` flood one sector at a time and stay as the per-sector
+reference, as `delivered_with_closed` does for a single closure.
 
 Adding a valve never raises any break's damage: the new closure is a subset
 of the old boundary plus valves inside the old sector, so every source path
@@ -171,33 +172,30 @@ def scan_sectors(net, present):
 
 def sector_damage(net, present):
     """Yield (representative_edge, edges_mask, boundary, ud) for every sector,
-    representatives ascending: the one per-sector damage evaluator. Every
-    pipe of a sector entails the same closure, so one break per sector is
-    evaluated; a sector that holds a source cannot be de-watered at all and
-    gets INFEASIBLE_UD. Each sector is labelled by its lowest interior
-    node, or is pipe vertex n + rep when it has none, and `segment_damage`
-    gives every damage at once: `total_demand - delivered_with_closed(boundary)`
-    per sector, in O(sectors + valves) instead of one flood per sector.
-    """
-    scanned = list(scan_sectors(net, present))
-    n = net.num_nodes
-    label = list(range(n))
-    weight = [0] * n
-    vertex = []
-    for rep, _, _, nodes_mask, demand, _ in scanned:
-        if nodes_mask:
-            low = (nodes_mask & -nodes_mask).bit_length() - 1
-            for k in mask_bits(nodes_mask):
-                label[k] = low
-            weight[low] = demand
-            vertex.append(low)
-        else:
-            vertex.append(n + rep)
+    representatives ascending: the rows `scan_sectors` would give, with each
+    sector's damage. Every pipe of a sector entails the same closure, so one
+    break per sector is evaluated; a sector that holds a source cannot be
+    de-watered at all and gets INFEASIBLE_UD. The sectors are the pipe
+    vertices of one `sector_labels` flood, and `segment_damage` gives every
+    damage at once: `total_demand - delivered_with_closed(boundary)` per
+    sector, in O(sectors + valves). A sector's boundary is each valve on one
+    of its pipes or at one of its interior nodes."""
+    label, weight, vertex = sector_labels(net, present)
     # every pipe reaches a source with all valves open (Network checks it),
     # so the DFS visits every sector
     damage = segment_damage(net, present, label, weight)
-    for (rep, edges_mask, boundary, _, _, has_source), v in zip(scanned, vertex):
-        yield rep, edges_mask, boundary, INFEASIBLE_UD if has_source else damage[v]
+    rows = {}
+    for e, v in enumerate(vertex):
+        rows.setdefault(v, [e, 0])[1] |= 1 << e
+    ep = net.endpoints
+    closed = [0] * (len(label) + len(vertex))
+    for slot in mask_bits(present):
+        e = slot >> 1
+        closed[vertex[e]] |= 1 << slot
+        closed[label[ep[e][slot & 1]]] |= 1 << slot
+    fed = {label[s] for s in net.source_list}
+    for v, (rep, edges_mask) in rows.items():
+        yield rep, edges_mask, closed[v], INFEASIBLE_UD if v in fed else damage[v]
 
 
 def segment_damage(net, present, label, weight):
@@ -318,18 +316,6 @@ def worst_case_fast(net, present):
     per_pipe = list(map(damage.__getitem__, vertex))
     ud = max(per_pipe)
     return ud, per_pipe.index(ud), True
-
-
-def _worst_break(damages):
-    """(ud, representative) of the worst break among `damages`, pairs of
-    (representative, ud) with ascending representatives. The first maximum
-    wins, so ties go to the lowest representative and INFEASIBLE_UD beats
-    every finite damage; (0, None) when there is no pipe."""
-    worst, worst_edge = 0, None
-    for rep, ud in damages:
-        if worst_edge is None or ud > worst:
-            worst, worst_edge = ud, rep
-    return worst, worst_edge
 
 
 def bridge_lower_bound(net):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import random
@@ -11,7 +12,7 @@ from valveplan.instances import FIG1_SIX_VALVES
 from valveplan.isolation import mask_bits, present_mask, scan_sectors, worst_case_ud
 from valveplan.network import format_flow, serialize_network
 
-from conftest import damage_by_reference
+from conftest import damage_by_reference, make_net
 
 
 @pytest.fixture
@@ -62,10 +63,17 @@ def test_evaluate_bad_instance(capsys, tmp_path, demo_placement_file):
 
 def evaluate_cases(tmp_path):
     """(instance path, network, placement): fig1 with the demo and the empty
-    placement, then random placements on corpus instances."""
+    placement, a network whose edge labels need csv quoting, then random
+    placements on corpus instances."""
     fig1 = instances.fig1()
     demo = frozenset(fig1.parse_slot_token(t) for t in FIG1_SIX_VALVES)
     cases = [("fig1", fig1, demo), ("fig1", fig1, frozenset())]
+    quoted = make_net([1, 2, 3, 4], [1], [("a,b", 1, 2, 3), ('q"t', 2, 3, 2),
+                                          ('x,"y"', 3, 4, 1), ("plain", 2, 4, 5)])
+    path = tmp_path / "quoted.json"
+    path.write_text(serialize_network(quoted))
+    for tokens in (["a,b:1", 'q"t:2', "plain:2"], ["a,b:2"]):
+        cases.append((str(path), quoted, frozenset(map(quoted.parse_slot_token, tokens))))
     rng = random.Random(7)
     for seed in range(6):
         net = random_instance(seed)
@@ -85,7 +93,7 @@ def test_evaluate_rows_match_sectors_and_breaks(capsys, tmp_path):
         code, out, _ = run(capsys, "evaluate", instance, str(path), "--format", "csv")
         lines = out.splitlines()
         header = lines.index("edge,sector,closed_valves,ud_lps,isolable")
-        rows = [line.split(",") for line in lines[header + 1:header + 1 + net.num_edges]]
+        rows = list(csv.reader(lines[header + 1:header + 1 + net.num_edges]))
         reference = damage_by_reference(net, placement)
         sector_rows = list(scan_sectors(net, present_mask(net, placement)))
         for e, row in enumerate(rows):

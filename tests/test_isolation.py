@@ -409,7 +409,7 @@ def test_worst_case_never_refloods(monkeypatch):
         # one node flood labels every sector: no flood per sector either
         m.setattr(isolation, "sector_from", forbidden("sector_from"))
         assert worst_case_fast(net, mask) == expected
-    assert {rep: ud for rep, _, _, ud in sector_damage(net, mask)} == ref
+        assert {rep: ud for rep, _, _, ud in sector_damage(net, mask)} == ref
 
 
 # -- feasibility from the source-side slots -----------------------------------
@@ -500,7 +500,9 @@ def test_feasibility_source_with_every_slot_valved():
 def test_sector_labels_match_scan_sectors(corpus):
     # every sector's interior nodes carry its lowest one, which weighs the
     # sector's demand; a fully valved node keeps its own label and weighs
-    # nothing; each pipe sits on its sector's label, or on n + e
+    # nothing; each pipe sits on its sector's label, or on n + e. The
+    # sector_damage rows read off those labels are the scan_sectors rows,
+    # infeasible exactly where the sector holds a source
     rng = random.Random(24)
     for net in corpus[:20]:
         n = net.num_nodes
@@ -509,7 +511,13 @@ def test_sector_labels_match_scan_sectors(corpus):
             label, weight, vertex = isolation.sector_labels(net, mask)
             want_label, want_weight = list(range(n)), [0] * n
             want_vertex = [n + e for e in range(net.num_edges)]
-            for _, edges_mask, _, nodes_mask, demand, _ in scan_sectors(net, mask):
+            scanned = list(scan_sectors(net, mask))
+            damaged = list(sector_damage(net, mask))
+            assert len(damaged) == len(scanned)
+            for (rep, edges_mask, boundary, _, _, has_source), row in zip(scanned, damaged):
+                assert row[:3] == (rep, edges_mask, boundary)
+                assert (row[3] == INFEASIBLE_UD) == has_source
+            for _, edges_mask, _, nodes_mask, demand, _ in scanned:
                 if not nodes_mask:
                     continue
                 low = mask_bits(nodes_mask)[0]
