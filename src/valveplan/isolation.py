@@ -28,9 +28,12 @@ labelling of nodes by sector and runs that DFS. One node flood over the
 whole network labels the sectors (`sector_labels`) for both
 `worst_case_fast` and `sector_damage`, which also reads each sector's
 pipe and boundary masks off the labels; the solver's leaves label by
-their sector classes (`TrailedState.worst_damage`). `sector_from` and
-`scan_sectors` flood one sector at a time and stay as the per-sector
-reference, as `delivered_with_closed` does for a single closure.
+their sector classes (`TrailedState.worst_damage`); network validation
+and the sweep's warm start read the same flood. The reference floods,
+`sector_from` and `scan_sectors` (one sector at a time),
+`delivered_with_closed` (a single closure) and `ud_by_component_deletion`
+(the subtraction formulation), have no production caller: tests and the
+benchmark check the one flood against them.
 
 Adding a valve never raises any break's damage: the new closure is a subset
 of the old boundary plus valves inside the old sector, so every source path
@@ -95,79 +98,6 @@ def frozen_placement(bits):
     the 2,264 it takes grown one slot at a time. Grown, 16-18 valves still
     fit the 728-byte table that copying skips past."""
     return min(frozenset(bits), frozenset(set(bits)), key=sys.getsizeof)
-
-
-def sector_from(net, present, edge):
-    """Flood out from `edge` without crossing valves.
-
-    Returns (edges_mask, boundary_slot_mask, interior_node_mask, demand,
-    contains_source).
-    """
-    inc = net._inc
-    ep = net.endpoints
-    w = net.demand
-    edges_mask = 1 << edge
-    boundary = 0
-    nodes_mask = 0
-    demand = w[edge]
-    stack = [edge]
-    while stack:
-        f = stack.pop()
-        base = 2 * f
-        for slot, node in ((base, ep[f][0]), (base + 1, ep[f][1])):
-            if present >> slot & 1:
-                boundary |= 1 << slot
-                continue
-            if nodes_mask >> node & 1:
-                continue
-            nodes_mask |= 1 << node
-            for g, slot_here, _, _ in inc[node]:
-                if present >> slot_here & 1:
-                    boundary |= 1 << slot_here
-                elif not (edges_mask >> g & 1):
-                    edges_mask |= 1 << g
-                    demand += w[g]
-                    stack.append(g)
-    return edges_mask, boundary, nodes_mask, demand, bool(nodes_mask & net.sources_mask)
-
-
-def delivered_with_closed(net, closed):
-    """Edges still fed from some source while the slots in `closed` block.
-
-    Returns (delivered_edges_mask, delivered_demand).
-    """
-    inc = net._inc
-    delivered = 0
-    demand = 0
-    node_seen = 0
-    stack = []
-    for s in net.source_list:
-        node_seen |= 1 << s
-        stack.append(s)
-    while stack:
-        node = stack.pop()
-        for g, slot_here, other, slot_other in inc[node]:
-            if closed >> slot_here & 1:
-                continue
-            if not (delivered >> g & 1):
-                delivered |= 1 << g
-                demand += net.demand[g]
-            if not (node_seen >> other & 1) and not (closed >> slot_other & 1):
-                node_seen |= 1 << other
-                stack.append(other)
-    return delivered, demand
-
-
-def scan_sectors(net, present):
-    """Yield (representative_edge, edges_mask, boundary, nodes_mask, demand,
-    contains_source) for every sector; representatives ascend."""
-    seen = 0
-    for e in range(net.num_edges):
-        if seen >> e & 1:
-            continue
-        res = sector_from(net, present, e)
-        seen |= res[0]
-        yield (e,) + res
 
 
 def sector_damage(net, present):
@@ -331,7 +261,80 @@ def worst_case_ud(net, placement):
     return WorstCase(ud=ud, edge=edge, feasible=feasible)
 
 
-# -- independent formulation (verification path) ------------------------------
+# -- reference floods (tests and the benchmark; no production caller) --------
+
+def sector_from(net, present, edge):
+    """Flood out from `edge` without crossing valves.
+
+    Returns (edges_mask, boundary_slot_mask, interior_node_mask, demand,
+    contains_source).
+    """
+    inc = net._inc
+    ep = net.endpoints
+    w = net.demand
+    edges_mask = 1 << edge
+    boundary = 0
+    nodes_mask = 0
+    demand = w[edge]
+    stack = [edge]
+    while stack:
+        f = stack.pop()
+        base = 2 * f
+        for slot, node in ((base, ep[f][0]), (base + 1, ep[f][1])):
+            if present >> slot & 1:
+                boundary |= 1 << slot
+                continue
+            if nodes_mask >> node & 1:
+                continue
+            nodes_mask |= 1 << node
+            for g, slot_here, _, _ in inc[node]:
+                if present >> slot_here & 1:
+                    boundary |= 1 << slot_here
+                elif not (edges_mask >> g & 1):
+                    edges_mask |= 1 << g
+                    demand += w[g]
+                    stack.append(g)
+    return edges_mask, boundary, nodes_mask, demand, bool(nodes_mask & net.sources_mask)
+
+
+def delivered_with_closed(net, closed):
+    """Edges still fed from some source while the slots in `closed` block.
+
+    Returns (delivered_edges_mask, delivered_demand).
+    """
+    inc = net._inc
+    delivered = 0
+    demand = 0
+    node_seen = 0
+    stack = []
+    for s in net.source_list:
+        node_seen |= 1 << s
+        stack.append(s)
+    while stack:
+        node = stack.pop()
+        for g, slot_here, other, slot_other in inc[node]:
+            if closed >> slot_here & 1:
+                continue
+            if not (delivered >> g & 1):
+                delivered |= 1 << g
+                demand += net.demand[g]
+            if not (node_seen >> other & 1) and not (closed >> slot_other & 1):
+                node_seen |= 1 << other
+                stack.append(other)
+    return delivered, demand
+
+
+def scan_sectors(net, present):
+    """Yield (representative_edge, edges_mask, boundary, nodes_mask, demand,
+    contains_source) for every sector; representatives ascend."""
+    seen = 0
+    for e in range(net.num_edges):
+        if seen >> e & 1:
+            continue
+        res = sector_from(net, present, e)
+        seen |= res[0]
+        yield (e,) + res
+
 
 def ud_by_component_deletion(net, placement, edge):
     """Undelivered demand computed the subtraction way.

@@ -29,12 +29,16 @@ Each edge is ``[label, endpoint, endpoint, demand_lps]``. When ``faces``
 is omitted but ``coords`` is present, the internal faces of the straight
 line drawing are computed automatically; if neither is usable the face
 information is simply absent (it only feeds an optional pruning rule).
+
+Node and edge labels must not hold whitespace or ``#``: a placement file
+names each valve by an ``edge:node`` token, separates tokens by whitespace
+and starts a comment at ``#``. A label may hold ``:``.
 """
 
 import json
 import math
 
-from .isolation import delivered_with_closed
+from .isolation import sector_labels
 
 MLS = 1000  # internal flow unit: millilitres per second
 
@@ -115,6 +119,7 @@ class Network:
         for i, label in enumerate(self.node_labels):
             if isinstance(label, (list, dict)):     # unhashable: it names nothing
                 raise ValidationError(f"node id {label!r} must not be an array or object")
+            _check_label("node", label)
             if label in self.node_index or str(label) in self._node_by_str:
                 raise ValidationError(f"duplicate node id {label!r}")
             self.node_index[label] = i
@@ -140,6 +145,7 @@ class Network:
         for k, (label, u_label, v_label, w) in enumerate(edges):
             if isinstance(label, (list, dict)):
                 raise ValidationError(f"edge id {label!r} must not be an array or object")
+            _check_label("edge", label)
             if label in self.edge_index or str(label) in self._edge_by_str:
                 raise ValidationError(f"duplicate edge id {label!r}")
             for end in (u_label, v_label):
@@ -191,12 +197,13 @@ class Network:
                                      for row in self._inc[s])
 
     def _check_reachable(self):
-        delivered, _ = delivered_with_closed(self, 0)
-        missing = ~delivered & ((1 << len(self.endpoints)) - 1)
-        if missing:
-            e = (missing & -missing).bit_length() - 1     # the lowest one
-            raise ValidationError(
-                f"edge {self.edge_labels[e]!r} is not reachable from any source")
+        # with no valve placed the sectors are the connected components
+        label, _, vertex = sector_labels(self, 0)
+        fed = {label[s] for s in self.source_list}
+        for e, v in enumerate(vertex):           # the lowest such pipe first
+            if v not in fed:
+                raise ValidationError(
+                    f"edge {self.edge_labels[e]!r} is not reachable from any source")
 
     def _init_coords(self, coords):
         if coords is None:
@@ -279,9 +286,6 @@ class Network:
             return 2 * edge + 1
         raise ValueError(f"node {node} is not an endpoint of edge {edge}")
 
-    def slot_edge(self, slot):
-        return slot >> 1
-
     def slot_node(self, slot):
         """Node index the slot sits next to."""
         return self.endpoints[slot >> 1][slot & 1]
@@ -344,6 +348,12 @@ class Network:
         name = f" {self.name!r}" if self.name else ""
         return (f"<Network{name}: {self.num_nodes} nodes, {self.num_edges} edges, "
                 f"{len(self.sources)} source(s), total demand {format_flow(self.total_demand)} l/s>")
+
+
+def _check_label(kind, label):
+    text = str(label)
+    if "#" in text or any(c.isspace() for c in text):
+        raise ValidationError(f"{kind} id {label!r} must not hold whitespace or '#'")
 
 
 def _canonical_cycle(idx):
@@ -501,22 +511,13 @@ def _trace_internal_faces(net):
     # this next-dart rule walks bounded faces clockwise: each component's
     # outer walk is the one with positive (counter-clockwise) signed area, or
     # zero for a tree, and a plane drawing of E edges on V nodes in C
-    # components has E - V + C bounded faces
+    # components has E - V + C bounded faces. With no valve placed the
+    # sectors are the components, and each labels its lowest node with itself
     internal = [w for w in walks if area(w) < 0]
-    seen = set()                            # the nodes that have a pipe
-    components = 0
-    for start in range(net.num_nodes):
-        if start in seen or not net.incident[start]:
-            continue
-        components += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for _, _, other, _ in net._inc[stack.pop()]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-    if len(internal) != net.num_edges - len(seen) + components:
+    label = sector_labels(net, 0)[0]
+    piped = [k for k in range(net.num_nodes) if net.incident[k]]
+    components = sum(label[k] == k for k in piped)
+    if len(internal) != net.num_edges - len(piped) + components:
         raise PlanarityError("face count does not match a plane embedding")
     return [_canonical_cycle(w) for w in internal]
 

@@ -8,7 +8,7 @@ filtering.
 
 from dataclasses import dataclass, replace
 
-from .isolation import mask_bits, present_mask, sector_from, worst_case_fast
+from .isolation import mask_bits, present_mask, sector_labels, worst_case_fast
 from .solver import BudgetError, InfeasibleBudget, SolverOptions, check_budget, solve
 
 
@@ -42,10 +42,11 @@ def _best_extension(net, placement):
     Only an empty slot of the worst break's sector can lower the worst case.
     A valve anywhere else leaves that sector, its closure and so its damage
     as they are, and no valve raises any damage: such an extension keeps
-    the base's worst case exactly. So the extensions tried are the worst
-    sector's empty slots, ascending, and when none of them does better than
-    the base (a both-valve pipe, or a second sector as bad) every extension
-    ties and the lowest free slot wins, as a scan of every slot would pick.
+    the base's worst case exactly. So the extensions tried are the empty
+    slots of the pipes whose `sector_labels` vertex is the worst break's,
+    ascending, and when none of them does better than the base (a
+    both-valve pipe, or a second sector as bad) every extension ties and
+    the lowest free slot wins, as a scan of every slot would pick.
     """
     base = present_mask(net, placement)
     free = ~base & ((1 << net.num_slots) - 1)
@@ -53,14 +54,14 @@ def _best_extension(net, placement):
         return None
     best_ud, edge, _ = worst_case_fast(net, base)
     best = (free & -free).bit_length() - 1
-    for g in mask_bits(sector_from(net, base, edge)[0]):
-        for s in (2 * g, 2 * g + 1):
-            if base >> s & 1:
-                continue
-            ud, _, _ = worst_case_fast(net, base | 1 << s)
-            if ud < best_ud:
-                best_ud = ud
-                best = s
+    vertex = sector_labels(net, base)[2]
+    for s in mask_bits(free):
+        if vertex[s >> 1] != vertex[edge]:
+            continue
+        ud, _, _ = worst_case_fast(net, base | 1 << s)
+        if ud < best_ud:
+            best_ud = ud
+            best = s
     return placement | {best}
 
 

@@ -85,6 +85,7 @@ from .isolation import (bridge_lower_bound, frozen_placement, mask_bits, present
 from .state import ABSENT, PRESENT, UNDECIDED, TrailedState
 
 RESTART_MODES = ("continuing", "restarting")
+_BRANCH_ORDER = (PRESENT, ABSENT)      # the valve child first, then the empty one
 
 
 class BudgetError(ValueError):
@@ -224,7 +225,6 @@ class Search:
         self._best = (math.inf, None, None)   # (ud, placement, argmax edge)
         self.anytime = []
         self._unwind = False
-        self._order = (PRESENT, ABSENT)
         self.t0 = time.perf_counter()
         # most distinct faces one slot lies on, so most lonely faces one
         # more valve can relieve (traced faces give 2, declared ones more)
@@ -503,9 +503,8 @@ class Search:
         enter = self._enter
         push_frame = self.state.push_frame
         undo_frame = self.state.undo_frame
-        order = self._order
         slot = enter()
-        stack = [] if slot is None else [(slot, iter(order))]
+        stack = [] if slot is None else [(slot, iter(_BRANCH_ORDER))]
         while stack:
             slot, values = stack[-1]
             value = next(values, None)
@@ -518,7 +517,7 @@ class Search:
             if decide(slot, value):
                 child = enter()
                 if child is not None:
-                    stack.append((child, iter(order)))
+                    stack.append((child, iter(_BRANCH_ORDER)))
                     continue
             undo_frame()
             if self._unwind:

@@ -46,7 +46,7 @@ class TrailedState:
     at least z more faces lonely.
 
     Sector classes are labels, not a union-find forest: `root[n]` is node
-    n's class root, so `find` is one read, and `members[r]` lists the nodes
+    n's class root, read in O(1), and `members[r]` lists the nodes
     of the class rooted at r. A union relabels the members of the smaller
     class, so a node is relabelled O(log n) times along any branch, and
     undoing the union relabels the same members back.
@@ -101,13 +101,6 @@ class TrailedState:
         self.face_valves = [0] * len(face_slots)
         self.face_undecided = [len(slots) for slots in face_slots]
         self.lonely = 0
-
-    @property
-    def n_undecided(self):
-        return self.value.count(UNDECIDED)
-
-    def find(self, x):
-        return self.root[x]
 
     def need(self):
         """Fewest more valves that give every lonely face a second one.
@@ -337,18 +330,6 @@ class TrailedState:
         damage = segment_damage(self.net, self.present_mask(), labels, self.lb)
         sectors = {labels[k] for k in compress(self.slot_node, self.value.translate(_IS_ABSENT))}
         return max([damage[r] for r in sectors] + damage[len(labels):-1], default=0)
-
-    # -- inspection helpers (search heuristics and tests) --------------------
-
-    def roots(self):
-        return [n for n in range(self.net.num_nodes) if self.root[n] == n]
-
-    def max_lb(self):
-        return max(self.lb[r] for r in self.roots())
-
-    def classes(self):
-        """Canonical snapshot {frozenset(node ids): lb}."""
-        return {frozenset(self.members[r]): self.lb[r] for r in self.roots()}
 
     def present_mask(self):
         # slot s is bit s: the values as '0'/'1' digits, highest slot first

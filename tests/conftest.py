@@ -87,6 +87,21 @@ def disjoint_triangles():
                             "4": [4, 0], "5": [6, 0], "6": [5, 2]})
 
 
+def class_roots(state):
+    """The class roots of a `TrailedState`: the nodes labelled with themselves."""
+    return [n for n, r in enumerate(state.root) if r == n]
+
+
+def classes(state):
+    """A `TrailedState`'s classes as {frozenset(node ids): lb}."""
+    return {frozenset(state.members[r]): state.lb[r] for r in class_roots(state)}
+
+
+def max_lb(state):
+    """The largest class bound of a `TrailedState`."""
+    return max(state.lb[r] for r in class_roots(state))
+
+
 def sector_ud(net, placement, edge):
     """ud of a break in `edge`, as sector_damage reports it for the sector
     that holds the pipe (INFEASIBLE_UD when that sector holds a source)."""

@@ -33,7 +33,7 @@ from valveplan.pareto import sweep
 from valveplan.solver import InfeasibleBudget, Search, SolverOptions, bridge_lower_bound, solve
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
-from conftest import CORPUS_NVS, CORPUS_SEEDS, real_density_net, sector_ud
+from conftest import CORPUS_NVS, CORPUS_SEEDS, max_lb, real_density_net, sector_ud
 
 
 @contextmanager
@@ -196,7 +196,7 @@ def test_criterion_05_bound_admissibility(fig1, corpus, corpus_oracle):
                 ud, _, feasible = worst_case_fast(net, mask)
                 if feasible and ud < best:
                     best = ud
-            if st.max_lb() > best:
+            if max_lb(st) > best:
                 violations += 1
             checked += 1
         assert checked == 1000

@@ -61,6 +61,15 @@ def test_evaluate_bad_instance(capsys, tmp_path, demo_placement_file):
     assert "self-loop" in err
 
 
+def test_evaluate_rejects_a_label_placement_files_cannot_hold(capsys, tmp_path,
+                                                              demo_placement_file):
+    spaced = tmp_path / "spaced.json"
+    spaced.write_text('{"nodes": [1, 2], "sources": [1], "edges": [["a b", 1, 2, 1]]}')
+    code, _, err = run(capsys, "evaluate", str(spaced), demo_placement_file)
+    assert code == 1
+    assert err == "error: edge id 'a b' must not hold whitespace or '#'\n"
+
+
 def evaluate_cases(tmp_path):
     """(instance path, network, placement): fig1 with the demo and the empty
     placement, a network whose edge labels need csv quoting, then random

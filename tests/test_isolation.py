@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -592,3 +594,26 @@ def test_worst_case_on_33_pipe_networks(net_name):
         mask = rng.getrandbits(net.num_slots) & rng.getrandbits(net.num_slots)
         check_feasibility_rule(net, mask)
         check_feasibility_rule(net, mask | net.source_slots_mask)
+
+
+# -- the reference stays apart from production --------------------------------
+
+REFERENCE = ("sector_from", "scan_sectors", "delivered_with_closed", "ud_by_component_deletion")
+
+
+def test_only_isolation_names_the_reference_floods():
+    # production runs the one node flood; the reference floods check it, so
+    # a change to one of them must not move network parsing or the sweep.
+    # The package re-exports ud_by_component_deletion.
+    assert all(callable(getattr(isolation, name)) for name in REFERENCE)
+    package = os.path.dirname(isolation.__file__)
+    modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
+    assert {"isolation.py", "network.py", "pareto.py", "solver.py"} <= set(modules)
+    for module in modules:
+        if module == "isolation.py":
+            continue
+        with open(os.path.join(package, module), "r", encoding="utf-8") as fh:
+            text = fh.read()
+        named = {name for name in REFERENCE if re.search(rf"\b{name}\b", text)}
+        allowed = {"ud_by_component_deletion"} if module == "__init__.py" else set()
+        assert named <= allowed, (module, sorted(named - allowed))

@@ -50,6 +50,14 @@ def test_unreachable_edge_rejected():
         make_net([1, 2, 3, 4], [1], [("a", 1, 2, 1), ("b", 3, 4, 1)])
 
 
+def test_unreachable_error_names_the_lowest_pipe():
+    # pipes z (id 1) and y (id 2) lie in two components without a source;
+    # the lower pipe id is named, though y's component has the lower node
+    with pytest.raises(ValidationError) as err:
+        make_net([1, 2, 3, 4, 5, 6], [1], [("a", 1, 2, 1), ("z", 5, 6, 1), ("y", 3, 4, 1)])
+    assert str(err.value) == "edge 'z' is not reachable from any source"
+
+
 def test_parallel_edges_rejected():
     with pytest.raises(ValidationError, match="same node pair"):
         make_net([1, 2], [1], [("a", 1, 2, 1), ("b", 2, 1, 1)])
@@ -187,7 +195,7 @@ def test_slot_indexing_is_a_bijection(fig1):
     for e in range(fig1.num_edges):
         for node in fig1.endpoints[e]:
             slot = fig1.slot_id(e, node)
-            assert fig1.slot_edge(slot) == e
+            assert slot >> 1 == e
             assert fig1.slot_node(slot) == node
             seen.add(slot)
     assert seen == set(range(2 * fig1.num_edges))
@@ -199,9 +207,13 @@ def test_slot_tokens_round_trip(fig1):
     colons = make_net(["x:y", "y", "x", "z"], ["y"],
                       [("a", "x:y", "y", 1), ("b", "y", "x", 1), ("a:x", "x", "z", 1),
                        ("b:x", "x:y", "x", 1)])
-    for net in (fig1, colons):
+    punctuated = make_net(["n-1", "n.2", "(3)"], ["n-1"],
+                          [("a,b", "n-1", "n.2", 1), ('q"t', "n.2", "(3)", 2)])
+    for net in (fig1, colons, punctuated):
         for slot in range(net.num_slots):
             assert net.parse_slot_token(net.slot_token(slot)) == slot
+        every = frozenset(range(net.num_slots))
+        assert parse_placement(net, " ".join(net.placement_tokens(every)) + "  # all\n") == every
     # "a:x:y" names pipe a at node x:y and pipe a:x at node y
     both = make_net(["x:y", "y", "x"], ["y"], [("a", "x:y", "y", 1), ("a:x", "x", "y", 1)])
     with pytest.raises(ValidationError, match="more than one slot"):
@@ -210,6 +222,28 @@ def test_slot_tokens_round_trip(fig1):
         fig1.parse_slot_token("e12:3")
     with pytest.raises(ValidationError, match="unknown edge"):
         fig1.parse_slot_token("zz:1")
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    pytest.param([1, 2], [("a b", 1, 2, 1)], "edge id 'a b' must not hold whitespace or '#'",
+                 id="edge-space"),
+    pytest.param([1, 2], [("b#", 1, 2, 1)], "edge id 'b#' must not hold whitespace or '#'",
+                 id="edge-hash"),
+    pytest.param([1, "x y"], [("a", 1, "x y", 1)], "node id 'x y' must not hold whitespace or '#'",
+                 id="node-space"),
+    pytest.param([1, "x\ty"], [("a", 1, "x\ty", 1)],
+                 "node id 'x\\ty' must not hold whitespace or '#'", id="node-tab"),
+    pytest.param([1, "#2"], [("a", 1, "#2", 1)], "node id '#2' must not hold whitespace or '#'",
+                 id="node-hash"),
+    pytest.param([1, 2], [("a\u2028b", 1, 2, 1)],
+                 "edge id 'a\\u2028b' must not hold whitespace or '#'", id="edge-line-separator"),
+])
+def test_labels_a_placement_file_cannot_hold_rejected(nodes, edges, message):
+    # placement files split tokens at whitespace and cut comments at '#',
+    # so such a label would print slot tokens that do not read back
+    with pytest.raises(ValidationError) as err:
+        make_net(nodes, [1], edges)
+    assert str(err.value) == message
 
 
 def test_parse_placement_rejects_duplicates(fig1):
@@ -276,6 +310,23 @@ def test_euler_face_count_on_random_instances():
         faces = compute_faces(net)
         assert len(faces) == net.num_edges - net.num_nodes + components
     assert disjoint_triangles().faces == ((0, 1, 2), (3, 4, 5))
+
+
+def test_pipeless_node_adds_no_component():
+    # E - V + C counts only the nodes that have a pipe: a non-source node
+    # without one, declared first or last, leaves the traced faces as they are
+    square = [("a", 1, 2, 1), ("b", 2, 3, 1), ("c", 3, 4, 1), ("d", 4, 1, 1)]
+    corners = {"1": [0, 0], "2": [1, 0], "3": [1, 1], "4": [0, 1]}
+    plain = make_net([1, 2, 3, 4], [1], square, coords=corners)
+    assert compute_faces(plain) == [(1, 2, 3, 4)]
+    for nodes in ([1, 2, 3, 4, 5], [5, 1, 2, 3, 4]):
+        net = make_net(nodes, [1], square, coords={**corners, "5": [0.5, 0.5]})
+        assert compute_faces(net) == [(1, 2, 3, 4)]
+    pair = disjoint_triangles()
+    doc = json.loads(serialize_network(pair))
+    doc["nodes"].append(7)
+    doc["coords"]["7"] = [3, 5]
+    assert parse_network(json.dumps(doc)).faces == pair.faces == ((0, 1, 2), (3, 4, 5))
 
 
 def test_declared_faces_used_as_is(fig1):

@@ -30,6 +30,7 @@ from conftest import (
     disjoint_triangles,
     k4_all_cycles,
     make_net,
+    max_lb,
     path_net,
     real_density_net,
     walked_twice_nets,
@@ -501,7 +502,7 @@ def test_fresh_state_is_not_settled(two_triangles):
     slot = net.parse_slot_token
     search = Search(net, 1, SolverOptions())
     st = search.state
-    triangles = [s for s in range(net.num_slots) if net.slot_edge(s) != net.edge_index["f"]]
+    triangles = [s for s in range(net.num_slots) if s >> 1 != net.edge_index["f"]]
     for _ in range(2):
         st.push_frame()
         assert search.decide(slot("f:5"), ABSENT)
@@ -522,7 +523,7 @@ def test_spent_budget_empties_the_rest_unforced(square_plus, faces):
     assert search.decide(0, PRESENT)
     before = search.stats.face_forced
     assert search.decide(2, PRESENT)
-    assert st.n_undecided == 0 and st.n_present == 3
+    assert UNDECIDED not in st.value and st.n_present == 3
     assert [st.value[s] for s in (1, 3, 4, 5, 6, 7)] == [ABSENT] * 6
     assert search.stats.face_forced == before
 
@@ -589,8 +590,8 @@ def test_merge_counts_edge_once():
     assert search.decide(net.parse_slot_token("a:1"), ABSENT)
     assert search.decide(net.parse_slot_token("a:2"), ABSENT)
     st = search.state
-    assert st.lb[st.find(0)] == 7000
-    assert st.find(0) == st.find(1)
+    assert st.lb[st.root[0]] == 7000
+    assert st.root[0] == st.root[1]
 
 
 def test_reduced_cost_skips_same_class():
@@ -604,9 +605,9 @@ def test_reduced_cost_skips_same_class():
     for token in ("a:1", "a:2", "b:2", "b:3"):
         assert search.decide(net.parse_slot_token(token), ABSENT)
     st = search.state
-    assert st.find(0) == st.find(2)
+    assert st.root[0] == st.root[2]
     assert search.decide(net.parse_slot_token("c:1"), ABSENT)
-    assert st.lb[st.find(0)] == 18000
+    assert st.lb[st.root[0]] == 18000
     assert st.value[net.parse_slot_token("c:3")] == UNDECIDED
 
 
@@ -622,12 +623,12 @@ def reference_branch(search):
     def added(slot):
         if st.value[slot ^ 1] != ABSENT:
             return net.demand[slot >> 1]
-        here = st.find(net.slot_node(slot))
-        across = st.find(net.slot_other_node(slot))
+        here = st.root[net.slot_node(slot)]
+        across = st.root[net.slot_other_node(slot)]
         return 0 if across == here else st.lb[across]
 
     def key(slot):
-        score = st.lb[st.find(net.slot_node(slot))] + 2 * added(slot)
+        score = st.lb[st.root[net.slot_node(slot)]] + 2 * added(slot)
         return (-score, -net.demand[slot >> 1], slot)
 
     undecided = [s for s in range(net.num_slots) if st.value[s] == UNDECIDED]
@@ -683,7 +684,7 @@ def test_choose_branch_prefers_merging_slot_to_heavier_pipe():
     for token in ("b:3", "c:3"):
         assert search.decide(net.parse_slot_token(token), ABSENT)
     st = search.state
-    assert st.lb[st.find(net.node_index[3])] == 15000
+    assert st.lb[st.root[net.node_index[3]]] == 15000
     assert net.slot_token(search.choose_branch()) == "b:2"
 
 
@@ -796,7 +797,7 @@ def test_leaf_candidates_and_strict_bound(fig1, fig1_demo_placement):
             if search.state.value[slot] == UNDECIDED:
                 value = PRESENT if slot in fig1_demo_placement else ABSENT
                 assert search.decide(slot, value)
-        assert search.state.n_undecided == 0
+        assert UNDECIDED not in search.state.value
         search._leaf()
 
     # the demo placement enters as a 36 l/s incumbent on a fresh search
@@ -1157,7 +1158,7 @@ def test_bound_admissible_on_random_partials(corpus):
                 ud, _, feasible = worst_case_fast(net, mask)
                 if feasible:
                     best = min(best, ud)
-            assert st.max_lb() <= best
+            assert max_lb(st) <= best
             checked += 1
     assert checked >= 20
 

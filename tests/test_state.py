@@ -11,7 +11,7 @@ from valveplan.generate import random_instance
 from valveplan.solver import Search, SolverOptions, face_slot_lists
 from valveplan.state import ABSENT, PRESENT, UNDECIDED, TrailedState
 
-from conftest import k4_all_cycles, make_net, walked_twice_nets
+from conftest import classes, k4_all_cycles, make_net, walked_twice_nets
 
 
 def build_state(net, decisions):
@@ -27,13 +27,13 @@ def attachment(state):
     the class at an absent slot's node (with both slots absent, both nodes
     are in one class), read from the slot values alone."""
     net = state.net
-    return {slot >> 1: frozenset(state.members[state.find(net.slot_node(slot))])
+    return {slot >> 1: frozenset(state.members[state.root[net.slot_node(slot)]])
             for slot in range(net.num_slots) if state.value[slot] == ABSENT}
 
 
 def snapshot(state):
     return (bytes(state.value), state.n_present, len(state._trail),
-            attachment(state), state.classes(),
+            attachment(state), classes(state),
             tuple(state.face_valves), tuple(state.face_undecided), state.lonely)
 
 
@@ -266,9 +266,9 @@ def test_class_labels_match_rebuilt_union_find(fig1_net_doc, name):
 
     def check(state):
         expect = rebuilt_classes(state)
-        assert state.classes() == expect
+        assert classes(state) == expect
         for nodes in expect:
-            labels = {state.find(n) for n in nodes}
+            labels = {state.root[n] for n in nodes}
             assert len(labels) == 1 and labels.pop() in nodes
 
     rng = random.Random(5150)
@@ -298,7 +298,7 @@ def test_lower_bound_single_count():
     assert state.lb[r] == 7000
     r = state.set_value(a1, ABSENT)
     assert state.lb[r] == 7000
-    assert state.find(0) == state.find(1)
+    assert state.root[0] == state.root[1]
 
 
 def test_lb_matches_attached_edges(fig1_net_doc):
@@ -313,10 +313,10 @@ def test_lb_matches_attached_edges(fig1_net_doc):
         for slot in order[:rng.randint(0, net.num_slots)]:
             state.set_value(slot, rng.choice((PRESENT, ABSENT)))
             assert len(state._trail) == state.n_present + state.value.count(ABSENT)
-        by_class = dict.fromkeys(state.classes(), 0)
+        by_class = dict.fromkeys(classes(state), 0)
         for e, nodes in attachment(state).items():
             by_class[nodes] += net.demand[e]
-        assert state.classes() == by_class
+        assert classes(state) == by_class
 
 
 
