@@ -17,6 +17,7 @@ from .network import (
 from .isolation import (
     INFEASIBLE_UD,
     WorstCase,
+    bridge_lower_bound,
     ud_by_component_deletion,
     worst_case_ud,
 )
@@ -27,7 +28,6 @@ from .solver import (
     SearchStats,
     Solution,
     SolverOptions,
-    bridge_lower_bound,
     required_source_slots,
     solve,
     symmetry_forced_slots,

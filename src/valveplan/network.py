@@ -39,6 +39,7 @@ import json
 import math
 
 from .isolation import sector_labels
+from .tables import NetworkTables
 
 MLS = 1000  # internal flow unit: millilitres per second
 
@@ -95,13 +96,17 @@ def format_flow(mls):
 class Network:
     """Validated, immutable network.
 
-    Instances are safe to share across threads; nothing mutates them after
-    construction. Build through :func:`parse_network` (document text) or the
-    constructor (already-converted values, demands in ml/s).
+    Instances are safe to share across threads: after construction only
+    the `tables` cache is filled, on first use, with read-only tables
+    derived from the network, and threads that race there build equal
+    ones. Build through
+    :func:`parse_network` (document text) or the constructor
+    (already-converted values, demands in ml/s).
     """
 
     def __init__(self, nodes, sources, edges, faces=None, coords=None, name=None):
         self.name = name
+        self._tables = None
         self._init_nodes(nodes, sources)
         self._init_edges(edges)
         self._check_reachable()
@@ -270,6 +275,17 @@ class Network:
 
     def degree(self, node):
         return len(self.incident[node])
+
+    @property
+    def tables(self):
+        """The `tables.NetworkTables` every solve reads, built by the first.
+        It is kept in an attribute that `__init__` sets, not by
+        `functools.cached_property`: writing the instance `__dict__` makes
+        CPython read every later attribute of the network from a dict
+        instead of its inline values, which slows the floods."""
+        if self._tables is None:
+            self._tables = NetworkTables(self)
+        return self._tables
 
     def edge_between(self, a, b):
         """Edge index connecting node indices a and b, or None."""

@@ -8,7 +8,7 @@ filtering.
 
 from dataclasses import dataclass, replace
 
-from .isolation import mask_bits, present_mask, sector_labels, worst_case_fast
+from .isolation import mask_bits, present_mask, sector_labels, segment_damage, worst_case_fast
 from .solver import BudgetError, InfeasibleBudget, SolverOptions, check_budget, solve
 
 
@@ -39,29 +39,42 @@ def _best_extension(net, placement):
     Candidates are never trusted blindly; the solver re-evaluates before
     installing.
 
-    Only an empty slot of the worst break's sector can lower the worst case.
-    A valve anywhere else leaves that sector, its closure and so its damage
-    as they are, and no valve raises any damage: such an extension keeps
-    the base's worst case exactly. So the extensions tried are the empty
-    slots of the pipes whose `sector_labels` vertex is the worst break's,
-    ascending, and when none of them does better than the base (a
-    both-valve pipe, or a second sector as bad) every extension ties and
-    the lowest free slot wins, as a scan of every slot would pick.
+    One `sector_labels` flood and one `segment_damage` DFS give the damage
+    of every break of the base; let W be the worst break's sector. An empty
+    slot outside W lies at no interior node of W, so a valve there leaves
+    W, its closure and its damage as they are, and no valve raises any
+    damage: the worst case stays. An empty slot of W lies at an interior
+    node of W, so a valve there leaves every other sector its pipes, its
+    interior nodes and so its closure, and each pipe with a valve on both
+    slots its two: each keeps its damage. So only W's empty slots can do
+    better than the base (a worst pipe with a valve on both slots has
+    none), and none goes below the runner-up, the worst damage outside W. They are tried in ascending order up to the first
+    that reaches the runner-up, which no later slot can beat, and not at
+    all when another sector ties W. When none does better, every extension
+    ties and the lowest free slot wins, as a scan of every slot would pick.
     """
     base = present_mask(net, placement)
     free = ~base & ((1 << net.num_slots) - 1)
     if not free:
         return None
-    best_ud, edge, _ = worst_case_fast(net, base)
     best = (free & -free).bit_length() - 1
-    vertex = sector_labels(net, base)[2]
+    label, weight, vertex = sector_labels(net, base)
+    damage = segment_damage(net, base, label, weight)
+    per_pipe = list(map(damage.__getitem__, vertex))
+    best_ud = max(per_pipe)
+    worst = vertex[per_pipe.index(best_ud)]
+    runner_up = max((d for d, v in zip(per_pipe, vertex) if v != worst), default=0)
+    if runner_up == best_ud:
+        return placement | {best}
     for s in mask_bits(free):
-        if vertex[s >> 1] != vertex[edge]:
+        if vertex[s >> 1] != worst:
             continue
         ud, _, _ = worst_case_fast(net, base | 1 << s)
         if ud < best_ud:
             best_ud = ud
             best = s
+            if ud <= runner_up:
+                break
     return placement | {best}
 
 

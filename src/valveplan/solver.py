@@ -80,8 +80,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .isolation import (bridge_lower_bound, frozen_placement, mask_bits, present_mask,
-                        worst_case_fast)
+from .isolation import frozen_placement, mask_bits, present_mask, worst_case_fast
 from .state import ABSENT, PRESENT, UNDECIDED, TrailedState
 
 RESTART_MODES = ("continuing", "restarting")
@@ -192,54 +191,30 @@ def required_source_slots(net):
     return net.source_slots_mask.bit_count()
 
 
-def face_slot_lists(net):
-    """Per face: the sorted slots of the pipes its boundary walks an odd
-    number of times, two per pipe. Those pipes form edge-disjoint cycles;
-    a pipe walked twice hangs inside the face and lies on none of them."""
-    if net.faces is None:
-        return []
-    out = []
-    for cycle in net.faces:
-        odd = set()
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            odd ^= {net.edge_between(a, b)}
-        out.append([s for e in sorted(odd) for s in (2 * e, 2 * e + 1)])
-    return out
-
-
 class Search:
     """One depth-first solve. Exposed for tests and observers; use
     :func:`solve` for the high-level entry point.
 
     The incumbent tuple is replaced atomically, so `snapshot()` may be
-    polled from another thread while the search runs.
+    polled from another thread while the search runs. Everything that
+    depends on the network alone, the bridge floor, the face tables and the
+    branching key's static parts, is read from `Network.tables`.
     """
 
     def __init__(self, net, n_valves, opts):
         self.net = net
         self.nv = n_valves
         self.opts = opts
-        self.state = TrailedState(net, face_slot_lists(net) if opts.face_constraints else ())
-        self.floor = bridge_lower_bound(net)
+        self.tables = tables = net.tables
+        faces = tables.faces if opts.face_constraints else tables.no_faces
+        self.state = TrailedState(net, faces)
+        self.floor = tables.floor
         self.stats = SearchStats(lower_bound=self.floor)
         self._best = (math.inf, None, None)   # (ud, placement, argmax edge)
         self.anytime = []
         self._unwind = False
         self.t0 = time.perf_counter()
-        # most distinct faces one slot lies on, so most lonely faces one
-        # more valve can relieve (traced faces give 2, declared ones more)
-        self.reach = max(map(len, self.state.slot_faces), default=0)
-        # the branching key of a slot packs its score and its tie weight
-        # into one int, score * (2m + 1) + tie. The tie weight is 2m minus
-        # the slot's static rank (heaviest pipe first, then lowest slot id);
-        # `_pipe_key` adds the score of an emptied pipe's demand to it
-        slots = net.num_slots
-        self._scale = slots + 1
-        self._tie = [0] * slots
-        for rank, slot in enumerate(sorted(range(slots), key=lambda s: (-net.demand[s >> 1], s))):
-            self._tie[slot] = slots - rank
-        self._pipe_key = [2 * net.demand[s >> 1] * self._scale + tie
-                          for s, tie in enumerate(self._tie)]
+        self.reach = faces.reach
 
     # -- incumbent ----------------------------------------------------------
 
@@ -444,9 +419,10 @@ class Search:
         labels = st.root
         slot_node = st.slot_node
         slot_other = st.slot_other
-        scale = self._scale
-        tie = self._tie
-        pipe_key = self._pipe_key
+        tables = self.tables
+        scale = tables.scale
+        tie = tables.tie
+        pipe_key = tables.pipe_key
         best = None
         best_key = -1
         for slot in st.undecided_slots():

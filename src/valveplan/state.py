@@ -30,11 +30,12 @@ _PRESENT_DIGIT = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), b"010")
 class TrailedState:
     """Slot values, sector classes and face counters under one trail.
 
-    `face_slots` holds the slot set of each face (see
-    `solver.face_slot_lists`), kept as `face_slot_sets`; the state keeps,
-    per slot, the faces through it in `slot_faces`, and three face counters
-    that `set_value` updates and `undo_frame` reverses, so the face rule
-    reads them in O(1) per face instead of rescanning cycles:
+    `faces` is a `tables.FaceTable`: the slot set of each face, kept as
+    `face_slot_sets`, and per slot the faces through it, kept as
+    `slot_faces`; without it the state reads the network's table over no
+    face. The state keeps three face counters that `set_value` updates and
+    `undo_frame` reverses, so the face rule reads them in O(1) per face
+    instead of rescanning cycles:
 
     * `face_valves[f]`: PRESENT slots on face f;
     * `face_undecided[f]`: UNDECIDED slots on face f;
@@ -71,13 +72,15 @@ class TrailedState:
     depths up to 46, so the trail stays linear in depth plus a few copies.
 
     Both mutators, and the solver's branching score, read the network
-    through per-slot tables built at construction instead of calling it:
-    the slot's node (`slot_node`), the node across its pipe (`slot_other`)
-    and the pipe's demand (`slot_demand`). `undo_frame` pops exactly the
+    through per-slot tables instead of calling it: the slot's node
+    (`slot_node`), the node across its pipe (`slot_other`) and the pipe's
+    demand (`slot_demand`). They and the face tables are the network's
+    read-only `Network.tables`, built once per network by its first solve
+    and shared by every state over it. `undo_frame` pops exactly the
     frame's records and writes the counters back once per frame.
     """
 
-    def __init__(self, net, face_slots=()):
+    def __init__(self, net, faces=None):
         self.net = net
         n = net.num_nodes
         self.value = bytearray(net.num_slots)
@@ -87,19 +90,16 @@ class TrailedState:
         self.lb = [0] * n                       # valid at class roots
         self._trail = []
         self._frames = []
-        # per slot: its node, the node across its pipe, and the pipe's demand
-        self.slot_node = [net.slot_node(s) for s in range(net.num_slots)]
-        self.slot_other = [net.slot_other_node(s) for s in range(net.num_slots)]
-        self.slot_demand = [net.demand[s >> 1] for s in range(net.num_slots)]
-
-        # per slot: every face that holds it
-        self.slot_faces = [[] for _ in range(net.num_slots)]
-        for f, slots in enumerate(face_slots):
-            for slot in slots:
-                self.slot_faces[slot].append(f)
-        self.face_slot_sets = face_slots
-        self.face_valves = [0] * len(face_slots)
-        self.face_undecided = [len(slots) for slots in face_slots]
+        tables = net.tables
+        self.slot_node = tables.slot_node
+        self.slot_other = tables.slot_other
+        self.slot_demand = tables.slot_demand
+        if faces is None:
+            faces = tables.no_faces
+        self.slot_faces = faces.through
+        self.face_slot_sets = faces.slots
+        self.face_valves = [0] * len(faces.slots)
+        self.face_undecided = list(map(len, faces.slots))
         self.lonely = 0
 
     def need(self):

@@ -30,7 +30,8 @@ from valveplan.isolation import (
 )
 from valveplan.oracle import brute_force
 from valveplan.pareto import sweep
-from valveplan.solver import InfeasibleBudget, Search, SolverOptions, bridge_lower_bound, solve
+from valveplan.isolation import bridge_lower_bound
+from valveplan.solver import InfeasibleBudget, Search, SolverOptions, solve
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
 from conftest import CORPUS_NVS, CORPUS_SEEDS, max_lb, real_density_net, sector_ud

@@ -302,6 +302,38 @@ def test_crossing_drawing_detected():
         compute_faces(net)
 
 
+def test_crossing_error_names_the_lowest_pair_in_edge_order():
+    # two horizontal and two vertical pipes cross in four places, framed
+    # by pipes that cross nothing. In edge order the crossing pairs are
+    # (1, 2), (1, 4), (2, 3) and (3, 4); the leftmost crossings, at x = 1,
+    # are (1, 4) and (3, 4), so a sweep from the left must not report those
+    coords = {"a": [0, 1], "b": [4, 1], "c": [0, 2], "d": [4, 2],
+              "e": [1, 0], "f": [1, 3], "g": [3, 0], "h": [3, 3]}
+    pipes = ["ac", "cd", "gh", "ab", "ef", "bd", "eg", "fh", "ae"]
+    net = make_net(list(coords), ["a"], [(p, p[0], p[1], 1) for p in pipes], coords=coords)
+    assert net.faces is None
+    with pytest.raises(PlanarityError, match="^edges 'cd' and 'gh' cross in the drawing$"):
+        compute_faces(net)
+
+
+def test_node_on_another_pipe_rejected():
+    # node 3 lies inside pipe a without being one of its endpoints
+    net = make_net([1, 2, 3, 4], [1], [("a", 1, 2, 1), ("b", 3, 4, 1), ("c", 4, 1, 1)],
+                   coords={"1": [0, 0], "2": [2, 0], "3": [1, 0], "4": [1, 1]})
+    assert net.faces is None
+    with pytest.raises(PlanarityError, match="^edges 'a' and 'b' cross in the drawing$"):
+        compute_faces(net)
+
+
+def test_collinear_pipes_sharing_an_endpoint_accepted():
+    # a and b meet at node 2 in a straight line: one quadrilateral face
+    net = make_net([1, 2, 3, 4], [1],
+                   [("a", 1, 2, 1), ("b", 2, 3, 1), ("c", 3, 4, 1), ("d", 4, 1, 1)],
+                   coords={"1": [0, 0], "2": [1, 0], "3": [2, 0], "4": [1, 1]})
+    assert compute_faces(net) == [(1, 2, 3, 4)]
+    assert net.faces == ((0, 1, 2, 3),)
+
+
 def test_euler_face_count_on_random_instances():
     # internal faces of a plane graph with C components: |E| - |N| + C; each
     # component's outer walk is dropped, not just the largest one

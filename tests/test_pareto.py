@@ -4,7 +4,8 @@ import pytest
 
 from valveplan import pareto
 from valveplan.generate import random_instance
-from valveplan.isolation import present_mask, sector_from, worst_case_fast
+from valveplan.isolation import (present_mask, scan_sectors, ud_by_component_deletion,
+                                 worst_case_fast)
 from valveplan.oracle import brute_force
 from valveplan.pareto import sweep
 from valveplan.solver import BudgetError, SolverOptions
@@ -223,14 +224,32 @@ def test_best_extension_of_a_full_placement_is_none(fig1):
 
 
 def test_best_extension_evaluates_only_the_worst_sector(fig2, monkeypatch):
-    # once for the base, then once per empty slot of the worst break's sector
+    # no evaluation when another sector ties the worst damage; otherwise one
+    # per empty slot of the worst sector, ascending, up to the first that
+    # reaches the runner-up's damage. Sectors and damages come from the
+    # reference floods and component deletion
     rng = random.Random(7)
-    for placement in random_feasible_placements(fig2, 30, rng):
+    tied = stopped = 0
+    for placement in random_feasible_placements(fig2, 60, rng):
         base = present_mask(fig2, placement)
         if base == (1 << fig2.num_slots) - 1:
             continue
-        edges_mask = sector_from(fig2, base, worst_case_fast(fig2, base)[1])[0]
-        empty = sum(not base >> s & 1 for s in range(fig2.num_slots) if edges_mask >> (s >> 1) & 1)
+        rows = [(edges_mask, ud_by_component_deletion(fig2, placement, rep)[1])
+                for rep, edges_mask, *_ in scan_sectors(fig2, base)]
+        worst_ud = max(ud for _, ud in rows)
+        worst = [edges_mask for edges_mask, ud in rows if ud == worst_ud]
+        expected = 0
+        if len(worst) > 1:
+            tied += 1
+        else:
+            runner_up = max((ud for edges_mask, ud in rows if edges_mask != worst[0]), default=0)
+            empty = [s for s in range(fig2.num_slots)
+                     if not base >> s & 1 and worst[0] >> (s >> 1) & 1]
+            for s in empty:
+                expected += 1
+                if worst_case_fast(fig2, base | 1 << s)[0] <= runner_up:
+                    stopped += expected < len(empty)
+                    break
         calls = []
 
         def counted(net, mask):
@@ -240,7 +259,8 @@ def test_best_extension_evaluates_only_the_worst_sector(fig2, monkeypatch):
         monkeypatch.setattr(pareto, "worst_case_fast", counted)
         pareto._best_extension(fig2, placement)
         monkeypatch.undo()
-        assert len(calls) == 1 + empty, sorted(placement)
+        assert len(calls) == expected, sorted(placement)
+    assert tied and stopped
 
 
 # -- the sweep's searches, pinned ---------------------------------------------

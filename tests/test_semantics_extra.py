@@ -9,7 +9,8 @@ from valveplan.generate import random_document
 from valveplan.isolation import INFEASIBLE_UD, mask_bits, present_mask, scan_sectors
 from valveplan.network import compute_faces, parse_network
 from valveplan.oracle import brute_force
-from valveplan.solver import InfeasibleBudget, Search, SolverOptions, face_slot_lists, solve
+from valveplan.solver import InfeasibleBudget, Search, SolverOptions, solve
+from valveplan.tables import face_slot_lists
 from valveplan.state import ABSENT, PRESENT
 
 from conftest import checked_damage, make_net, sector_ud, walked_twice_nets

@@ -10,7 +10,7 @@ import pytest
 from valveplan import solver as solver_module
 from valveplan import state as state_module
 from valveplan.generate import random_document, random_instance
-from valveplan.isolation import worst_case_fast
+from valveplan.isolation import bridge_lower_bound, worst_case_fast
 from valveplan.network import Network, parse_network
 from valveplan.oracle import brute_force
 from valveplan.solver import (
@@ -18,13 +18,12 @@ from valveplan.solver import (
     InfeasibleBudget,
     Search,
     SolverOptions,
-    bridge_lower_bound,
-    face_slot_lists,
     required_source_slots,
     solve,
     symmetry_forced_slots,
 )
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
+from valveplan.tables import face_slot_lists
 
 from conftest import (
     disjoint_triangles,

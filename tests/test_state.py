@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from valveplan import instances
 from valveplan.generate import random_instance
-from valveplan.solver import Search, SolverOptions, face_slot_lists
+from valveplan.solver import Search, SolverOptions
 from valveplan.state import ABSENT, PRESENT, UNDECIDED, TrailedState
+from valveplan.tables import FaceTable, face_slot_lists
 
 from conftest import classes, k4_all_cycles, make_net, walked_twice_nets
 
 
 def build_state(net, decisions):
     """Fresh state with `decisions` = [(slot, value)] applied in order."""
-    state = TrailedState(net, face_slot_lists(net))
+    state = TrailedState(net, net.tables.faces)
     for slot, value in decisions:
         state.set_value(slot, value)
     return state
@@ -55,7 +56,7 @@ def _random_ops(rng, net, length):
 
 def replay(net, ops, rng, check=None):
     """Apply `ops` to a fresh state, calling `check(state)` after each."""
-    state = TrailedState(net, face_slot_lists(net))
+    state = TrailedState(net, net.tables.faces)
     open_frames = 0
     live = []           # decisions applied and not (yet) rolled back
     frame_stack = []
@@ -134,8 +135,8 @@ def test_face_counters_match_rescan(fig1_net_doc, name):
 
 def state_with_faces(faces, present=(), absent=()):
     """A state over hand-written face slot lists on an 8-slot path."""
-    state = TrailedState(make_net([1, 2, 3, 4, 5], [1], [(f"p{i}", i, i + 1, 1)
-                                                         for i in range(1, 5)]), faces)
+    net = make_net([1, 2, 3, 4, 5], [1], [(f"p{i}", i, i + 1, 1) for i in range(1, 5)])
+    state = TrailedState(net, FaceTable(faces, net.num_slots))
     for slot in present:
         state.set_value(slot, PRESENT)
     for slot in absent:
@@ -179,7 +180,7 @@ def test_need_on_overlapping_declared_faces():
     # through pipe p12 lonely, and the slot p12:2 lies on all four, so one
     # more valve relieves them all (w = 4; a bound for reach 2 would say 2)
     net = k4_all_cycles(0)
-    state = TrailedState(net, face_slot_lists(net))
+    state = TrailedState(net, net.tables.faces)
     state.set_value(net.parse_slot_token("p12:1"), PRESENT)
     assert state.lonely == 4 and state.need() == 1
     # with p12:2 empty, every other slot lies on two of the four at most
@@ -279,7 +280,7 @@ def test_class_labels_match_rebuilt_union_find(fig1_net_doc, name):
 
 def test_full_undo_returns_to_pristine(fig1_net_doc):
     net = fig1_net_doc
-    state = TrailedState(net, face_slot_lists(net))
+    state = TrailedState(net, net.tables.faces)
     pristine = snapshot(state)
     state.push_frame()
     for slot in range(net.num_slots):
