@@ -33,7 +33,12 @@ and the sweep's warm start read the same flood. The reference floods,
 `sector_from` and `scan_sectors` (one sector at a time),
 `delivered_with_closed` (a single closure) and `ud_by_component_deletion`
 (the subtraction formulation), have no production caller: tests and the
-benchmark check the one flood against them.
+benchmark check the one flood against them. Each holds its node, pipe and
+slot sets as int masks. The first three walk the `Network._inc` rows that
+`sector_labels` walks too. `ud_by_component_deletion` is kept on machinery
+of its own: slot ids from `endpoints` and `incident`, and no call to any
+other function of this module. So a fault in the shared rows or floods
+cannot make every formulation agree on a wrong answer; keep it so.
 
 Adding a valve never raises any break's damage: the new closure is a subset
 of the old boundary plus valves inside the old sector, so every source path
@@ -63,7 +68,7 @@ from dataclasses import dataclass
 INFEASIBLE_UD = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorstCase:
     ud: int          # ml/s; INFEASIBLE_UD when some pipe cannot be isolated
     edge: int        # a worst break (lowest edge id among maximizers), or None
@@ -264,61 +269,64 @@ def worst_case_ud(net, placement):
 # -- reference floods (tests and the benchmark; no production caller) --------
 
 def sector_from(net, present, edge):
-    """Flood out from `edge` without crossing valves.
+    """Flood out from `edge` without crossing valves, over `net._inc`: an
+    endpoint reached through an open slot becomes interior, and an interior
+    node pulls in every pipe whose slot there is open.
 
     Returns (edges_mask, boundary_slot_mask, interior_node_mask, demand,
     contains_source).
     """
     inc = net._inc
-    ep = net.endpoints
     w = net.demand
     edges_mask = 1 << edge
     boundary = 0
     nodes_mask = 0
     demand = w[edge]
-    stack = [edge]
-    while stack:
-        f = stack.pop()
-        base = 2 * f
-        for slot, node in ((base, ep[f][0]), (base + 1, ep[f][1])):
-            if present >> slot & 1:
-                boundary |= 1 << slot
-                continue
-            if nodes_mask >> node & 1:
-                continue
+    stack = []
+    slot = 2 * edge                             # 2e at the first endpoint, 2e + 1 at the second
+    for node in net.endpoints[edge]:
+        if present >> slot & 1:
+            boundary |= 1 << slot
+        else:
             nodes_mask |= 1 << node
-            for g, slot_here, _, _ in inc[node]:
-                if present >> slot_here & 1:
-                    boundary |= 1 << slot_here
-                elif not (edges_mask >> g & 1):
-                    edges_mask |= 1 << g
-                    demand += w[g]
-                    stack.append(g)
+            stack.append(node)
+        slot += 1
+    while stack:
+        for g, here, other, there in inc[stack.pop()]:
+            if present >> here & 1:
+                boundary |= 1 << here
+            elif not edges_mask >> g & 1:
+                # a pipe joins at the first open slot the flood meets, so its far end is settled now
+                edges_mask |= 1 << g
+                demand += w[g]
+                if present >> there & 1:
+                    boundary |= 1 << there
+                elif not nodes_mask >> other & 1:
+                    nodes_mask |= 1 << other
+                    stack.append(other)
     return edges_mask, boundary, nodes_mask, demand, bool(nodes_mask & net.sources_mask)
 
 
 def delivered_with_closed(net, closed):
-    """Edges still fed from some source while the slots in `closed` block.
+    """Edges still fed from some source while the slots in `closed` block,
+    by one flood from the sources over `net._inc`.
 
     Returns (delivered_edges_mask, delivered_demand).
     """
     inc = net._inc
+    w = net.demand
     delivered = 0
     demand = 0
-    node_seen = 0
-    stack = []
-    for s in net.source_list:
-        node_seen |= 1 << s
-        stack.append(s)
+    node_seen = net.sources_mask
+    stack = list(net.source_list)
     while stack:
-        node = stack.pop()
-        for g, slot_here, other, slot_other in inc[node]:
-            if closed >> slot_here & 1:
+        for g, here, other, there in inc[stack.pop()]:
+            # a pipe delivered from its other end has that end seen already
+            if delivered >> g & 1 or closed >> here & 1:
                 continue
-            if not (delivered >> g & 1):
-                delivered |= 1 << g
-                demand += net.demand[g]
-            if not (node_seen >> other & 1) and not (closed >> slot_other & 1):
+            delivered |= 1 << g
+            demand += w[g]
+            if not (closed >> there & 1 or node_seen >> other & 1):
                 node_seen |= 1 << other
                 stack.append(other)
     return delivered, demand
@@ -326,72 +334,83 @@ def delivered_with_closed(net, closed):
 
 def scan_sectors(net, present):
     """Yield (representative_edge, edges_mask, boundary, nodes_mask, demand,
-    contains_source) for every sector; representatives ascend."""
+    contains_source) for every sector, one `sector_from` flood each;
+    representatives ascend."""
     seen = 0
     for e in range(net.num_edges):
         if seen >> e & 1:
             continue
-        res = sector_from(net, present, e)
-        seen |= res[0]
-        yield (e,) + res
+        edges_mask, boundary, nodes_mask, demand, has_source = sector_from(net, present, e)
+        seen |= edges_mask
+        yield e, edges_mask, boundary, nodes_mask, demand, has_source
 
 
 def ud_by_component_deletion(net, placement, edge):
     """Undelivered demand computed the subtraction way.
 
-    Identify the broken pipe's sector with a worklist: a sector pipe makes
-    each endpoint it reaches through an open slot interior, and an interior
-    node pulls in every pipe whose slot there is open. Delete the sector's
-    pipes and interior nodes from the graph, flood from the sources over
-    what remains (valves ignored entirely), and subtract the demand of the
-    pipes that flood delivers from the network total. A pipe that lost one
-    endpoint with the sector hangs off its surviving endpoint, so it counts
-    as delivered when either endpoint was reached.
+    Identify the broken pipe's sector with a worklist of interior nodes:
+    each endpoint of the broken pipe behind an open slot is interior, an
+    interior node pulls in every pipe whose slot there is open, and such a
+    pipe makes its far endpoint interior when its slot there is open too.
+    Delete the sector's pipes and interior nodes from the graph, flood from
+    the sources over what remains (valves ignored entirely), and subtract
+    the demand of the pipes that flood delivers from the network total. A
+    pipe that lost one endpoint with the sector hangs off its surviving
+    endpoint, so it counts as delivered when either endpoint was reached:
+    the flood counts each pipe the first time it leaves a reached node
+    along it.
 
     Returns (feasible, ud) with ud None when the sector holds a source.
     Deliberately written against different machinery than the reachability
-    path so the two can check each other.
+    path so the two can check each other: slot ids come from `endpoints` and
+    `incident`, never from `net._inc`, and no other function here is called.
     """
     present = set(placement)
     endpoints = net.endpoints
     incident = net.incident
-    member = {edge}
-    interior = set()
-    work = [edge]
+    member = 1 << edge
+    interior = 0
+    work = []
+    slot = 2 * edge                             # 2e at the first endpoint, 2e + 1 at the second
+    for k in endpoints[edge]:
+        if slot not in present:
+            interior |= 1 << k
+            work.append(k)
+        slot += 1
     while work:
-        f = work.pop()
-        slot = 2 * f - 1                        # 2f at the first endpoint, 2f + 1 at the second
-        for k in endpoints[f]:
-            slot += 1
-            if k in interior or slot in present:
+        k = work.pop()
+        for g in incident[k]:
+            if member >> g & 1:
                 continue
-            interior.add(k)
-            for g in incident[k]:
-                if g not in member and 2 * g + (endpoints[g][0] != k) not in present:
-                    member.add(g)
-                    work.append(g)
+            u, v = endpoints[g]
+            near = 2 * g + (u != k)
+            if near in present:
+                continue
+            member |= 1 << g
+            far = v if u == k else u
+            if (near ^ 1) not in present and not interior >> far & 1:
+                interior |= 1 << far
+                work.append(far)
 
-    if not interior.isdisjoint(net.source_list):
+    if interior & net.sources_mask:
         return False, None
 
-    reached = set(net.source_list)
+    w = net.demand
+    blocked = interior | net.sources_mask       # interior nodes, then every node reached
+    counted = member                            # the sector, then every pipe delivered
+    deliverable = 0
     stack = list(net.source_list)
     while stack:
         a = stack.pop()
         for f in incident[a]:
-            if f in member:
+            # a pipe counted from its other end has that end reached already
+            if counted >> f & 1:
                 continue
+            counted |= 1 << f
+            deliverable += w[f]
             u, v = endpoints[f]
             b = v if a == u else u
-            if b not in interior and b not in reached:
-                reached.add(b)
+            if not blocked >> b & 1:
+                blocked |= 1 << b
                 stack.append(b)
-
-    deliverable = 0
-    for f in range(net.num_edges):
-        if f in member:
-            continue
-        u, v = endpoints[f]
-        if u in reached or v in reached:
-            deliverable += net.demand[f]
     return True, net.total_demand - deliverable

@@ -554,18 +554,29 @@ def _check_no_crossings(net):
         return (min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
                 and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12)
 
-    m = net.num_edges
+    def lies_on(a, b, c):
+        return orient(a, b, c) == 0 and on_segment(a, b, c)
+
+    endpoints = net.endpoints
+    m = len(endpoints)
     for e in range(m):
-        a, b = (pos[n] for n in net.endpoints[e])
+        u, v = endpoints[e]
+        a, b = pos[u], pos[v]
         for f in range(e + 1, m):
-            if set(net.endpoints[e]) & set(net.endpoints[f]):
-                continue
-            c, d = (pos[n] for n in net.endpoints[f])
-            o1, o2 = orient(a, b, c), orient(a, b, d)
-            o3, o4 = orient(c, d, a), orient(c, d, b)
-            crossing = (o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4))
-            touching = ((o1 == 0 and on_segment(a, b, c)) or (o2 == 0 and on_segment(a, b, d))
-                        or (o3 == 0 and on_segment(c, d, a)) or (o4 == 0 and on_segment(c, d, b)))
-            if crossing or touching:
+            other = endpoints[f]
+            c, d = (pos[n] for n in other)
+            if u in other or v in other:
+                # pipes that meet at one node overlap exactly when the far
+                # end of one lies on the other (parallel pipes are rejected)
+                node, far = (u, b) if u in other else (v, a)
+                overlap = (lies_on(a, b, pos[other[other[0] == node]]) or lies_on(c, d, far))
+            else:
+                o1, o2 = orient(a, b, c), orient(a, b, d)
+                o3, o4 = orient(c, d, a), orient(c, d, b)
+                crossing = (o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4))
+                touching = ((o1 == 0 and on_segment(a, b, c)) or (o2 == 0 and on_segment(a, b, d))
+                            or (o3 == 0 and on_segment(c, d, a)) or (o4 == 0 and on_segment(c, d, b)))
+                overlap = crossing or touching
+            if overlap:
                 raise PlanarityError(
                     f"edges {net.edge_labels[e]!r} and {net.edge_labels[f]!r} cross in the drawing")

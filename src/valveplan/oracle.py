@@ -26,7 +26,7 @@ class EnumerationCapExceeded(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class OracleResult:
     ud: float                    # ml/s; math.inf when every placement is infeasible
     optimal: tuple               # all optimal placements, as frozensets of slots

@@ -78,7 +78,7 @@ slower restart-per-solution behaviour for comparison.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .isolation import frozen_placement, mask_bits, present_mask, worst_case_fast
 from .state import ABSENT, PRESENT, UNDECIDED, TrailedState
@@ -132,7 +132,7 @@ class SolverOptions:
                 raise ValueError(f"{name} must be at least 0, got {limit!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     nodes: int = 0
     leaves: int = 0
@@ -150,10 +150,11 @@ class SearchStats:
     restarts: int = 0
 
     def as_dict(self):
-        return dict(self.__dict__)
+        """The counters by name, in field order (`valveplan solve` prints them so)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass
+@dataclass(slots=True)
 class Solution:
     placement: frozenset | None
     ud: float                    # ml/s; math.inf when nothing was found

@@ -304,6 +304,107 @@ def test_deletion_second_source_beyond_the_sector():
     deletion_agrees(net, slots(net, "a:2", "c:4", "e:6"), ["b", "c"], 6_000)
 
 
+def test_deletion_uses_none_of_the_other_floods(monkeypatch, fig1, fig1_demo_placement):
+    # component deletion checks the other floods, so it must not run on them
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+        return call
+
+    for name in ("sector_labels", "segment_damage", "sector_from", "scan_sectors",
+                 "delivered_with_closed"):
+        monkeypatch.setattr(isolation, name, forbidden(name))
+    expected = {"e23": 3000, "e34": 13000, "e45": 13000, "e16": 11000,
+                "e56": 11000, "e12": 36000, "e25": 36000}
+    for label, ud in expected.items():
+        assert ud_by_component_deletion(fig1, fig1_demo_placement, edge(fig1, label)) == (True, ud)
+    # no valve: the one sector holds the source
+    assert ud_by_component_deletion(fig1, [], edge(fig1, "e34")) == (False, None)
+
+
+def nx_reached(g, sources):
+    """Vertices of `g` connected to some vertex in `sources`."""
+    nx = pytest.importorskip("networkx")
+    reached = set()
+    for s in sources:
+        if s in g and s not in reached:
+            reached |= nx.node_connected_component(g, s)
+    return reached
+
+
+def nx_incidence(net, closed):
+    """The pipe-node incidence graph with one edge per slot not in `closed`:
+    pipe e is vertex ("p", e), node k is vertex ("n", k)."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(("p", e) for e in range(net.num_edges))
+    g.add_nodes_from(("n", k) for k in range(net.num_nodes))
+    for slot in range(net.num_slots):
+        if not closed >> slot & 1:
+            g.add_edge(("p", slot >> 1), ("n", net.slot_node(slot)))
+    return g
+
+
+def check_references_against_networkx(net, mask):
+    """sector_from, ud_by_component_deletion and delivered_with_closed for
+    every break under placement `mask`, each against networkx on graphs
+    built from the network's endpoints alone. Returns the breaks checked."""
+    nx = pytest.importorskip("networkx")
+    placement = mask_bits(mask)
+    sources = [("n", s) for s in net.source_list]
+    open_slots = nx_incidence(net, mask)
+    for e in range(net.num_edges):
+        sector = nx.node_connected_component(open_slots, ("p", e))
+        pipes = {x for kind, x in sector if kind == "p"}
+        interior = {x for kind, x in sector if kind == "n"}
+        boundary = {s for s in placement
+                    if s >> 1 in pipes or net.slot_node(s) in interior}
+        got = sector_from(net, mask, e)
+        assert mask_bits(got[0]) == sorted(pipes)
+        assert mask_bits(got[1]) == sorted(boundary)
+        assert mask_bits(got[2]) == sorted(interior)
+        assert got[3] == sum(net.demand[f] for f in pipes)
+        assert got[4] == bool(interior & net.sources)
+
+        # deletion: drop the sector's pipes and interior nodes, ignore valves
+        rest = nx.Graph()
+        rest.add_nodes_from(k for k in range(net.num_nodes) if k not in interior)
+        rest.add_edges_from(uv for f, uv in enumerate(net.endpoints)
+                            if f not in pipes and not set(uv) & interior)
+        reached = nx_reached(rest, net.source_list)
+        delivered = sum(net.demand[f] for f, (u, v) in enumerate(net.endpoints)
+                        if f not in pipes and (u in reached or v in reached))
+        if interior & net.sources:
+            assert ud_by_component_deletion(net, placement, e) == (False, None)
+        else:
+            assert ud_by_component_deletion(net, placement, e) == (True, net.total_demand - delivered)
+
+        # a single closure: the pipes still joined to a source once the boundary blocks
+        closed = sum(1 << s for s in boundary)
+        fed = {x for kind, x in nx_reached(nx_incidence(net, closed), sources) if kind == "p"}
+        delivered_mask, delivered = delivered_with_closed(net, closed)
+        assert mask_bits(delivered_mask) == sorted(fed)
+        assert net.total_demand - delivered == sum(net.demand[f] for f in range(net.num_edges)
+                                                   if f not in fed)
+    return net.num_edges
+
+
+def test_reference_floods_match_networkx():
+    rng = random.Random(2011)
+    cases = 0
+    for seed in range(30):
+        net = random_instance(seed, (6, 14))
+        for _ in range(6):
+            cases += check_references_against_networkx(net, rng.getrandbits(net.num_slots))
+    # two sources on a ladder of two squares, so a break can cut either side off
+    ladder = make_net([1, 2, 3, 4, 5, 6], [1, 6],
+                      [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 4, 5, 4), ("d", 5, 6, 8),
+                       ("e", 1, 4, 16), ("f", 2, 5, 32), ("g", 3, 6, 64)])
+    for _ in range(100):
+        cases += check_references_against_networkx(ladder, rng.getrandbits(ladder.num_slots))
+    assert cases >= 2_000
+
+
 # -- segment-graph evaluator against both references ------------------------------
 
 

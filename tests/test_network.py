@@ -325,6 +325,16 @@ def test_node_on_another_pipe_rejected():
         compute_faces(net)
 
 
+def test_node_on_an_adjacent_pipe_rejected():
+    # pipes 1-2 and 1-3 meet at node 1, and node 3 lies inside pipe 1-2
+    net = make_net([1, 2, 3, 4], [1],
+                   [("12", 1, 2, 1), ("13", 1, 3, 1), ("24", 2, 4, 1), ("41", 4, 1, 1)],
+                   coords={"1": [0, 0], "2": [2, 0], "3": [1, 0], "4": [1, 1]})
+    assert net.faces is None
+    with pytest.raises(PlanarityError, match="^edges '12' and '13' cross in the drawing$"):
+        compute_faces(net)
+
+
 def test_collinear_pipes_sharing_an_endpoint_accepted():
     # a and b meet at node 2 in a straight line: one quadrilateral face
     net = make_net([1, 2, 3, 4], [1],

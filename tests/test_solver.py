@@ -17,6 +17,7 @@ from valveplan.solver import (
     BudgetError,
     InfeasibleBudget,
     Search,
+    SearchStats,
     SolverOptions,
     required_source_slots,
     solve,
@@ -817,6 +818,16 @@ def test_determinism(fig1):
     b = solve(fig1, 5)
     assert a.placement == b.placement
     assert a.stats.as_dict() == b.stats.as_dict()
+
+
+def test_stats_as_dict_in_field_order():
+    # `valveplan solve` prints the counters in this order
+    stats = SearchStats(nodes=5, restarts=2)
+    assert list(stats.as_dict().items()) == [
+        ("nodes", 5), ("leaves", 0), ("lb_prunes", 0), ("face_fails", 0), ("face_forced", 0),
+        ("budget_fails", 0), ("conflicts", 0), ("reduced_cost_forced", 0),
+        ("symmetry_fixed", 0), ("source_fixed", 0), ("lower_bound", 0),
+        ("infeasible_leaves", 0), ("rejected_leaves", 0), ("restarts", 2)]
 
 
 # (seed, pipes) or "fig1", budget, ud in ml/s, sorted placement, counters in
