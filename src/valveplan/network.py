@@ -37,11 +37,13 @@ and starts a comment at ``#``. A label may hold ``:``.
 
 import json
 import math
+import sys
 
 from .isolation import sector_labels
 from .tables import NetworkTables
 
 MLS = 1000  # internal flow unit: millilitres per second
+_MAX_LPS = sys.float_info.max / MLS  # largest flow whose ml/s a float holds
 
 
 class InstanceError(ValueError):
@@ -71,8 +73,10 @@ def flow_from_lps(value, where="demand"):
     """Convert a document flow (l/s, up to 3 fractional digits) to int ml/s."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}: flow must be a number")
-    if not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{where}: flow must be finite")
+    if abs(value) > _MAX_LPS:
+        raise ValidationError(f"{where}: flow is too large (at most {_MAX_LPS:.4g} l/s)")
     mls = round(value * MLS)
     if abs(value * MLS - mls) > 1e-6:
         raise ValidationError(f"{where}: flow has more than 3 fractional digits")

@@ -52,8 +52,8 @@ ties go to the heaviest pipe, then the lowest slot id. The valve child is
 tried first, then the empty one.
 
 The cover often empties a dozen slots at one fixpoint, so
-`TrailedState.empty_off_face` does it in one batch under one trail record
-rather than one record per slot, with the same bound test after each slot.
+`TrailedState.empty_off_face` does it in one batch, with the same bound
+test after each slot; the decision's frame undoes it with the rest.
 Like a propagator that wakes only when a variable it watches changes, the
 cover is re-derived only at a fixpoint whose walk placed a valve or
 emptied a slot of a lonely face. Every successful `Search.decide` leaves

@@ -1,10 +1,9 @@
 """Reversible search state: slot assignments plus sector lower bounds.
 
-The trail holds one record per slot decision, or one per batch of slots
-that the lonely-face cover empties; `push_frame` / `undo_frame` bracket one
-search decision and restore the exact prior state on backtracking,
-deriving all but the slot value back from a slot's record and copying a
-batch's arrays back from its record.
+`push_frame` / `undo_frame` bracket one search decision: a frame is a
+copy of the state, put back on backtracking, so no decision is replayed
+(copying rather than trailing: Schulte, "Comparing trailing and copying
+for constraint programming", ICLP 1999).
 
 The bound bookkeeping follows single-count accounting: an edge's demand
 enters a class lower bound exactly once, when its first slot is decided
@@ -28,13 +27,13 @@ _PRESENT_DIGIT = bytes.maketrans(bytes((UNDECIDED, PRESENT, ABSENT)), b"010")
 
 
 class TrailedState:
-    """Slot values, sector classes and face counters under one trail.
+    """Slot values, sector classes and face counters, undone by frames.
 
     `faces` is a `tables.FaceTable`: the slot set of each face, kept as
     `face_slot_sets`, and per slot the faces through it, kept as
     `slot_faces`; without it the state reads the network's table over no
     face. The state keeps three face counters that `set_value` updates and
-    `undo_frame` reverses, so the face rule reads them in O(1) per face
+    `undo_frame` restores, so the face rule reads them in O(1) per face
     instead of rescanning cycles:
 
     * `face_valves[f]`: PRESENT slots on face f;
@@ -49,35 +48,29 @@ class TrailedState:
     Sector classes are labels, not a union-find forest: `root[n]` is node
     n's class root, read in O(1), and `members[r]` lists the nodes
     of the class rooted at r. A union relabels the members of the smaller
-    class, so a node is relabelled O(log n) times along any branch, and
-    undoing the union relabels the same members back.
+    class, so a node is relabelled O(log n) times along any branch.
 
-    Two mutators write the trail. `set_value` decides one slot; its record
-    is (slot, merged), merged being the class root its union absorbed or
-    -1. Undo runs last in, first out, so it sees the opposite slot and
-    every class as the write did; an absorbed root's members and bound stay
-    untouched while it is merged. `empty_off_face` empties the slots of the
-    lonely-face cover, often a dozen at once, under a single record
-    (-1, copies): copies of `value`, the class labels, `lb`, `members`
-    (shallow: its unions build new lists) and `face_undecided` as they
-    were before the batch. Undo puts the copies back by slice assignment
-    instead of reversing slot by slot. The trail therefore holds one record
-    per slot decision or per batch, not per decided slot. Of the slot
-    counts only `n_present` is kept; the others are read off `value`.
+    `push_frame` saves what the mutators `set_value` and `empty_off_face`
+    write: `value` as bytes, copies of the class labels, `lb`, `members`
+    (shallow), `face_valves` and `face_undecided`, and `n_present` and
+    `lonely`. `undo_frame` puts it back by slice assignment, so every array
+    keeps its identity. A union builds a new member list rather than
+    extend one, so no snapshot holds a list that is later mutated. Of the
+    slot counts only `n_present` is kept; the others are read off `value`.
 
-    Only a batch is copied, never a frame. A copy at every `push_frame`
-    would hold O(network) per open frame, so a deep solve on a large
-    network would hold depth times the network. Covers are rare along a
-    branch: the ladder's solves hold at most 4 batch records open at
-    depths up to 46, so the trail stays linear in depth plus a few copies.
+    A frame holds about 24 bytes per pipe (CPython 3.11: 1.2 KB at 33
+    pipes, 2.8 KB at 100, 6.7 KB at 300, 12.9 KB at 600). Each open frame
+    decided at least one slot, so a network of m pipes has at most 2m open
+    and they hold at most 48 * m**2 bytes (4.3 MB at 300 pipes). Capped
+    solves at nv = m / 2 opened 300 frames at 300 pipes and 578 at 600;
+    33-pipe proofs open about 50.
 
     Both mutators, and the solver's branching score, read the network
     through per-slot tables instead of calling it: the slot's node
     (`slot_node`), the node across its pipe (`slot_other`) and the pipe's
     demand (`slot_demand`). They and the face tables are the network's
     read-only `Network.tables`, built once per network by its first solve
-    and shared by every state over it. `undo_frame` pops exactly the
-    frame's records and writes the counters back once per frame.
+    and shared by every state over it.
     """
 
     def __init__(self, net, faces=None):
@@ -88,7 +81,6 @@ class TrailedState:
         self.root = list(range(n))
         self.members = [[x] for x in range(n)]  # valid at class roots
         self.lb = [0] * n                       # valid at class roots
-        self._trail = []
         self._frames = []
         tables = net.tables
         self.slot_node = tables.slot_node
@@ -180,58 +172,25 @@ class TrailedState:
         return list(compress(range(len(marked)), marked.translate(_IS_UNDECIDED)))
 
     def push_frame(self):
-        self._frames.append(len(self._trail))
+        self._frames.append((bytes(self.value), self.root[:], self.lb[:], self.members[:],
+                             self.face_valves[:], self.face_undecided[:],
+                             self.n_present, self.lonely))
 
     def undo_frame(self):
-        trail = self._trail
-        count = len(trail) - self._frames.pop()
-        value = self.value
-        slot_faces = self.slot_faces
-        valves = self.face_valves
-        undecided = self.face_undecided
-        labels = self.root
-        members = self.members
-        lb = self.lb
-        n_present = lonely = 0
-        for _ in range(count):
-            slot, merged = trail.pop()
-            if slot < 0:                        # a batch: restore its copies
-                value[:], labels[:], lb[:], members[:], undecided[:] = merged
-                continue
-            faces = slot_faces[slot]
-            if value[slot] == PRESENT:
-                n_present += 1
-                for f in faces:
-                    c = valves[f]
-                    valves[f] = c - 1
-                    lonely += (c == 2) - (c == 1)
-                    undecided[f] += 1
-            else:
-                if merged >= 0:
-                    root = labels[merged]
-                    moved = members[merged]
-                    for x in moved:
-                        labels[x] = merged
-                    del members[root][-len(moved):]
-                    lb[root] -= lb[merged]
-                elif value[slot ^ 1] != ABSENT:
-                    lb[labels[self.slot_node[slot]]] -= self.slot_demand[slot]
-                for f in faces:
-                    undecided[f] += 1
-            value[slot] = UNDECIDED
-        self.n_present -= n_present
-        self.lonely += lonely
+        (self.value[:], self.root[:], self.lb[:], self.members[:], self.face_valves[:],
+         self.face_undecided[:], self.n_present, self.lonely) = self._frames.pop()
 
     def set_value(self, slot, v):
         """Decide `slot`. For ABSENT, returns the class root whose bound may
         have grown: its pipe's demand joined it, or the smaller endpoint
-        class was merged into it."""
+        class was merged into it. The merge builds a new member list for
+        that root, leaving the lists a frame snapshot holds as they were."""
         value = self.value
         assert value[slot] == UNDECIDED
         value[slot] = v
         faces = self.slot_faces[slot]
         undecided = self.face_undecided
-        root = merged = -1
+        root = -1
         if v == PRESENT:
             self.n_present += 1
             valves = self.face_valves
@@ -251,15 +210,13 @@ class TrailedState:
                 members = self.members
                 if len(members[root]) < len(members[other]):
                     root, other = other, root
-                moved = members[other]      # left as it is: undo relabels from it
+                moved = members[other]
                 for x in moved:
                     labels[x] = root
-                members[root].extend(moved)
+                members[root] = members[root] + moved
                 self.lb[root] += self.lb[other]
-                merged = other
             for f in faces:
                 undecided[f] -= 1
-        self._trail.append((slot, merged))
         return root
 
     def empty_off_face(self, slots, bound):
@@ -271,16 +228,14 @@ class TrailedState:
         in the order found, or None when the bound stopped the batch.
 
         Faces through the slots hold no valve or at least two, and the
-        batch adds none, so no face can fail inside it. One record covers
-        the batch: copies of the arrays it writes, which `undo_frame`
-        restores wholesale. A union builds a new member list instead of
-        extending one, so the shallow copy of `members` stays valid."""
+        batch adds none, so no face can fail inside it. The frame around the
+        decision undoes the batch with the rest; as in `set_value`, a union
+        builds a new member list, so the frame's snapshot stays valid."""
         value = self.value
         labels = self.root
         members = self.members
         lb = self.lb
         undecided = self.face_undecided
-        saved = (bytes(value), labels[:], lb[:], members[:], undecided[:])
         valves = self.face_valves
         slot_faces = self.slot_faces
         face_slot_sets = self.face_slot_sets
@@ -314,7 +269,6 @@ class TrailedState:
             if lb[root] >= bound:
                 cascades = None
                 break
-        self._trail.append((-1, saved))
         return done, cascades
 
     def worst_damage(self):

@@ -70,6 +70,15 @@ def test_evaluate_rejects_a_label_placement_files_cannot_hold(capsys, tmp_path,
     assert err == "error: edge id 'a b' must not hold whitespace or '#'\n"
 
 
+def test_evaluate_rejects_a_demand_too_large_for_ml_per_second(capsys, tmp_path,
+                                                              demo_placement_file):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"nodes": [1, 2], "sources": [1], "edges": [["a", 1, 2, 1e308]]}')
+    code, out, err = run(capsys, "evaluate", str(huge), demo_placement_file)
+    assert code == 1 and out == ""
+    assert err == "error: edge 'a': flow is too large (at most 1.798e+305 l/s)\n"
+
+
 def evaluate_cases(tmp_path):
     """(instance path, network, placement): fig1 with the demo and the empty
     placement, a network whose edge labels need csv quoting, then random

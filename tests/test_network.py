@@ -120,6 +120,10 @@ def slot_token(token):
                  "edge 'a': flow must be a number", id="flow-true"),
     pytest.param(lambda: parse_network(doc(edges=[["a", 1, 2, "5"]])), ValidationError,
                  "edge 'a': flow must be a number", id="flow-string"),
+    pytest.param(lambda: parse_network(doc(edges=[["a", 1, 2, 1e308]])), ValidationError,
+                 "edge 'a': flow is too large (at most 1.798e+305 l/s)", id="flow-overflows-mls"),
+    pytest.param(lambda: parse_network(doc(edges=[["a", 1, 2, -10**400]])), ValidationError,
+                 "edge 'a': flow is too large (at most 1.798e+305 l/s)", id="flow-int-past-float"),
     pytest.param(lambda: parse_network(doc().replace("1]", "NaN]", 1)), ParseError,
                  "non-finite number NaN is not allowed", id="nan"),
     pytest.param(lambda: parse_network(doc().replace("1]", "Infinity]", 1)), ParseError,

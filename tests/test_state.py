@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valveplan import instances
+from valveplan import solver as solver_module
 from valveplan.generate import random_instance
-from valveplan.solver import Search, SolverOptions
+from valveplan.solver import Search, SolverOptions, solve
 from valveplan.state import ABSENT, PRESENT, UNDECIDED, TrailedState
 from valveplan.tables import FaceTable, face_slot_lists
 
-from conftest import classes, k4_all_cycles, make_net, walked_twice_nets
+from conftest import classes, k4_all_cycles, make_net, path_net, walked_twice_nets
 
 
 def build_state(net, decisions):
@@ -33,7 +34,7 @@ def attachment(state):
 
 
 def snapshot(state):
-    return (bytes(state.value), state.n_present, len(state._trail),
+    return (bytes(state.value), state.n_present,
             attachment(state), classes(state),
             tuple(state.face_valves), tuple(state.face_undecided), state.lonely)
 
@@ -79,8 +80,6 @@ def replay(net, ops, rng, check=None):
             value = rng.choice((PRESENT, ABSENT))
             state.set_value(slot, value)
             live.append((slot, value))
-        # one trail record per decided slot
-        assert len(state._trail) == state.n_present + state.value.count(ABSENT)
         if check:
             check(state)
     # close any frames left open; what survives is the committed prefix
@@ -313,7 +312,6 @@ def test_lb_matches_attached_edges(fig1_net_doc):
         rng.shuffle(order)
         for slot in order[:rng.randint(0, net.num_slots)]:
             state.set_value(slot, rng.choice((PRESENT, ABSENT)))
-            assert len(state._trail) == state.n_present + state.value.count(ABSENT)
         by_class = dict.fromkeys(classes(state), 0)
         for e, nodes in attachment(state).items():
             by_class[nodes] += net.demand[e]
@@ -325,7 +323,7 @@ def state_image(state):
     """Everything a rollback must restore, members compared as sets."""
     return (bytes(state.value), list(state.root), [set(m) for m in state.members],
             list(state.lb), list(state.face_valves), list(state.face_undecided),
-            state.lonely, state.n_present, len(state._trail))
+            state.lonely, state.n_present)
 
 
 def drive_decide(net, nv, incumbent, rng, steps, batches):
@@ -361,7 +359,7 @@ def drive_decide(net, nv, incumbent, rng, steps, batches):
     while images:
         st.undo_frame()
         assert state_image(st) == images.pop()
-    assert st._trail == [] and st.n_present == st.value.count(ABSENT) == 0
+    assert st._frames == [] and st.n_present == st.value.count(ABSENT) == 0
 
 
 def batch_nets():
@@ -388,3 +386,61 @@ def test_batch_rollback_restores_the_pushed_state():
     assert len(batches) >= 500
     assert sum(done < offered for offered, done, _ in stopped) >= 100
     assert all(done == offered for offered, done, stop in batches if not stop)
+
+
+@pytest.mark.parametrize("how", ["set_value", "empty_off_face"])
+def test_union_inside_a_frame_leaves_its_snapshot_alone(how):
+    # class {1, 2} is built before the frame; emptying both slots of p2
+    # inside it merges {3} into that class, whose member list the frame's
+    # snapshot shares until the union. Extending that list in place would
+    # leave node 3 in class {1, 2} after the undo.
+    net = path_net(3)
+    st = TrailedState(net)
+    for token in ("p1:1", "p1:2"):
+        st.set_value(net.parse_slot_token(token), ABSENT)
+    image = state_image(st)
+    held = [(m, list(m)) for m in st.members]
+    st.push_frame()
+    slots = [net.parse_slot_token(token) for token in ("p2:2", "p2:3")]
+    if how == "set_value":
+        for slot in slots:
+            st.set_value(slot, ABSENT)
+    else:
+        assert st.empty_off_face(slots, math.inf) == (2, [])
+    assert sorted(st.members[st.root[0]]) == [0, 1, 2]
+    assert all(m == before for m, before in held)
+    st.undo_frame()
+    assert state_image(st) == image
+
+
+def test_deep_frames_undo_to_the_root(monkeypatch):
+    # a capped 100-pipe solve opens far more frames than the proofs above
+    # (87 against about 50); its tree is pinned, and undoing the frames the
+    # limit left open returns the state to the root's
+    net = random_instance(0, 100, n_nodes=70, min_source_degree=2)
+    searches = []
+    depth = [0]
+    push = TrailedState.push_frame
+
+    class Recorded(Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    def deepest(state):
+        push(state)
+        depth[0] = max(depth[0], len(state._frames))
+
+    monkeypatch.setattr(solver_module, "Search", Recorded)
+    monkeypatch.setattr(TrailedState, "push_frame", deepest)
+    sol = solve(net, 25, SolverOptions(node_limit=3000))
+    stats = sol.stats
+    assert (sol.proof, sol.ud, stats.nodes, stats.leaves, stats.lb_prunes, stats.face_fails) == (
+        "best-found", 250000, 3001, 508, 914, 1051)
+    assert depth[0] == 87
+    st = searches[0].state
+    while st._frames:
+        st.undo_frame()
+    root = Search(net, 25, SolverOptions())
+    assert root.init_root()
+    assert state_image(st) == state_image(root.state)
