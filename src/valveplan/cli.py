@@ -80,7 +80,8 @@ def _add_solver_flags(p):
     p.add_argument("--no-faces", action="store_true", help="disable the face pruning rule")
     p.add_argument("--no-symmetry", action="store_true", help="disable degree-2 symmetry breaking")
     p.add_argument("--no-bound", action="store_true",
-                   help="disable class-bound pruning and the bridge-floor stop")
+                   help="disable class-bound pruning (the cut-off bound with it) and the "
+                        "bridge-floor stop")
     p.add_argument("--restart-mode", choices=("continuing", "restarting"), default="continuing")
     p.add_argument("--time-limit", type=_limit(float), default=None, help="seconds per solve")
     p.add_argument("--node-limit", type=_limit(int), default=None)

@@ -37,10 +37,13 @@ or with a valve moved, does at least as well within the same budget:
 * symmetry rule: at a non-source degree-2 node the two surrounding slots
   are interchangeable, so one of them is pinned empty up front;
 * bound rule: classes of nodes already known to share a sector carry a
-  demand lower bound; once a class reaches the incumbent the branch is
-  dead. The bound rule also stops the whole search once the incumbent
-  meets the bridge floor, the worst case with a valve on every slot, which
-  no placement can beat (see the `isolation` module docstring for why).
+  demand lower bound `lb`; once a class reaches the incumbent the branch is
+  dead. A class that passes carries a second, tighter bound, the cut-off
+  bound (`Search.cutoff_bound`): `lb` plus the demand of the pipes its
+  sector's break leaves dry that `lb` does not count yet. The bound rule
+  also stops the whole search once the incumbent meets the bridge floor,
+  the worst case with a valve on every slot, which no placement can beat
+  (see the `isolation` module docstring for why).
 
 Branching is fail-first on the bound rule. The search branches on the
 undecided slot with the largest `lb(C) + 2 * add`, C being the class of
@@ -68,8 +71,23 @@ segment graph built from them (`TrailedState.worst_damage`) before any
 flood; a leaf that may improve, or that needs padding, is evaluated in
 full by `worst_case_fast`.
 
-The class bound ignores unintended isolation, which only adds damage, so
-it never overestimates a completion. Improvements are strict: each new
+Both class bounds are admissible. A class C holds a pipe (a slot at one
+of its nodes is empty), so C's nodes lie inside that pipe's final sector,
+and `lb(C)` counts only pipes of that sector: those with an empty slot at
+a node of C. The cut-off bound adds unintended isolation (Jun &
+Loganathan, JWRPM 133(2), 2007). When the sector breaks, a node of C
+passes no water, since each of its pipes is in the sector or closed off
+by a boundary valve at that node; a node that no source reaches once C's
+nodes are deleted has no source path; so a pipe with both ends among
+those is fed from neither end. Its demand is lost in that break, whatever
+the completion, and adding what `lb(C)` does not count yet never counts a
+pipe twice. C only grows along a branch, and deleting more nodes only
+dries more, so the bound only grows too. It depends on C's node set alone,
+so `Search` floods once per distinct set (`_DryPipes`). `decide` tests it
+only on the class an empty slot grew, after the plain `lb` test passed,
+against a finite incumbent, and walks the dry pipes only when `lb` plus
+all their demand reaches the incumbent; the lonely-face batch tests `lb`
+alone. `lb_prune` switches both bounds off. Improvements are strict: each new
 incumbent imposes `ud < best` from then on. By default the search continues
 in place after an improvement; `restart_mode="restarting"` instead abandons
 the tree and starts over with the tightened bound, which reproduces the
@@ -137,6 +155,7 @@ class SearchStats:
     nodes: int = 0
     leaves: int = 0
     lb_prunes: int = 0
+    cutoff_prunes: int = 0
     face_fails: int = 0
     face_forced: int = 0
     budget_fails: int = 0         # always 0; perfbench/run.py still reads it
@@ -192,6 +211,37 @@ def required_source_slots(net):
     return net.source_slots_mask.bit_count()
 
 
+class _DryPipes(dict):
+    """Node mask of a class -> (demand, pipe mask) of the pipes with no
+    endpoint that a source reaches once the class's nodes are deleted,
+    filled by one bitmask flood on first use."""
+
+    __slots__ = ("net",)
+
+    def __init__(self, net):
+        super().__init__()
+        self.net = net
+
+    def __missing__(self, members):
+        net = self.net
+        nbrs = net.tables.node_nbrs
+        pipes = net.tables.node_pipes
+        seen = members | net.sources_mask
+        frontier = net.sources_mask & ~members
+        wet = 0                                 # pipes with a reached endpoint
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            n = low.bit_length() - 1
+            wet |= pipes[n]
+            new = nbrs[n] & ~seen
+            seen |= new
+            frontier |= new
+        dry = ((1 << net.num_edges) - 1) & ~wet
+        self[members] = found = (sum(map(net.demand.__getitem__, mask_bits(dry))), dry)
+        return found
+
+
 class Search:
     """One depth-first solve. Exposed for tests and observers; use
     :func:`solve` for the high-level entry point.
@@ -216,6 +266,7 @@ class Search:
         self._unwind = False
         self.t0 = time.perf_counter()
         self.reach = faces.reach
+        self.dry = _DryPipes(net)
 
     # -- incumbent ----------------------------------------------------------
 
@@ -270,6 +321,29 @@ class Search:
 
     # -- propagation ---------------------------------------------------------
 
+    def cutoff_bound(self, root):
+        """The cut-off bound of the class C rooted at `root`, which must
+        hold a pipe (an empty slot at one of its nodes): `lb(C)` plus the
+        demand of the pipes that C's sector's break leaves dry and `lb(C)`
+        does not count yet. A dry pipe has no endpoint that a source
+        reaches once C's nodes are deleted; `lb(C)` counts a pipe when it
+        has an empty slot at a node of C."""
+        st = self.state
+        value = st.value
+        labels = st.root
+        slot_node = st.slot_node
+        demand = self.net.demand
+        total, dry = self.dry[st.members[root]]
+        while dry:
+            low = dry & -dry
+            dry ^= low
+            e = low.bit_length() - 1
+            a = 2 * e
+            if ((value[a] == ABSENT and labels[slot_node[a]] == root)
+                    or (value[a + 1] == ABSENT and labels[slot_node[a + 1]] == root)):
+                total -= demand[e]
+        return st.lb[root] + total
+
     def decide(self, slot, value):
         """Assign and propagate to fixpoint. False means the branch failed.
 
@@ -289,7 +363,9 @@ class Search:
         the cover emptied counts in `face_forced` once, when the entry or
         the batch actually decides it; an entry whose slot already holds
         its value counts nothing, and a batch the bound stops counts the
-        slots it decided. No decision goes past the budget, so none is
+        slots it decided. The walk tests the class an empty slot grew
+        against `lb` and then the cut-off bound; the batch tests `lb`
+        only. No decision goes past the budget, so none is
         tested against it: a fixpoint with no valve left empties every
         undecided slot, and within a walk only a lonely face queues a
         valve, while the valve that spends the budget fails the reach test
@@ -313,10 +389,13 @@ class Search:
         face_undecided = st.face_undecided
         face_slot_sets = st.face_slot_sets
         lb = st.lb
+        members = st.members
+        dry = self.dry
         reach = self.reach
         # a class bound at or past it kills the branch; only a leaf installs
         # a new incumbent, and `lb_prune` off leaves nothing to reach
         bound = self.incumbent_ud if self.opts.lb_prune else math.inf
+        cutoff = bound < math.inf
         # the state is settled unless it is the fresh one, read off the
         # values: no valve and no empty slot
         woke = not st.n_present and ABSENT not in values
@@ -340,6 +419,10 @@ class Search:
                         return False
                 elif lb[root] >= bound:
                     stats.lb_prunes += 1
+                    return False
+                elif (cutoff and lb[root] + dry[members[root]][0] >= bound
+                      and self.cutoff_bound(root) >= bound):
+                    stats.cutoff_prunes += 1
                     return False
 
                 for f in slot_faces[s]:

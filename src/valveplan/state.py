@@ -46,24 +46,29 @@ class TrailedState:
     at least z more faces lonely.
 
     Sector classes are labels, not a union-find forest: `root[n]` is node
-    n's class root, read in O(1), and `members[r]` lists the nodes
-    of the class rooted at r. A union relabels the members of the smaller
-    class, so a node is relabelled O(log n) times along any branch.
+    n's class root, read in O(1), and `members[r]` is the node bitmask of
+    the class rooted at r (bit n for node n). A union ORs the two masks and
+    relabels the nodes of the smaller class, walking its bits, so a node is
+    relabelled O(log n) times along any branch. The solver's cut-off bound
+    reads a class's mask as the node set to delete.
 
     `push_frame` saves what the mutators `set_value` and `empty_off_face`
-    write: `value` as bytes, copies of the class labels, `lb`, `members`
-    (shallow), `face_valves` and `face_undecided`, and `n_present` and
-    `lonely`. `undo_frame` puts it back by slice assignment, so every array
-    keeps its identity. A union builds a new member list rather than
-    extend one, so no snapshot holds a list that is later mutated. Of the
-    slot counts only `n_present` is kept; the others are read off `value`.
+    write: `value` as bytes, copies of the class labels, `lb`, `members`,
+    `face_valves` and `face_undecided`, and `n_present` and `lonely`.
+    `undo_frame` puts it back by slice assignment, so every array keeps its
+    identity. The masks are ints, which no union mutates, so a snapshot
+    shares them safely. Of the slot counts only `n_present` is kept; the
+    others are read off `value`.
 
     A frame holds about 24 bytes per pipe (CPython 3.11: 1.2 KB at 33
-    pipes, 2.8 KB at 100, 6.7 KB at 300, 12.9 KB at 600). Each open frame
-    decided at least one slot, so a network of m pipes has at most 2m open
-    and they hold at most 48 * m**2 bytes (4.3 MB at 300 pipes). Capped
-    solves at nv = m / 2 opened 300 frames at 300 pipes and 578 at 600;
-    33-pipe proofs open about 50.
+    pipes, 2.8 KB at 100, 6.7 KB at 300, 12.9 KB at 600). The class masks
+    a union builds, about n / 8 bytes each for n nodes, are shared by every
+    frame that holds them. Each open frame decided at least one slot, so a
+    network of m pipes has at most 2m open and they hold at most
+    48 * m**2 bytes (4.3 MB at 300 pipes). Capped solves at nv = m / 2
+    opened 300 frames at 300 pipes and 578 at 600; 33-pipe proofs open
+    about 50. The capped 300-pipe solve of the CI peaks at 1.8 MB
+    (tracemalloc).
 
     Both mutators, and the solver's branching score, read the network
     through per-slot tables instead of calling it: the slot's node
@@ -79,7 +84,7 @@ class TrailedState:
         self.value = bytearray(net.num_slots)
         self.n_present = 0
         self.root = list(range(n))
-        self.members = [[x] for x in range(n)]  # valid at class roots
+        self.members = [1 << x for x in range(n)]   # node masks, valid at class roots
         self.lb = [0] * n                       # valid at class roots
         self._frames = []
         tables = net.tables
@@ -183,8 +188,7 @@ class TrailedState:
     def set_value(self, slot, v):
         """Decide `slot`. For ABSENT, returns the class root whose bound may
         have grown: its pipe's demand joined it, or the smaller endpoint
-        class was merged into it. The merge builds a new member list for
-        that root, leaving the lists a frame snapshot holds as they were."""
+        class was merged into it."""
         value = self.value
         assert value[slot] == UNDECIDED
         value[slot] = v
@@ -208,12 +212,14 @@ class TrailedState:
                 self.lb[root] += self.slot_demand[slot]
             elif (other := labels[self.slot_other[slot]]) != root:
                 members = self.members
-                if len(members[root]) < len(members[other]):
+                if members[root].bit_count() < members[other].bit_count():
                     root, other = other, root
                 moved = members[other]
-                for x in moved:
-                    labels[x] = root
-                members[root] = members[root] + moved
+                members[root] |= moved
+                while moved:
+                    low = moved & -moved
+                    labels[low.bit_length() - 1] = root
+                    moved ^= low
                 self.lb[root] += self.lb[other]
             for f in faces:
                 undecided[f] -= 1
@@ -229,8 +235,7 @@ class TrailedState:
 
         Faces through the slots hold no valve or at least two, and the
         batch adds none, so no face can fail inside it. The frame around the
-        decision undoes the batch with the rest; as in `set_value`, a union
-        builds a new member list, so the frame's snapshot stays valid."""
+        decision undoes the batch with the rest."""
         value = self.value
         labels = self.root
         members = self.members
@@ -251,12 +256,14 @@ class TrailedState:
             if value[slot ^ 1] != ABSENT:
                 lb[root] += slot_demand[slot]
             elif (other := labels[slot_other[slot]]) != root:
-                if len(members[root]) < len(members[other]):
+                if members[root].bit_count() < members[other].bit_count():
                     root, other = other, root
                 moved = members[other]
-                for x in moved:
-                    labels[x] = root
-                members[root] = members[root] + moved
+                members[root] |= moved
+                while moved:
+                    low = moved & -moved
+                    labels[low.bit_length() - 1] = root
+                    moved ^= low
                 lb[root] += lb[other]
             for f in slot_faces[slot]:
                 left = undecided[f] - 1

@@ -50,6 +50,8 @@ class NetworkTables:
     * `faces`, the `FaceTable` of the network's face slot lists, and
       `no_faces`, one over no face, for a solve without the face rule;
     * `floor`, the bridge floor (`isolation.bridge_lower_bound`);
+    * per node, the bitmask of its neighbours (`node_nbrs`) and of its
+      pipes (`node_pipes`), for the solver's cut-off flood;
     * the branching key's static parts. A slot's key packs its score and
       its tie weight into one int, score * `scale` + tie, with `scale` =
       2m + 1. `tie[s]` is 2m minus the slot's rank (heaviest pipe first,
@@ -58,7 +60,7 @@ class NetworkTables:
     """
 
     __slots__ = ("slot_node", "slot_other", "slot_demand", "faces", "no_faces", "floor",
-                 "scale", "tie", "pipe_key")
+                 "node_nbrs", "node_pipes", "scale", "tie", "pipe_key")
 
     def __init__(self, net):
         n_slots = net.num_slots
@@ -69,6 +71,8 @@ class NetworkTables:
         self.faces = FaceTable(face_slot_lists(net), n_slots)
         self.no_faces = FaceTable((), n_slots)
         self.floor = bridge_lower_bound(net)
+        self.node_nbrs = tuple(sum(1 << other for _, _, other, _ in rows) for rows in net._inc)
+        self.node_pipes = tuple(sum(1 << e for e in es) for es in net.incident)
         self.scale = n_slots + 1
         tie = [0] * n_slots
         for rank, slot in enumerate(sorted(slots, key=lambda s: (-net.demand[s >> 1], s))):

@@ -9,6 +9,7 @@ from valveplan.generate import random_instance
 from valveplan.isolation import (
     INFEASIBLE_UD,
     delivered_with_closed,
+    mask_bits,
     present_mask,
     scan_sectors,
     sector_damage,
@@ -16,6 +17,7 @@ from valveplan.isolation import (
     worst_case_fast,
 )
 from valveplan.network import parse_network
+from valveplan.state import ABSENT
 
 # Regression corpus: 50 seeded random planar instances with 5..8 edges.
 CORPUS_SEEDS = tuple(range(50))
@@ -94,12 +96,20 @@ def class_roots(state):
 
 def classes(state):
     """A `TrailedState`'s classes as {frozenset(node ids): lb}."""
-    return {frozenset(state.members[r]): state.lb[r] for r in class_roots(state)}
+    return {frozenset(mask_bits(state.members[r])): state.lb[r] for r in class_roots(state)}
 
 
 def max_lb(state):
     """The largest class bound of a `TrailedState`."""
     return max(state.lb[r] for r in class_roots(state))
+
+
+def max_cutoff(search):
+    """The largest cut-off bound of a `Search`'s classes that hold a pipe:
+    those with an empty slot at one of their nodes (0 when none does)."""
+    st = search.state
+    roots = {st.root[st.slot_node[s]] for s, v in enumerate(st.value) if v == ABSENT}
+    return max(map(search.cutoff_bound, roots), default=0)
 
 
 def sector_ud(net, placement, edge):

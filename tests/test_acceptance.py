@@ -34,7 +34,7 @@ from valveplan.isolation import bridge_lower_bound
 from valveplan.solver import InfeasibleBudget, Search, SolverOptions, solve
 from valveplan.state import ABSENT, PRESENT, UNDECIDED
 
-from conftest import CORPUS_NVS, CORPUS_SEEDS, max_lb, real_density_net, sector_ud
+from conftest import CORPUS_NVS, CORPUS_SEEDS, max_cutoff, max_lb, real_density_net, sector_ud
 
 
 @contextmanager
@@ -133,6 +133,9 @@ def test_criterion_04_pruning_soundness_ab(fig1, corpus, corpus_oracle):
             for name, kw in toggles.items():
                 got = solver_optimum(fig1, nv, SolverOptions(**kw))
                 assert got == expect, f"fig1 nv={nv} without {name}"
+        # the bound at real density, where the cut-off bound prunes most
+        real0 = real_density_net(0)
+        assert solver_optimum(real0, 8) == solver_optimum(real0, 8, SolverOptions(lb_prune=False))
 
         # all rules on shrinks the fig1 nv=6 tree by at least 2x versus all off
         on = solve(fig1, 6, SolverOptions())
@@ -165,6 +168,7 @@ def test_criterion_05_bound_admissibility(fig1, corpus, corpus_oracle):
         opts = SolverOptions(face_constraints=False, symmetry=False, lb_prune=False)
         checked = 0
         violations = 0
+        tighter = 0
         while checked < 1000:
             net = corpus[rng.randrange(len(corpus))]
             nv = rng.choice(CORPUS_NVS)
@@ -199,9 +203,15 @@ def test_criterion_05_bound_admissibility(fig1, corpus, corpus_oracle):
                     best = ud
             if max_lb(st) > best:
                 violations += 1
+            # the cut-off bound of every class that holds a pipe, too
+            cutoff = max_cutoff(search)
+            if cutoff > best:
+                violations += 1
+            tighter += cutoff > max_lb(st)
             checked += 1
         assert checked == 1000
         assert violations == 0
+        assert tighter >= 400
 
 
 def test_criterion_06_formulation_equivalence(corpus):

@@ -238,6 +238,7 @@ placement: e12:1 e16:1 e16:6 e25:2 e25:5 e34:4
 stat_nodes: 5
 stat_leaves: 1
 stat_lb_prunes: 0
+stat_cutoff_prunes: 0
 stat_face_fails: 0
 stat_face_forced: 0
 stat_budget_fails: 0

@@ -269,19 +269,19 @@ def test_best_extension_evaluates_only_the_worst_sector(fig2, monkeypatch):
 # source-side slot count raise InfeasibleBudget before any search
 SWEEP_PINS = {
     "fig1": (range(2, 15), [
-        (2, 1, 47000, "optimal"), (3, 1, 36000, "optimal"), (4, 10, 24000, "optimal"),
-        (5, 14, 17000, "optimal")] + [(nv, 0, 15000, "optimal") for nv in range(6, 15)]),
+        (2, 1, 47000, "optimal"), (3, 1, 36000, "optimal"), (4, 8, 24000, "optimal"),
+        (5, 12, 17000, "optimal")] + [(nv, 0, 15000, "optimal") for nv in range(6, 15)]),
     "fig2": (range(2, 21), [
-        (2, 1, 10000, "optimal"), (3, 1, 9000, "optimal"), (4, 20, 5000, "optimal"),
-        (5, 57, 5000, "optimal"), (6, 99, 4000, "optimal"), (7, 98, 3000, "optimal"),
+        (2, 1, 10000, "optimal"), (3, 1, 9000, "optimal"), (4, 18, 5000, "optimal"),
+        (5, 54, 5000, "optimal"), (6, 98, 4000, "optimal"), (7, 98, 3000, "optimal"),
         (8, 69, 2000, "optimal"), (9, 19, 2000, "optimal"), (10, 34, 2000, "optimal"),
         (11, 68, 2000, "optimal"), (12, 150, 2000, "optimal"),
         (13, 38, 1000, "optimal")] + [(nv, 0, 1000, "optimal") for nv in range(14, 21)]),
     "rand-7-m12": (range(2, 25), [
-        (4, 1, 147000, "optimal"), (5, 3, 117000, "optimal"), (6, 14, 97000, "optimal"),
-        (7, 38, 77000, "optimal"), (8, 43, 57000, "optimal"), (9, 58, 40000, "optimal"),
-        (10, 186, 39000, "optimal"), (11, 503, 30000, "optimal"), (12, 195, 28000, "optimal"),
-        (13, 297, 25000, "optimal"), (14, 380, 22000, "optimal")]
+        (4, 1, 147000, "optimal"), (5, 3, 117000, "optimal"), (6, 13, 97000, "optimal"),
+        (7, 31, 77000, "optimal"), (8, 37, 57000, "optimal"), (9, 54, 40000, "optimal"),
+        (10, 177, 39000, "optimal"), (11, 483, 30000, "optimal"), (12, 191, 28000, "optimal"),
+        (13, 297, 25000, "optimal"), (14, 369, 22000, "optimal")]
         + [(nv, 0, 20000, "optimal") for nv in range(15, 25)]),
 }
 

@@ -303,9 +303,9 @@ def test_face_lookahead_pruning_strength():
     # the same proof took 34,227 nodes with the face rule alone, 11,367 with
     # the reach look-ahead, 9,055 with the per-slot cover, 2,327 with the
     # component bound that also empties the off-face slots when it is tight,
-    # 1,472 with the branching score and 907 once the cover also empties
+    # 1,472 with the branching score, 907 once the cover also empties
     # every slot whose valve would leave more lonely faces than the valves
-    # left can relieve
+    # left can relieve, and 527 with the cut-off bound
     sol = solve(frozen_instance("rand-1-m33"), 8)
     assert (sol.proof, sol.ud) == ("optimal", 285000)
     assert sol.stats.nodes <= 1_000
@@ -429,11 +429,14 @@ def test_decide_leaves_a_settled_state():
             if search.init_root():
                 search.run()
             checked += search.checked
-    search = SettledAudit(real_density_net(0), 8, SolverOptions())
-    assert search.init_root()
-    search.run()
-    assert search.incumbent_ud == 179000
-    assert checked >= 1000 and search.checked >= 1000
+    real_checked = 0
+    for seed, optimum in ((0, 179000), (2, 207000), (3, 140000)):
+        search = SettledAudit(real_density_net(seed), 8, SolverOptions())
+        assert search.init_root()
+        search.run()
+        assert search.incumbent_ud == optimum
+        real_checked += search.checked
+    assert checked >= 1000 and real_checked >= 1000
 
 
 @pytest.fixture
@@ -568,6 +571,83 @@ def test_no_decide_exceeds_the_budget(corpus, toggle):
             assert search.stats.budget_fails == 0
             at_budget += search.at_budget
     assert at_budget >= 1000
+
+
+# -- the cut-off bound ------------------------------------------------------------
+
+
+def best_completion(search):
+    """The least ud over the completions of the current partial assignment
+    within the budget (math.inf when none is feasible). Adding a valve
+    never raises any damage, so completions that spend the whole budget, or
+    fill every undecided slot, are enough."""
+    st = search.state
+    undecided = [s for s, v in enumerate(st.value) if v == UNDECIDED]
+    base = st.present_mask()
+    best = math.inf
+    for combo in combinations(undecided, min(search.nv - st.n_present, len(undecided))):
+        mask = base
+        for s in combo:
+            mask |= 1 << s
+        ud, _, feasible = worst_case_fast(search.net, mask)
+        if feasible and ud < best:
+            best = ud
+    return best
+
+
+class CutoffAuditedSearch(Search):
+    """A search that records, at every branch the cut-off bound fails,
+    whether a completion of the state left behind beats the incumbent
+    after all."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.unsound = []
+        self.audited = 0
+
+    def decide(self, slot, value):
+        before = self.stats.cutoff_prunes
+        incumbent = self.incumbent_ud
+        ok = super().decide(slot, value)
+        if self.stats.cutoff_prunes > before:
+            self.audited += 1
+            if best_completion(self) < incumbent:
+                self.unsound.append((slot, value, bytes(self.state.value)))
+        return ok
+
+
+def bridged_nets(seed):
+    """Two triangles joined by a bridge, fed from a corner of one and with
+    a pendant pipe on the other, and the same with a 2-pipe bridge."""
+    rng = random.Random(seed)
+
+    def pipes(*ends):
+        return [(f"p{u}{v}", u, v, rng.randint(1, 9)) for u, v in ends]
+
+    coords = {"1": [0, 0], "2": [2, 0], "3": [1, 2], "4": [5, 0], "5": [7, 0], "6": [6, 2],
+              "7": [8, 2]}
+    triangles = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (6, 7)]
+    yield make_net(list(range(1, 8)), [1], pipes(*triangles, (2, 4)), coords=coords)
+    yield make_net(list(range(1, 9)), [3], pipes(*triangles, (2, 8), (8, 4)),
+                   coords={**coords, "8": [3.5, 0]})
+
+
+def test_cutoff_bound_admissible():
+    # no branch the cut-off bound fails holds a completion that beats the
+    # incumbent: enumerate the completions at each failure, on networks
+    # with traced faces, faces that walk pipes twice and bridges
+    nets = list(face_audit_nets())
+    for seed in range(6):
+        nets += [*walked_twice_nets(seed), *bridged_nets(seed)]
+    audited = 0
+    for net in nets:
+        for nv in range(required_source_slots(net), net.num_slots + 1):
+            search = CutoffAuditedSearch(net, nv, SolverOptions())
+            if search.init_root():
+                search.run()
+            assert search.unsound == [], (net.name, nv)
+            audited += search.audited
+    assert audited >= 500
 
 
 # -- bound propagation -----------------------------------------------------------
@@ -792,23 +872,38 @@ def test_node_limit_returns_best_found(fig1):
 
 def test_leaf_candidates_and_strict_bound(fig1, fig1_demo_placement):
     def drive_to_leaf(search):
+        """Decide the demo placement in slot order and evaluate the leaf;
+        returns the slot whose decide failed, or None once at the leaf."""
         search.state.push_frame()
         for slot in range(fig1.num_slots):
             if search.state.value[slot] == UNDECIDED:
                 value = PRESENT if slot in fig1_demo_placement else ABSENT
-                assert search.decide(slot, value)
+                if not search.decide(slot, value):
+                    return slot
         assert UNDECIDED not in search.state.value
         search._leaf()
+        return None
 
     # the demo placement enters as a 36 l/s incumbent on a fresh search
     search = Search(fig1, 6, SolverOptions(symmetry=False, face_constraints=False))
-    drive_to_leaf(search)
+    assert drive_to_leaf(search) is None
     assert search.snapshot()[0] == 36000
 
-    # an equal-valued leaf is rejected: improvements must be strict
-    repeat = Search(fig1, 6, SolverOptions(symmetry=False, face_constraints=False))
+    # an equal-valued leaf is rejected: improvements must be strict. With
+    # the bound on, the cut-off bound stops the drive before the leaf:
+    # emptying e25:5 puts nodes 2 and 5 in one class of bound 20 l/s (e12
+    # and e25), and deleting them leaves e23, e34 and e45 (16 l/s) without
+    # a source path
+    cut = Search(fig1, 6, SolverOptions(symmetry=False, face_constraints=False))
+    cut._best = (36000, frozenset(), 0)
+    assert drive_to_leaf(cut) == 7
+    assert (cut.stats.lb_prunes, cut.stats.cutoff_prunes) == (0, 1)
+    assert cut.cutoff_bound(cut.state.root[fig1.slot_node(7)]) == 36000
+    # the bound off, the same drive reaches the leaf, which is rejected
+    repeat = Search(fig1, 6, SolverOptions(symmetry=False, face_constraints=False,
+                                           lb_prune=False))
     repeat._best = (36000, frozenset(), 0)
-    drive_to_leaf(repeat)
+    assert drive_to_leaf(repeat) is None
     assert repeat.stats.rejected_leaves == 1
     assert repeat.snapshot()[0] == 36000
 
@@ -824,26 +919,26 @@ def test_stats_as_dict_in_field_order():
     # `valveplan solve` prints the counters in this order
     stats = SearchStats(nodes=5, restarts=2)
     assert list(stats.as_dict().items()) == [
-        ("nodes", 5), ("leaves", 0), ("lb_prunes", 0), ("face_fails", 0), ("face_forced", 0),
-        ("budget_fails", 0), ("conflicts", 0), ("reduced_cost_forced", 0),
+        ("nodes", 5), ("leaves", 0), ("lb_prunes", 0), ("cutoff_prunes", 0), ("face_fails", 0),
+        ("face_forced", 0), ("budget_fails", 0), ("conflicts", 0), ("reduced_cost_forced", 0),
         ("symmetry_fixed", 0), ("source_fixed", 0), ("lower_bound", 0),
         ("infeasible_leaves", 0), ("rejected_leaves", 0), ("restarts", 2)]
 
 
 # (seed, pipes) or "fig1", budget, ud in ml/s, sorted placement, counters in
 # SEARCH_COUNTERS order: the search on the ladder's instances, pinned
-SEARCH_COUNTERS = ("nodes", "leaves", "lb_prunes", "face_fails", "face_forced", "budget_fails",
-                   "conflicts", "symmetry_fixed", "source_fixed", "rejected_leaves")
+SEARCH_COUNTERS = ("nodes", "leaves", "lb_prunes", "cutoff_prunes", "face_fails", "face_forced",
+                   "budget_fails", "conflicts", "symmetry_fixed", "source_fixed", "rejected_leaves")
 PINNED_SEARCHES = [
-    ("fig1", 6, 15000, [0, 2, 3, 6, 7, 9], (5, 1, 0, 0, 0, 0, 0, 3, 2, 0)),
-    ((7, 12), 8, 57000, [3, 10, 11, 12, 14, 16, 18, 23], (57, 3, 45, 7, 137, 0, 0, 1, 4, 0)),
+    ("fig1", 6, 15000, [0, 2, 3, 6, 7, 9], (5, 1, 0, 0, 0, 0, 0, 0, 3, 2, 0)),
+    ((7, 12), 8, 57000, [3, 10, 11, 12, 14, 16, 18, 23], (50, 3, 35, 4, 6, 125, 0, 0, 1, 4, 0)),
     ((5, 14), 8, 51000, [1, 6, 8, 10, 14, 18, 23, 27],
-     (704, 146, 321, 92, 1261, 0, 0, 1, 2, 133)),
-    ((7, 16), 6, 149000, [0, 1, 8, 10, 12, 13], (32, 6, 12, 9, 163, 0, 0, 0, 4, 3)),
+     (345, 33, 163, 60, 57, 956, 0, 0, 1, 2, 20)),
+    ((7, 16), 6, 149000, [0, 1, 8, 10, 12, 13], (26, 4, 9, 5, 5, 154, 0, 0, 0, 4, 1)),
     ((7, 20), 8, 143000, [0, 4, 5, 25, 27, 30, 31, 34],
-     (327, 9, 230, 80, 1874, 0, 0, 2, 4, 3)),
+     (234, 8, 127, 45, 47, 1548, 0, 0, 2, 4, 2)),
     ((1, 33), 8, 285000, [0, 12, 17, 25, 27, 29, 43, 58],
-     (907, 139, 313, 317, 6426, 0, 0, 1, 4, 135)),
+     (527, 51, 125, 103, 198, 5264, 0, 0, 1, 4, 47)),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from valveplan import instances
 from valveplan import solver as solver_module
 from valveplan.generate import random_instance
+from valveplan.isolation import mask_bits
 from valveplan.solver import Search, SolverOptions, solve
 from valveplan.state import ABSENT, PRESENT, UNDECIDED, TrailedState
 from valveplan.tables import FaceTable, face_slot_lists
@@ -29,7 +30,7 @@ def attachment(state):
     the class at an absent slot's node (with both slots absent, both nodes
     are in one class), read from the slot values alone."""
     net = state.net
-    return {slot >> 1: frozenset(state.members[state.root[net.slot_node(slot)]])
+    return {slot >> 1: frozenset(mask_bits(state.members[state.root[net.slot_node(slot)]]))
             for slot in range(net.num_slots) if state.value[slot] == ABSENT}
 
 
@@ -320,8 +321,8 @@ def test_lb_matches_attached_edges(fig1_net_doc):
 
 
 def state_image(state):
-    """Everything a rollback must restore, members compared as sets."""
-    return (bytes(state.value), list(state.root), [set(m) for m in state.members],
+    """Everything a rollback must restore."""
+    return (bytes(state.value), list(state.root), list(state.members),
             list(state.lb), list(state.face_valves), list(state.face_undecided),
             state.lonely, state.n_present)
 
@@ -388,34 +389,65 @@ def test_batch_rollback_restores_the_pushed_state():
     assert all(done == offered for offered, done, stop in batches if not stop)
 
 
+def frame_image(frame):
+    """A frame snapshot with every array copied into a tuple."""
+    return tuple(tuple(x) if isinstance(x, (list, bytes)) else x for x in frame)
+
+
 @pytest.mark.parametrize("how", ["set_value", "empty_off_face"])
 def test_union_inside_a_frame_leaves_its_snapshot_alone(how):
     # class {1, 2} is built before the frame; emptying both slots of p2
-    # inside it merges {3} into that class, whose member list the frame's
-    # snapshot shares until the union. Extending that list in place would
-    # leave node 3 in class {1, 2} after the undo.
+    # inside it merges {3} into that class. Every snapshot must still read
+    # as it did at its `push_frame`, and the undo puts that state back
     net = path_net(3)
     st = TrailedState(net)
     for token in ("p1:1", "p1:2"):
         st.set_value(net.parse_slot_token(token), ABSENT)
     image = state_image(st)
-    held = [(m, list(m)) for m in st.members]
     st.push_frame()
+    held = frame_image(st._frames[-1])
     slots = [net.parse_slot_token(token) for token in ("p2:2", "p2:3")]
     if how == "set_value":
         for slot in slots:
             st.set_value(slot, ABSENT)
     else:
         assert st.empty_off_face(slots, math.inf) == (2, [])
-    assert sorted(st.members[st.root[0]]) == [0, 1, 2]
-    assert all(m == before for m, before in held)
+    assert mask_bits(st.members[st.root[0]]) == [0, 1, 2]
+    assert frame_image(st._frames[-1]) == held
     st.undo_frame()
     assert state_image(st) == image
 
 
+def test_open_snapshots_stay_intact_under_search():
+    # random pushes, decides (batches included) and undos: after every step
+    # each open frame's snapshot reads as it did when it was pushed
+    rng = random.Random(77)
+    checked = 0
+    for net in batch_nets():
+        k = net.source_slots_mask.bit_count()
+        search = Search(net, rng.randint(max(1, k), k + 3), SolverOptions())
+        search._best = (net.total_demand // 3, None, None)
+        st = search.state
+        held = []
+        for _ in range(60):
+            undecided = [s for s in range(net.num_slots) if st.value[s] == UNDECIDED]
+            if held and (not undecided or rng.random() < 0.3):
+                st.undo_frame()
+                held.pop()
+            elif undecided:
+                st.push_frame()
+                held.append(frame_image(st._frames[-1]))
+                if not search.decide(rng.choice(undecided), rng.choice((PRESENT, ABSENT))):
+                    st.undo_frame()
+                    held.pop()
+            assert [frame_image(f) for f in st._frames] == held
+            checked += len(held)
+    assert checked >= 1000
+
+
 def test_deep_frames_undo_to_the_root(monkeypatch):
     # a capped 100-pipe solve opens far more frames than the proofs above
-    # (87 against about 50); its tree is pinned, and undoing the frames the
+    # (132 against about 50); its tree is pinned, and undoing the frames the
     # limit left open returns the state to the root's
     net = random_instance(0, 100, n_nodes=70, min_source_degree=2)
     searches = []
@@ -435,9 +467,9 @@ def test_deep_frames_undo_to_the_root(monkeypatch):
     monkeypatch.setattr(TrailedState, "push_frame", deepest)
     sol = solve(net, 25, SolverOptions(node_limit=3000))
     stats = sol.stats
-    assert (sol.proof, sol.ud, stats.nodes, stats.leaves, stats.lb_prunes, stats.face_fails) == (
-        "best-found", 250000, 3001, 508, 914, 1051)
-    assert depth[0] == 87
+    assert (sol.proof, sol.ud, stats.nodes, stats.leaves, stats.lb_prunes, stats.cutoff_prunes,
+            stats.face_fails) == ("best-found", 248000, 3001, 401, 913, 278, 986)
+    assert depth[0] == 132
     st = searches[0].state
     while st._frames:
         st.undo_frame()

@@ -41,6 +41,11 @@ def test_cached_tables_equal_a_fresh_build(net):
     assert t.slot_other == tuple(net.slot_other_node(s) for s in slots)
     assert t.slot_demand == tuple(net.demand[s >> 1] for s in slots)
     assert t.floor == bridge_lower_bound(net)
+    nodes = range(net.num_nodes)
+    assert t.node_nbrs == tuple(sum(1 << (u ^ v ^ n) for u, v in net.endpoints if n in (u, v))
+                                for n in nodes)
+    assert t.node_pipes == tuple(sum(1 << e for e, ends in enumerate(net.endpoints) if n in ends)
+                                 for n in nodes)
     face_slots = fresh_face_slots(net)
     assert t.faces.slots == face_slots
     assert t.faces.through == tuple(tuple(f for f, face in enumerate(face_slots) if s in face)
