@@ -13,15 +13,16 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 
 from . import instances
 from .generate import random_instance
-from .isolation import INFEASIBLE_UD, mask_bits, present_mask, sector_damage
+from .isolation import INFEASIBLE_UD, mask_bits, present_mask, sector_damage, worst_case_fast
 from .network import InstanceError, format_flow, parse_placement, read_text
 from .oracle import DEFAULT_CAP, EnumerationCapExceeded, brute_force
 from .pareto import sweep
-from .solver import BudgetError, InfeasibleBudget, SolverOptions, check_budget, solve
+from .solver import RESTART_MODES, BudgetError, InfeasibleBudget, SolverOptions, check_budget, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -82,7 +83,7 @@ def _add_solver_flags(p):
     p.add_argument("--no-bound", action="store_true",
                    help="disable class-bound pruning (the cut-off bound with it) and the "
                         "bridge-floor stop")
-    p.add_argument("--restart-mode", choices=("continuing", "restarting"), default="continuing")
+    p.add_argument("--restart-mode", choices=RESTART_MODES, default="continuing")
     p.add_argument("--time-limit", type=_limit(float), default=None, help="seconds per solve")
     p.add_argument("--node-limit", type=_limit(int), default=None)
 
@@ -125,12 +126,6 @@ def _limit(convert):
     return parse
 
 
-def _write_anytime(path, anytime):
-    with open(path, "w", encoding="utf-8") as fh:
-        for elapsed, ud in anytime:
-            fh.write(f"{int(elapsed * 1000)},{format_flow(ud)}\n")
-
-
 def _solution_block(report, net, sol):
     report.kv("ud_lps", format_flow(sol.ud))
     report.kv("worst_break", net.edge_labels[sol.argmax_edge] if sol.argmax_edge is not None else "-")
@@ -147,20 +142,17 @@ def cmd_evaluate(args):
     placement = parse_placement(net, read_text(args.placement))
     _instance_digest(report, net)
     report.kv("valves", len(placement))
+    present = present_mask(net, placement)
     rows = [None] * net.num_edges
-    damages = []
-    for pos, (rep, edges_mask, boundary, ud) in enumerate(
-            sector_damage(net, present_mask(net, placement))):
+    for pos, (_, edges_mask, boundary, ud) in enumerate(sector_damage(net, present)):
         for e in mask_bits(edges_mask):
             rows[e] = (pos, boundary.bit_count(), ud)
-        damages.append((rep, ud))
-    # the first maximum: ties go to the lowest representative
-    worst_edge, worst = max(damages, key=lambda d: d[1], default=(None, 0))
     report.row("edge", "sector", "closed_valves", "ud_lps", "isolable")
     for e, (pos, closed, ud) in enumerate(rows):
         report.row(net.edge_labels[e], pos, closed, format_flow(ud),
                    "no" if ud == INFEASIBLE_UD else "yes")
-    if worst == INFEASIBLE_UD:
+    worst, worst_edge, feasible = worst_case_fast(net, present)
+    if not feasible:
         report.kv("result", "infeasible: some pipe cannot be isolated")
         report.emit()
         return EXIT_INFEASIBLE
@@ -175,16 +167,17 @@ def cmd_solve(args):
     net = instances.load(args.instance)
     _instance_digest(report, net)
     report.kv("n_valves", args.nv)
-    try:
-        sol = solve(net, args.nv, _solver_options(args))
-    except InfeasibleBudget as exc:
-        report.kv("result", f"infeasible budget: {exc}")
-        if exc.witness_edge is not None:
-            report.kv("witness_pipe", net.edge_labels[exc.witness_edge])
-        report.emit()
-        return EXIT_INFEASIBLE
-    if args.anytime:
-        _write_anytime(args.anytime, sol.anytime)
+    # opened first, so that a bad path fails before the solve and not after it
+    with open(args.anytime or os.devnull, "w", encoding="utf-8") as log:
+        try:
+            sol = solve(net, args.nv, _solver_options(args))
+        except InfeasibleBudget as exc:
+            report.kv("result", f"infeasible budget: {exc}")
+            if exc.witness_edge is not None:
+                report.kv("witness_pipe", net.edge_labels[exc.witness_edge])
+            report.emit()
+            return EXIT_INFEASIBLE
+        log.writelines(f"{int(t * 1000)},{format_flow(ud)}\n" for t, ud in sol.anytime)
     if sol.placement is None:
         stopped = "interrupted" if sol.interrupted else "limit expired"
         report.kv("result", f"{stopped} before any solution was found")
@@ -199,6 +192,9 @@ def cmd_sweep(args):
     report = _Report(args.format)
     net = instances.load(args.instance)
     _instance_digest(report, net)
+    if args.out_dir:
+        # made first, so that a bad path fails before the sweep and not after it
+        os.makedirs(args.out_dir, exist_ok=True)
     result = sweep(net, args.nv, _solver_options(args))
     report.row("nv", "ud", "proof", "elapsed_ms")
     for pt in result.points:
@@ -209,15 +205,16 @@ def cmd_sweep(args):
     for note in result.notes:
         report.kv("note", note)
     if args.out_dir:
-        import os
-        os.makedirs(args.out_dir, exist_ok=True)
         for pt in result.points:
             path = os.path.join(args.out_dir, f"placement_nv{pt.n_valves}.txt")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(net.placement_tokens(pt.placement)) + "\n")
         report.kv("placements_written", args.out_dir)
     report.emit()
-    return EXIT_OK if result.complete else EXIT_LIMIT
+    if not result.complete:
+        return EXIT_LIMIT
+    # a complete sweep without a point found every budget infeasible
+    return EXIT_OK if result.points else EXIT_INFEASIBLE
 
 
 def _check_one(report, net, nv, opts, cap):

@@ -52,7 +52,11 @@ plus everything beyond it.
 A placement is feasible exactly when every slot at a source holds a valve
 (`Network.source_slots_mask`): the flood makes a node interior only through
 an open slot, and every pipe lies in some sector, so some sector holds a
-source exactly when some source-side slot is empty.
+source exactly when some source-side slot is empty. `segment_damage` is
+where that is decided: it gives each source's vertex INFEASIBLE_UD, and
+`worst_case_fast`, `sector_damage` and the solver's leaves read the damage
+it returns. The solver fixes every source-side slot at the root, so no
+sector of its leaves holds a source.
 
 All functions here are pure with respect to (network, placement). The mask
 core takes a placement as an int whose set bits are the present slots
@@ -109,12 +113,12 @@ def sector_damage(net, present):
     """Yield (representative_edge, edges_mask, boundary, ud) for every sector,
     representatives ascending: the rows `scan_sectors` would give, with each
     sector's damage. Every pipe of a sector entails the same closure, so one
-    break per sector is evaluated; a sector that holds a source cannot be
-    de-watered at all and gets INFEASIBLE_UD. The sectors are the pipe
-    vertices of one `sector_labels` flood, and `segment_damage` gives every
-    damage at once: `total_demand - delivered_with_closed(boundary)` per
-    sector, in O(sectors + valves). A sector's boundary is each valve on one
-    of its pipes or at one of its interior nodes."""
+    break per sector is evaluated. The sectors are the pipe vertices of one
+    `sector_labels` flood, and `segment_damage` gives every damage at once:
+    `total_demand - delivered_with_closed(boundary)` per sector, in
+    O(sectors + valves), and INFEASIBLE_UD for a sector that holds a
+    source. A sector's boundary is each valve on one of its pipes or at one
+    of its interior nodes."""
     label, weight, vertex = sector_labels(net, present)
     # every pipe reaches a source with all valves open (Network checks it),
     # so the DFS visits every sector
@@ -128,9 +132,8 @@ def sector_damage(net, present):
         e = slot >> 1
         closed[vertex[e]] |= 1 << slot
         closed[label[ep[e][slot & 1]]] |= 1 << slot
-    fed = {label[s] for s in net.source_list}
     for v, (rep, edges_mask) in rows.items():
-        yield rep, edges_mask, closed[v], INFEASIBLE_UD if v in fed else damage[v]
+        yield rep, edges_mask, closed[v], damage[v]
 
 
 def segment_damage(net, present, label, weight):
@@ -143,7 +146,10 @@ def segment_damage(net, present, label, weight):
     valve joins its pipe's sector to its node's vertex unless they are one,
     and the root joins every source's vertex. A child c's subtree is cut
     off exactly when low(c) >= disc(v): one iterative lowpoint DFS from the
-    root, and a vertex it does not reach keeps its weight."""
+    root, and a vertex it does not reach keeps its weight. Last, every
+    source's vertex gets INFEASIBLE_UD, since a sector that holds a source
+    cannot be de-watered (a fully valved source is a vertex no pipe takes).
+    This is the one place infeasibility is decided."""
     n = len(label)
     ep = net.endpoints
     root = n + len(ep)
@@ -188,6 +194,8 @@ def segment_damage(net, present, label, weight):
                 subtree[p] += subtree[v]
                 if low[v] >= disc[p]:
                     damage[p] += subtree[v]
+    for s in net.source_list:
+        damage[label[s]] = INFEASIBLE_UD
     return damage
 
 
@@ -236,21 +244,19 @@ def worst_case_fast(net, present):
     the lowest representative edge, read off one `sector_labels` flood and
     one `segment_damage` DFS instead of a flood per sector. Pipes are read
     in ascending order and the first maximum wins, so the argmax is the
-    lowest pipe of a worst sector, its representative. A placement with an
-    empty source-side slot is infeasible: it skips the DFS and reports the
-    lowest representative of a sector that holds a source. A network
-    without pipes has no break: (0, None, True)."""
+    lowest pipe of a worst sector, its representative. `segment_damage`
+    gives a sector that holds a source INFEASIBLE_UD, so a placement with an
+    empty source-side slot reports that and the lowest pipe of such a
+    sector, and is infeasible; a fully valved source keeps its own label,
+    which no pipe takes. A network without pipes has no break: (0, None,
+    True)."""
     label, weight, vertex = sector_labels(net, present)
-    if net.source_slots_mask & ~present:
-        # a fully valved source keeps its own label, which no pipe takes
-        fed = {label[s] for s in net.source_list}
-        return INFEASIBLE_UD, next(e for e, v in enumerate(vertex) if v in fed), False
     if not vertex:
         return 0, None, True
     damage = segment_damage(net, present, label, weight)
     per_pipe = list(map(damage.__getitem__, vertex))
     ud = max(per_pipe)
-    return ud, per_pipe.index(ud), True
+    return ud, per_pipe.index(ud), ud != INFEASIBLE_UD
 
 
 def bridge_lower_bound(net):

@@ -504,13 +504,15 @@ def _trace_internal_faces(net):
         nbrs.sort(key=lambda o: math.atan2(pos[o][1] - pos[n][1], pos[o][0] - pos[n][0]))
         rotation[n] = nbrs
 
-    # next dart after arriving at v from u: the rotation successor of u at v
-    unused = {(u, v) for u, v in net.endpoints} | {(v, u) for u, v in net.endpoints}
+    # next dart after arriving at v from u: the rotation successor of u at v.
+    # Each walk starts at the lowest dart no earlier walk took
+    darts = sorted(net.endpoints + tuple((v, u) for u, v in net.endpoints))
+    walked = set()
     walks = []
-    while unused:
-        start = min(unused)
+    for start in darts:
+        if start in walked:
+            continue
         walk = [start]
-        unused.discard(start)
         while True:
             u, v = walk[-1]
             ring = rotation[v]
@@ -519,7 +521,7 @@ def _trace_internal_faces(net):
             if dart == start:
                 break
             walk.append(dart)
-            unused.discard(dart)
+        walked.update(walk)
         walks.append([u for u, _ in walk])
 
     def area(nodes):
@@ -543,6 +545,14 @@ def _trace_internal_faces(net):
 
 
 def _check_no_crossings(net):
+    """Raise PlanarityError naming the lowest pair of pipes, in edge order,
+    that overlap in the drawing. Two pipes overlap when they cross
+    properly (each has its ends on strict opposite sides of the other), or
+    when an end of one that is not an end of the other lies on the other:
+    its orientation against that pipe is 0 and it lies in that pipe's
+    bounding box. This one rule covers pipes that share a node too: the
+    shared end is left out, so they overlap exactly when the far end of one
+    lies on the other. Any faster check must keep the rule and the order."""
     pos = net.coords
 
     def orient(a, b, c):
@@ -554,33 +564,24 @@ def _check_no_crossings(net):
             return -1
         return 0
 
-    def on_segment(a, b, c):
+    def in_box(a, b, c):
         return (min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
                 and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12)
-
-    def lies_on(a, b, c):
-        return orient(a, b, c) == 0 and on_segment(a, b, c)
 
     endpoints = net.endpoints
     m = len(endpoints)
     for e in range(m):
-        u, v = endpoints[e]
+        u, v = ends = endpoints[e]
         a, b = pos[u], pos[v]
         for f in range(e + 1, m):
-            other = endpoints[f]
-            c, d = (pos[n] for n in other)
-            if u in other or v in other:
-                # pipes that meet at one node overlap exactly when the far
-                # end of one lies on the other (parallel pipes are rejected)
-                node, far = (u, b) if u in other else (v, a)
-                overlap = (lies_on(a, b, pos[other[other[0] == node]]) or lies_on(c, d, far))
-            else:
-                o1, o2 = orient(a, b, c), orient(a, b, d)
-                o3, o4 = orient(c, d, a), orient(c, d, b)
-                crossing = (o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4))
-                touching = ((o1 == 0 and on_segment(a, b, c)) or (o2 == 0 and on_segment(a, b, d))
-                            or (o3 == 0 and on_segment(c, d, a)) or (o4 == 0 and on_segment(c, d, b)))
-                overlap = crossing or touching
-            if overlap:
+            x, y = other = endpoints[f]
+            c, d = pos[x], pos[y]
+            o1, o2 = orient(a, b, c), orient(a, b, d)
+            o3, o4 = orient(c, d, a), orient(c, d, b)
+            if ((o1 * o2 < 0 and o3 * o4 < 0)
+                    or (o1 == 0 and x not in ends and in_box(a, b, c))
+                    or (o2 == 0 and y not in ends and in_box(a, b, d))
+                    or (o3 == 0 and u not in other and in_box(c, d, a))
+                    or (o4 == 0 and v not in other and in_box(c, d, b))):
                 raise PlanarityError(
                     f"edges {net.edge_labels[e]!r} and {net.edge_labels[f]!r} cross in the drawing")

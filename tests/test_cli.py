@@ -313,6 +313,17 @@ def test_solve_writes_anytime_log(capsys, tmp_path):
     assert uds[-1] == 15.0
 
 
+def test_solve_bad_anytime_path_fails_before_the_solve(capsys, monkeypatch, tmp_path):
+    def no_solve(*args):
+        raise AssertionError("solved before the anytime file was opened")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code, out, err = run(capsys, "solve", "fig1", "--nv", "6",
+                         "--anytime", str(tmp_path / "missing" / "a.csv"))
+    assert code == 1
+    assert err.startswith("error: ") and "ud_lps" not in out
+
+
 def test_solve_node_limit_exit_code(capsys):
     code, out, _ = run(capsys, "solve", "fig1", "--nv", "6", "--node-limit", "5",
                        "--no-bound", "--no-faces", "--no-symmetry")
@@ -376,6 +387,26 @@ def test_sweep_interrupted_before_any_point(capsys, monkeypatch):
     code, out, _ = run(capsys, "sweep", "fig1", "--nv", "4..6")
     assert code == 3
     assert "n_valves=4: interrupted" in out
+
+
+def test_sweep_out_dir_that_is_a_file_fails_before_the_sweep(capsys, monkeypatch, tmp_path):
+    def no_sweep(*args):
+        raise AssertionError("swept before the out dir was made")
+
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    code, _, err = run(capsys, "sweep", "fig1", "--nv", "2..6", "--out-dir", str(taken))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_sweep_every_budget_infeasible_exit_code(capsys):
+    # fig1 has two source-side slots: budget 1 is infeasible, as in `solve`
+    code, out, _ = run(capsys, "sweep", "fig1", "--nv", "1..1")
+    assert code == 2
+    assert "n_valves=1:" in out
+    assert run(capsys, "sweep", "fig1", "--nv", "1..2")[0] == 0
 
 
 def test_sweep_placement_files_parse_back(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import json
+import os
+import random
 
 import pytest
 
@@ -17,6 +19,9 @@ from valveplan.network import (
 from valveplan.generate import random_instance
 
 from conftest import disjoint_triangles, make_net
+
+INSTANCES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "perfbench", "data", "instances")
 
 
 def test_fig1_parses_to_expected_shape(fig1):
@@ -346,6 +351,75 @@ def test_collinear_pipes_sharing_an_endpoint_accepted():
                    coords={"1": [0, 0], "2": [1, 0], "3": [2, 0], "4": [1, 1]})
     assert compute_faces(net) == [(1, 2, 3, 4)]
     assert net.faces == ((0, 1, 2, 3),)
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _pipes_overlap(at, pipe, other):
+    """Whether two pipes drawn between integer points share a point other
+    than a node they share, in exact integer arithmetic."""
+    shared = set(pipe) & set(other)
+    if shared:
+        (n,) = shared
+        far1, far2 = (at[k] for k in (*pipe, *other) if k != n)
+        # two segments out of one point share another exactly when they
+        # point the same way along one line
+        o = at[n]
+        dot = (far1[0] - o[0]) * (far2[0] - o[0]) + (far1[1] - o[1]) * (far2[1] - o[1])
+        return _cross(o, far1, far2) == 0 and dot > 0
+    p, q = at[pipe[0]], at[pipe[1]]
+    r, s = at[other[0]], at[other[1]]
+    d1, d2, d3, d4 = _cross(p, q, r), _cross(p, q, s), _cross(r, s, p), _cross(r, s, q)
+    if d1 == d2 == d3 == d4 == 0:
+        # one line: the segments meet when their spans along it do
+        axis = 0 if p[0] != q[0] else 1
+        lo = max(min(p[axis], q[axis]), min(r[axis], s[axis]))
+        return lo <= min(max(p[axis], q[axis]), max(r[axis], s[axis]))
+    return d1 * d2 <= 0 and d3 * d4 <= 0
+
+
+def test_overlap_rule_against_exact_reference():
+    # 4-7 nodes at distinct integer points of [0, 4]^2, where floats are
+    # exact and collinear triples are common: the check names the lowest
+    # overlapping pair in edge order, and a drawing without one traces
+    # E - V + 1 faces
+    rejected = accepted = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        n = rng.randint(4, 7)
+        at = rng.sample([(x, y) for x in range(5) for y in range(5)], n)
+        pairs = {(rng.randrange(k), k) for k in range(1, n)}
+        for _ in range(rng.randint(0, n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            pairs.add((u, v))
+        pipes = sorted(pairs)
+        rng.shuffle(pipes)
+        net = make_net(list(range(n)), [0], [(f"p{u}-{v}", u, v, 1) for u, v in pipes],
+                       coords={str(k): list(xy) for k, xy in enumerate(at)})
+        lowest = next(((e, f) for e in range(len(pipes)) for f in range(e + 1, len(pipes))
+                       if _pipes_overlap(at, pipes[e], pipes[f])), None)
+        if lowest is None:
+            faces = compute_faces(net)
+            assert len(faces) == len(pipes) - n + 1, seed
+            assert net.faces is not None and len(net.faces) == len(faces), seed
+            accepted += 1
+        else:
+            e, f = (net.edge_labels[k] for k in lowest)
+            with pytest.raises(PlanarityError, match=f"^edges '{e}' and '{f}' cross in the drawing$"):
+                compute_faces(net)
+            assert net.faces is None, seed
+            rejected += 1
+    assert rejected > 500 and accepted > 500
+
+
+@pytest.mark.parametrize("name, faces", [("rand-0-m300", 196), ("rand-0-m600", 396)])
+def test_large_frozen_drawings_trace_every_face(name, faces):
+    # a false overlap at scale would drop the face rule without an error
+    with open(os.path.join(INSTANCES, f"{name}.json"), "r", encoding="utf-8") as fh:
+        net = parse_network(fh.read())
+    assert len(net.faces) == net.num_edges - net.num_nodes + 1 == faces
 
 
 def test_euler_face_count_on_random_instances():
