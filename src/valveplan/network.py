@@ -30,9 +30,14 @@ is omitted but ``coords`` is present, the internal faces of the straight
 line drawing are computed automatically; if neither is usable the face
 information is simply absent (it only feeds an optional pruning rule).
 
-Node and edge labels must not hold whitespace or ``#``: a placement file
-names each valve by an ``edge:node`` token, separates tokens by whitespace
-and starts a comment at ``#``. A label may hold ``:``.
+Node and edge ids are JSON strings or integers, unique by their text within
+their kind, and hold no whitespace or ``#``: a placement file names each
+valve by an ``edge:node`` token, separates tokens by whitespace and starts
+a comment at ``#``. An id may hold ``:``. A JSON value in ``sources``, an
+edge or a face names the node id of the same type and text, so ``"1"``,
+``true`` and ``1.0`` do not name node ``1``; a ``coords`` key or a
+placement token names an id by its text. `Network.node_index` and
+`Network.edge_index` map that text to the node or edge index.
 """
 
 import json
@@ -123,65 +128,49 @@ class Network:
         if not nodes:
             raise ValidationError("network has no nodes")
         self.node_labels = tuple(nodes)
-        self.node_index = {}
-        self._node_by_str = {}
-        for i, label in enumerate(self.node_labels):
-            if isinstance(label, (list, dict)):     # unhashable: it names nothing
-                raise ValidationError(f"node id {label!r} must not be an array or object")
-            _check_label("node", label)
-            if label in self.node_index or str(label) in self._node_by_str:
-                raise ValidationError(f"duplicate node id {label!r}")
-            self.node_index[label] = i
-            self._node_by_str[str(label)] = i
+        self.node_index = _index("node", self.node_labels)
         if not sources:
             raise ValidationError("at least one source node is required")
-        src = set()
-        for label in sources:
-            if isinstance(label, (list, dict)) or label not in self.node_index:
-                raise ValidationError(f"source {label!r} is not a declared node")
-            src.add(self.node_index[label])
-        self.sources = frozenset(src)
-        self.source_list = tuple(sorted(src))
-        self.sources_mask = sum(1 << s for s in src)
+        self.sources = frozenset(self._node(label, "source {!r} is not a declared node")
+                                 for label in sources)
+        self.source_list = tuple(sorted(self.sources))
+        self.sources_mask = sum(1 << s for s in self.sources)
+
+    def _node(self, label, message, *where):
+        """Index of the node whose id has the type and text of the JSON
+        value `label`. When no node has, raises ValidationError with
+        `message` formatted by `where` and then `label`."""
+        if type(label) in (str, int):
+            i = self.node_index.get(str(label))
+            if i is not None and type(self.node_labels[i]) is type(label):
+                return i
+        raise ValidationError(message.format(*where, label))
 
     def _init_edges(self, edges):
-        self.edge_labels = []
-        self.edge_index = {}
-        self._edge_by_str = {}
+        edges = tuple(edges)
+        self.edge_labels = tuple(label for label, _, _, _ in edges)
+        self.edge_index = _index("edge", self.edge_labels)
         self.endpoints = []
         self.demand = []
-        seen_pairs = {}
+        self._pair_edge = {}
         for k, (label, u_label, v_label, w) in enumerate(edges):
-            if isinstance(label, (list, dict)):
-                raise ValidationError(f"edge id {label!r} must not be an array or object")
-            _check_label("edge", label)
-            if label in self.edge_index or str(label) in self._edge_by_str:
-                raise ValidationError(f"duplicate edge id {label!r}")
-            for end in (u_label, v_label):
-                if isinstance(end, (list, dict)) or end not in self.node_index:
-                    raise ValidationError(f"edge {label!r}: endpoint {end!r} is not a declared node")
-            u = self.node_index[u_label]
-            v = self.node_index[v_label]
+            u = self._node(u_label, "edge {!r}: endpoint {!r} is not a declared node", label)
+            v = self._node(v_label, "edge {!r}: endpoint {!r} is not a declared node", label)
             if u == v:
                 raise ValidationError(f"edge {label!r}: self-loops are not allowed")
             pair = (min(u, v), max(u, v))
-            if pair in seen_pairs:
+            if pair in self._pair_edge:
                 raise ValidationError(
-                    f"edges {seen_pairs[pair]!r} and {label!r} connect the same node pair "
-                    "(parallel pipes are not supported)")
-            seen_pairs[pair] = label
+                    f"edges {self.edge_labels[self._pair_edge[pair]]!r} and {label!r} "
+                    "connect the same node pair (parallel pipes are not supported)")
+            self._pair_edge[pair] = k
             if not isinstance(w, int) or isinstance(w, bool) or w < 0:
                 raise ValidationError(f"edge {label!r}: internal demand must be a nonnegative integer")
-            self.edge_index[label] = k
-            self._edge_by_str[str(label)] = k
-            self.edge_labels.append(label)
             self.endpoints.append((u, v))
             self.demand.append(w)
-        self.edge_labels = tuple(self.edge_labels)
         self.endpoints = tuple(self.endpoints)
         self.demand = tuple(self.demand)
         self.total_demand = sum(self.demand)
-        self._pair_edge = {pair: self.edge_index[lbl] for pair, lbl in seen_pairs.items()}
 
         incident = [[] for _ in self.node_labels]
         for e, (u, v) in enumerate(self.endpoints):
@@ -220,13 +209,15 @@ class Network:
             return
         out = {}
         for label, xy in coords.items():
-            key = str(label)
-            if key not in self._node_by_str:
+            n = self.node_index.get(str(label))
+            if n is None:
                 raise ValidationError(f"coords: unknown node {label!r}")
             if (not isinstance(xy, (list, tuple)) or len(xy) != 2
-                    or not all(isinstance(c, (int, float)) and math.isfinite(c) for c in xy)):
+                    # finite, and for an int, within the range of a float
+                    or not all(type(c) in (int, float) and abs(c) <= sys.float_info.max
+                               for c in xy)):
                 raise ValidationError(f"coords for node {label!r} must be a finite [x, y] pair")
-            out[self._node_by_str[key]] = (float(xy[0]), float(xy[1]))
+            out[n] = (float(xy[0]), float(xy[1]))
         if len(out) != self.num_nodes:
             raise ValidationError("coords must cover every node")
         self.coords = out
@@ -239,11 +230,7 @@ class Network:
                     raise ValidationError(f"face {cycle!r} must be an array of nodes")
                 if len(cycle) < 3:
                     raise ValidationError(f"face {cycle!r} has fewer than 3 nodes")
-                idx = []
-                for label in cycle:
-                    if isinstance(label, (list, dict)) or label not in self.node_index:
-                        raise ValidationError(f"face {cycle!r}: unknown node {label!r}")
-                    idx.append(self.node_index[label])
+                idx = [self._node(label, "face {!r}: unknown node {!r}", cycle) for label in cycle]
                 for a, b in zip(idx, idx[1:] + idx[:1]):
                     if (min(a, b), max(a, b)) not in self._pair_edge:
                         raise ValidationError(
@@ -328,8 +315,8 @@ class Network:
         slots = []
         at = token.find(":")
         while at >= 0:
-            e = self._edge_by_str.get(token[:at])
-            n = self._node_by_str.get(token[at + 1:])
+            e = self.edge_index.get(token[:at])
+            n = self.node_index.get(token[at + 1:])
             if e is not None and n in self.endpoints[e]:
                 slots.append(self.slot_id(e, n))
             at = token.find(":", at + 1)
@@ -338,9 +325,9 @@ class Network:
         if slots:
             raise ValidationError(f"slot token {token!r} names more than one slot")
         edge_s, node_s = token.rsplit(":", 1)
-        if edge_s not in self._edge_by_str:
+        if edge_s not in self.edge_index:
             raise ValidationError(f"slot token {token!r}: unknown edge {edge_s!r}")
-        if node_s not in self._node_by_str:
+        if node_s not in self.node_index:
             raise ValidationError(f"slot token {token!r}: unknown node {node_s!r}")
         raise ValidationError(
             f"slot token {token!r}: node {node_s!r} is not an endpoint of edge {edge_s!r}")
@@ -370,10 +357,20 @@ class Network:
                 f"{len(self.sources)} source(s), total demand {format_flow(self.total_demand)} l/s>")
 
 
-def _check_label(kind, label):
-    text = str(label)
-    if "#" in text or any(c.isspace() for c in text):
-        raise ValidationError(f"{kind} id {label!r} must not hold whitespace or '#'")
+def _index(kind, labels):
+    """Map the text of each id to its position. An id is a JSON string or
+    integer, not a boolean, with no whitespace or `#`, unique by its text."""
+    index = {}
+    for i, label in enumerate(labels):
+        if type(label) not in (str, int):
+            raise ValidationError(f"{kind} id {label!r} must be a string or an integer")
+        text = str(label)
+        if "#" in text or any(c.isspace() for c in text):
+            raise ValidationError(f"{kind} id {label!r} must not hold whitespace or '#'")
+        if text in index:
+            raise ValidationError(f"duplicate {kind} id {label!r}")
+        index[text] = i
+    return index
 
 
 def _canonical_cycle(idx):

@@ -532,13 +532,11 @@ class Search:
         stats = self.stats
         stats.leaves += 1
         st = self.state
-        if st.n_present == self.nv and st.worst_damage() >= self.incumbent_ud:
+        if ((st.n_present == self.nv and st.worst_damage() >= self.incumbent_ud)
+                or not self._offer(st.present_mask())):
             stats.rejected_leaves += 1
-        elif self._offer(st.present_mask()):
-            if self.opts.restart_mode == "restarting" or self.floor_met:
-                self._unwind = True
-        else:
-            stats.rejected_leaves += 1
+        elif self.opts.restart_mode == "restarting" or self.floor_met:
+            self._unwind = True
 
     def _enter(self):
         """Count a node; evaluate a leaf (None) or pick the slot to branch on."""

@@ -31,10 +31,10 @@ class TrailedState:
 
     `faces` is a `tables.FaceTable`: the slot set of each face, kept as
     `face_slot_sets`, and per slot the faces through it, kept as
-    `slot_faces`; without it the state reads the network's table over no
-    face. The state keeps three face counters that `set_value` updates and
-    `undo_frame` restores, so the face rule reads them in O(1) per face
-    instead of rescanning cycles:
+    `slot_faces`; a state without the face rule takes the network's table
+    over no face, `tables.no_faces`. The state keeps three face counters
+    that `set_value` updates and `undo_frame` restores, so the face rule
+    reads them in O(1) per face instead of rescanning cycles:
 
     * `face_valves[f]`: PRESENT slots on face f;
     * `face_undecided[f]`: UNDECIDED slots on face f;
@@ -78,7 +78,7 @@ class TrailedState:
     and shared by every state over it.
     """
 
-    def __init__(self, net, faces=None):
+    def __init__(self, net, faces):
         self.net = net
         n = net.num_nodes
         self.value = bytearray(net.num_slots)
@@ -91,8 +91,6 @@ class TrailedState:
         self.slot_node = tables.slot_node
         self.slot_other = tables.slot_other
         self.slot_demand = tables.slot_demand
-        if faces is None:
-            faces = tables.no_faces
         self.slot_faces = faces.through
         self.face_slot_sets = faces.slots
         self.face_valves = [0] * len(faces.slots)

@@ -645,7 +645,7 @@ def test_worst_case_across_a_fully_valved_junction():
                    [("a", 1, 2, 1), ("b", 2, 3, 2), ("c", 3, 4, 4), ("d", 3, 5, 8)])
     mask = present_mask(net, slots(net, "a:1", "b:3", "c:3", "d:3"))
     label, _, _ = isolation.sector_labels(net, mask)
-    assert label[net.node_index[3]] == net.node_index[3]
+    assert label[net.node_index["3"]] == net.node_index["3"]
     assert check_feasibility_rule(net, mask)
     assert worst_case_fast(net, mask) == (15_000, edge(net, "a"), True)
 

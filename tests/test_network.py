@@ -116,6 +116,11 @@ def doc(**changes):
     return json.dumps({k: v for k, v in out.items() if v is not None})
 
 
+def renamed_node_1(label):
+    """BASE with node 1 renamed to `label` everywhere it is named."""
+    return doc(nodes=[label, 2, 3], sources=[label], edges=[["a", label, 2, 1], ["b", 2, 3, 1]])
+
+
 def slot_token(token):
     return make_net(BASE["nodes"], BASE["sources"], BASE["edges"]).parse_slot_token(token)
 
@@ -174,11 +179,11 @@ def slot_token(token):
     pytest.param(lambda: parse_network(doc(coords=[])), ValidationError,
                  "'coords' must be an object mapping node to [x, y]", id="coords-not-an-object"),
     pytest.param(lambda: parse_network(doc(nodes=[1, [2], 3])), ValidationError,
-                 "node id [2] must not be an array or object", id="node-id-array"),
+                 "node id [2] must be a string or an integer", id="node-id-array"),
     pytest.param(lambda: parse_network(doc(sources=[{"id": 1}])), ValidationError,
                  "source {'id': 1} is not a declared node", id="source-object"),
     pytest.param(lambda: parse_network(doc(edges=[[["a"], 1, 2, 1]])), ValidationError,
-                 "edge id ['a'] must not be an array or object", id="edge-id-array"),
+                 "edge id ['a'] must be a string or an integer", id="edge-id-array"),
     pytest.param(lambda: parse_network(doc(edges=[["a", 1, [2], 1]])), ValidationError,
                  "edge 'a': endpoint [2] is not a declared node", id="edge-endpoint-array"),
     pytest.param(lambda: parse_network(doc(faces=[5])), ValidationError,
@@ -186,6 +191,34 @@ def slot_token(token):
     pytest.param(lambda: parse_network(doc(edges=[["a", 1, 2, 1], ["b", 2, 3, 1], ["c", 3, 1, 1]],
                                            faces=[[1, [2], 3]])),
                  ValidationError, "face [1, [2], 3]: unknown node [2]", id="face-node-array"),
+    pytest.param(lambda: parse_network(doc(coords={"1": [0, 0], "2": [True, False], "3": [0, 1]})),
+                 ValidationError, "coords for node '2' must be a finite [x, y] pair",
+                 id="coords-bool"),
+    pytest.param(lambda: parse_network(doc(coords={"1": [0, 0], "2": [10**400, 0], "3": [0, 1]})),
+                 ValidationError, "coords for node '2' must be a finite [x, y] pair",
+                 id="coords-int-past-float"),
+    # a JSON value names the id of its own type and text: true == 1 == 1.0
+    # in Python, but none of them names node 1, and neither does "1"
+    pytest.param(lambda: parse_network(doc(sources=[True])), ValidationError,
+                 "source True is not a declared node", id="source-true"),
+    pytest.param(lambda: parse_network(doc(sources=[1.0])), ValidationError,
+                 "source 1.0 is not a declared node", id="source-float"),
+    pytest.param(lambda: parse_network(doc(sources=["1"])), ValidationError,
+                 "source '1' is not a declared node", id="source-digit-string"),
+    pytest.param(lambda: parse_network(doc(edges=[["a", True, 2, 1], ["b", 2, 3, 1]])),
+                 ValidationError, "edge 'a': endpoint True is not a declared node",
+                 id="endpoint-true"),
+    pytest.param(lambda: parse_network(doc(edges=[["a", 1, 2, 1], ["b", 2, 3, 1], ["c", 3, 1, 1]],
+                                           faces=[[True, 2, 3]])),
+                 ValidationError, "face [True, 2, 3]: unknown node True", id="face-node-true"),
+    pytest.param(lambda: parse_network(renamed_node_1(True)), ValidationError,
+                 "node id True must be a string or an integer", id="node-id-true"),
+    pytest.param(lambda: parse_network(renamed_node_1(None)), ValidationError,
+                 "node id None must be a string or an integer", id="node-id-null"),
+    pytest.param(lambda: parse_network(renamed_node_1(1.5)), ValidationError,
+                 "node id 1.5 must be a string or an integer", id="node-id-float"),
+    pytest.param(lambda: parse_network(doc(edges=[[False, 1, 2, 1], ["b", 2, 3, 1]])),
+                 ValidationError, "edge id False must be a string or an integer", id="edge-id-false"),
 ])
 def test_input_checks(build, error, message):
     with pytest.raises(error) as err:
@@ -265,6 +298,28 @@ def test_parse_placement_rejects_duplicates(fig1):
 def test_serialize_round_trip(fig1, fig2):
     for net in (fig1, fig2):
         assert parse_network(serialize_network(net)) == net
+
+
+def test_committed_documents_parse_and_round_trip(fig1, fig2):
+    # read-only: every instance document the benchmark reads keeps to the
+    # id rule, so a stricter rule fails here before any benchmark run
+    data = os.path.dirname(INSTANCES)
+    nets = [fig1, fig2]
+    for folder, _, names in sorted(os.walk(data)):
+        for name in sorted(names):
+            if name.endswith(".json"):
+                with open(os.path.join(folder, name), "r", encoding="utf-8") as fh:
+                    text = fh.read()
+                if "nodes" in json.loads(text):
+                    nets.append(parse_network(text))
+    assert len(nets) >= 62
+    for net in nets:
+        assert parse_network(serialize_network(net)) == net
+
+
+def test_edges_may_be_a_one_shot_iterable():
+    edges = [("a", 1, 2, 1000), ("b", 2, 3, 2000)]
+    assert Network([1, 2, 3], [1], iter(edges)) == Network([1, 2, 3], [1], edges)
 
 
 def test_serialize_round_trip_random():

@@ -764,7 +764,7 @@ def test_choose_branch_prefers_merging_slot_to_heavier_pipe():
     for token in ("b:3", "c:3"):
         assert search.decide(net.parse_slot_token(token), ABSENT)
     st = search.state
-    assert st.lb[st.root[net.node_index[3]]] == 15000
+    assert st.lb[st.root[net.node_index["3"]]] == 15000
     assert net.slot_token(search.choose_branch()) == "b:2"
 
 

@@ -292,7 +292,7 @@ def test_full_undo_returns_to_pristine(fig1_net_doc):
 def test_lower_bound_single_count():
     # both slots of a 7 l/s pipe absent: classes merge, weight counted once
     net = make_net([1, 2, 3], [1], [("a", 1, 2, 7), ("b", 2, 3, 2)])
-    state = TrailedState(net)
+    state = TrailedState(net, net.tables.no_faces)
     a0 = net.parse_slot_token("a:1")
     a1 = net.parse_slot_token("a:2")
     r = state.set_value(a0, ABSENT)
@@ -308,7 +308,7 @@ def test_lb_matches_attached_edges(fig1_net_doc):
     net = fig1_net_doc
     rng = random.Random(31)
     for _ in range(50):
-        state = TrailedState(net)
+        state = TrailedState(net, net.tables.no_faces)
         order = list(range(net.num_slots))
         rng.shuffle(order)
         for slot in order[:rng.randint(0, net.num_slots)]:
@@ -400,7 +400,7 @@ def test_union_inside_a_frame_leaves_its_snapshot_alone(how):
     # inside it merges {3} into that class. Every snapshot must still read
     # as it did at its `push_frame`, and the undo puts that state back
     net = path_net(3)
-    st = TrailedState(net)
+    st = TrailedState(net, net.tables.no_faces)
     for token in ("p1:1", "p1:2"):
         st.set_value(net.parse_slot_token(token), ABSENT)
     image = state_image(st)
