@@ -393,12 +393,14 @@ def parse_network(text):
     ValidationError naming the violated invariant otherwise.
     """
     def _bad_const(name):
-        raise ParseError(f"non-finite number {name} is not allowed")
+        raise ValueError(f"non-finite number {name} is not allowed")
 
     try:
         doc = json.loads(text, parse_constant=_bad_const)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except ValueError as exc:   # a non-finite constant or an integer past the digit limit
+        raise ParseError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a JSON object")
     unknown = set(doc) - _KNOWN_KEYS

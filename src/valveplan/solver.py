@@ -39,8 +39,9 @@ or with a valve moved, does at least as well within the same budget:
 * bound rule: classes of nodes already known to share a sector carry a
   demand lower bound `lb`; once a class reaches the incumbent the branch is
   dead. A class that passes carries a second, tighter bound, the cut-off
-  bound (`Search.cutoff_bound`): `lb` plus the demand of the pipes its
-  sector's break leaves dry that `lb` does not count yet. The bound rule
+  bound (`Search.cutoff_bound`): the demand of the pipes its sector's
+  break leaves dry plus that of the emptied crossing slots, the empty
+  slots at the class on pipes that a source still reaches. The bound rule
   also stops the whole search once the incumbent meets the bridge floor,
   the worst case with a valve on every slot, which no placement can beat
   (see the `isolation` module docstring for why).
@@ -80,18 +81,23 @@ passes no water, since each of its pipes is in the sector or closed off
 by a boundary valve at that node; a node that no source reaches once C's
 nodes are deleted has no source path; so a pipe with both ends among
 those is fed from neither end. Its demand is lost in that break, whatever
-the completion, and adding what `lb(C)` does not count yet never counts a
+the completion, so the bound is the demand of one union: the dry pipes
+and the pipes `lb(C)` counts. A pipe `lb(C)` counts that is not dry has
+an endpoint a source reaches, which is not in C, so its empty slot is at
+C's end: it crosses from a reached node into C. The bound is thus the dry
+demand plus that of the crossing slots that are empty, and counts no
 pipe twice. C only grows along a branch, and deleting more nodes only
-dries more, so the bound only grows too. It depends on C's node set alone,
-so `Search` floods once per distinct set (`_DryPipes`). `decide` tests it
-only on the class an empty slot grew, after the plain `lb` test passed,
-against a finite incumbent, and walks the dry pipes only when `lb` plus
-all their demand reaches the incumbent; the lonely-face batch tests `lb`
-alone. `lb_prune` switches both bounds off. Improvements are strict: each new
-incumbent imposes `ud < best` from then on. By default the search continues
-in place after an improvement; `restart_mode="restarting"` instead abandons
-the tree and starts over with the tightened bound, which reproduces the
-slower restart-per-solution behaviour for comparison.
+dries more, so the bound only grows too. The dry demand and the crossing
+slots depend on C's node set alone, so `Search` floods once per distinct
+set (`_DryPipes`) and a test reads only the crossing slots' values.
+`decide` tests it only on the class an empty slot grew, after the plain
+`lb` test passed, against a finite incumbent; the lonely-face batch tests
+`lb` alone. `lb_prune` switches both bounds off. Improvements are
+strict: each new incumbent imposes `ud < best` from then on. By default
+the search continues in place after an improvement;
+`restart_mode="restarting"` instead abandons the tree and starts over
+with the tightened bound, which reproduces the slower
+restart-per-solution behaviour for comparison.
 """
 
 import math
@@ -212,9 +218,10 @@ def required_source_slots(net):
 
 
 class _DryPipes(dict):
-    """Node mask of a class -> (demand, pipe mask) of the pipes with no
-    endpoint that a source reaches once the class's nodes are deleted,
-    filled by one bitmask flood on first use."""
+    """Node mask of a class C -> (dry demand, crossing slots), filled by one
+    flood on first use. The flood starts at the sources outside C and never
+    enters C; a pipe with no endpoint it reaches is dry, and a crossing slot
+    is the slot at C's end of a pipe from a reached node into C."""
 
     __slots__ = ("net",)
 
@@ -224,21 +231,25 @@ class _DryPipes(dict):
 
     def __missing__(self, members):
         net = self.net
-        nbrs = net.tables.node_nbrs
-        pipes = net.tables.node_pipes
+        inc = net._inc
+        w = net.demand
         seen = members | net.sources_mask
-        frontier = net.sources_mask & ~members
-        wet = 0                                 # pipes with a reached endpoint
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            n = low.bit_length() - 1
-            wet |= pipes[n]
-            new = nbrs[n] & ~seen
-            seen |= new
-            frontier |= new
-        dry = ((1 << net.num_edges) - 1) & ~wet
-        self[members] = found = (sum(map(net.demand.__getitem__, mask_bits(dry))), dry)
+        stack = [s for s in net.source_list if not members >> s & 1]
+        # twice the demand of the pipes with a reached endpoint: the flood
+        # meets one between two reached nodes from both ends, and one into
+        # C from its reached end only, so that one counts twice there
+        wet = 0
+        crossing = []
+        while stack:
+            for g, _, other, there in inc[stack.pop()]:
+                wet += w[g]
+                if members >> other & 1:
+                    wet += w[g]
+                    crossing.append(there)
+                elif not seen >> other & 1:
+                    seen |= 1 << other
+                    stack.append(other)
+        self[members] = found = (net.total_demand - wet // 2, tuple(crossing))
         return found
 
 
@@ -323,26 +334,20 @@ class Search:
 
     def cutoff_bound(self, root):
         """The cut-off bound of the class C rooted at `root`, which must
-        hold a pipe (an empty slot at one of its nodes): `lb(C)` plus the
-        demand of the pipes that C's sector's break leaves dry and `lb(C)`
-        does not count yet. A dry pipe has no endpoint that a source
-        reaches once C's nodes are deleted; `lb(C)` counts a pipe when it
-        has an empty slot at a node of C."""
+        hold a pipe (an empty slot at one of its nodes): the demand of the
+        pipes that C's sector's break leaves dry, those with no endpoint
+        that a source reaches once C's nodes are deleted, plus that of the
+        crossing pipes whose slot at C is empty. Those are the pipes
+        `lb(C)` counts that are not dry, so the sum is `lb(C)` plus the dry
+        demand it does not count yet."""
         st = self.state
         value = st.value
-        labels = st.root
-        slot_node = st.slot_node
-        demand = self.net.demand
-        total, dry = self.dry[st.members[root]]
-        while dry:
-            low = dry & -dry
-            dry ^= low
-            e = low.bit_length() - 1
-            a = 2 * e
-            if ((value[a] == ABSENT and labels[slot_node[a]] == root)
-                    or (value[a + 1] == ABSENT and labels[slot_node[a + 1]] == root)):
-                total -= demand[e]
-        return st.lb[root] + total
+        slot_demand = st.slot_demand
+        total, crossing = self.dry[st.members[root]]
+        for a in crossing:
+            if value[a] == ABSENT:
+                total += slot_demand[a]
+        return total
 
     def decide(self, slot, value):
         """Assign and propagate to fixpoint. False means the branch failed.
@@ -364,8 +369,9 @@ class Search:
         the batch actually decides it; an entry whose slot already holds
         its value counts nothing, and a batch the bound stops counts the
         slots it decided. The walk tests the class an empty slot grew
-        against `lb` and then the cut-off bound; the batch tests `lb`
-        only. No decision goes past the budget, so none is
+        against `lb` and then against the cut-off bound, its dry demand
+        plus its emptied crossing slots; the batch tests `lb` only. No
+        decision goes past the budget, so none is
         tested against it: a fixpoint with no valve left empties every
         undecided slot, and within a walk only a lonely face queues a
         valve, while the valve that spends the budget fails the reach test
@@ -389,8 +395,6 @@ class Search:
         face_undecided = st.face_undecided
         face_slot_sets = st.face_slot_sets
         lb = st.lb
-        members = st.members
-        dry = self.dry
         reach = self.reach
         # a class bound at or past it kills the branch; only a leaf installs
         # a new incumbent, and `lb_prune` off leaves nothing to reach
@@ -420,8 +424,7 @@ class Search:
                 elif lb[root] >= bound:
                     stats.lb_prunes += 1
                     return False
-                elif (cutoff and lb[root] + dry[members[root]][0] >= bound
-                      and self.cutoff_bound(root) >= bound):
+                elif cutoff and self.cutoff_bound(root) >= bound:
                     stats.cutoff_prunes += 1
                     return False
 

@@ -50,7 +50,8 @@ class TrailedState:
     the class rooted at r (bit n for node n). A union ORs the two masks and
     relabels the nodes of the smaller class, walking its bits, so a node is
     relabelled O(log n) times along any branch. The solver's cut-off bound
-    reads a class's mask as the node set to delete.
+    reads a class's mask as the node set to delete, and `slot_demand` for
+    the crossing slots that are empty.
 
     `push_frame` saves what the mutators `set_value` and `empty_off_face`
     write: `value` as bytes, copies of the class labels, `lb`, `members`,

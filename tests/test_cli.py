@@ -79,6 +79,17 @@ def test_evaluate_rejects_a_demand_too_large_for_ml_per_second(capsys, tmp_path,
     assert err == "error: edge 'a': flow is too large (at most 1.798e+305 l/s)\n"
 
 
+def test_evaluate_rejects_an_integer_past_the_digit_limit(capsys, tmp_path,
+                                                          demo_placement_file):
+    huge = tmp_path / "digits.json"
+    huge.write_text('{"nodes": [1, 2], "sources": [1], "edges": [["a", 1, 2, %s]]}'
+                    % ("1" * 5000))
+    code, out, err = run(capsys, "evaluate", str(huge), demo_placement_file)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def evaluate_cases(tmp_path):
     """(instance path, network, placement): fig1 with the demo and the empty
     placement, a network whose edge labels need csv quoting, then random

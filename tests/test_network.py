@@ -6,6 +6,7 @@ import pytest
 
 from valveplan.network import (
     MLS,
+    InstanceError,
     Network,
     ParseError,
     PlanarityError,
@@ -105,6 +106,22 @@ def test_syntax_error_reports_position():
         parse_network('{"nodes": [1, 2\n  "sources": [1]}')
     assert err.value.line is not None
     assert "line" in str(err.value)
+
+
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize("text", [
+    '{"nodes": [1, 2], "sources": [1], "edges": [["a", 1, 2, %s]]}' % HUGE,
+    '{"nodes": [1, 2], "sources": [1], "edges": [["a", 1, 2, 1]], '
+    '"coords": {"1": [0, 0], "2": [%s, 0]}}' % HUGE,
+], ids=["demand", "coord"])
+def test_integer_past_the_digit_limit_is_an_instance_error(text):
+    # json.loads raises a plain ValueError for an integer past the
+    # interpreter's digit limit; without that limit the value is read and
+    # then rejected as too large
+    with pytest.raises(InstanceError):
+        parse_network(text)
 
 
 BASE = {"nodes": [1, 2, 3], "sources": [1], "edges": [["a", 1, 2, 1], ["b", 2, 3, 1]]}

@@ -650,6 +650,62 @@ def test_cutoff_bound_admissible():
     assert audited >= 500
 
 
+def reference_cutoff(net, st, root):
+    """The cut-off bound of the class rooted at `root`, by plain sets: the
+    demand of the pipes with no endpoint that a source reaches once the
+    class's nodes are deleted, or with an empty slot at one of its nodes."""
+    members = {n for n in range(net.num_nodes) if st.root[n] == root}
+    reached = set(net.source_list) - members
+    stack = list(reached)
+    while stack:
+        n = stack.pop()
+        for e in net.incident[n]:
+            u, v = net.endpoints[e]
+            other = v if u == n else u
+            if other not in members and other not in reached:
+                reached.add(other)
+                stack.append(other)
+    total = 0
+    for e, ends in enumerate(net.endpoints):
+        emptied = any(st.value[2 * e + i] == ABSENT and end in members
+                      for i, end in enumerate(ends))
+        if emptied or not reached & set(ends):
+            total += net.demand[e]
+    return total
+
+
+def test_cutoff_bound_equals_a_set_reference(corpus):
+    # the bound's value, not only its admissibility: random decisions and
+    # rollbacks with the bound off, so nothing prunes, and at every state
+    # each class that holds a pipe against the set reference
+    nets = list(corpus)
+    for seed in range(3):
+        nets += [*walked_twice_nets(seed), *bridged_nets(seed), real_density_net(seed)]
+    rng = random.Random(33)
+    compared = 0
+    for net in nets:
+        for _ in range(3):
+            search = Search(net, rng.randint(2, net.num_slots), SolverOptions(lb_prune=False))
+            st = search.state
+            depth = 0
+            for _ in range(30):
+                undecided = [s for s in range(net.num_slots) if st.value[s] == UNDECIDED]
+                if depth and (not undecided or rng.random() < 0.2):
+                    st.undo_frame()
+                    depth -= 1
+                elif undecided:
+                    st.push_frame()
+                    depth += 1
+                    if not search.decide(rng.choice(undecided), rng.choice((PRESENT, ABSENT))):
+                        st.undo_frame()
+                        depth -= 1
+                roots = {st.root[st.slot_node[s]] for s, v in enumerate(st.value) if v == ABSENT}
+                for root in roots:
+                    assert search.cutoff_bound(root) == reference_cutoff(net, st, root)
+                compared += len(roots)
+    assert compared >= 5000
+
+
 # -- bound propagation -----------------------------------------------------------
 
 
